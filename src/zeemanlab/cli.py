@@ -61,6 +61,16 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """No flag abbreviations; usage errors exit 1 through ConfigError, not 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 # ---------------------------------------------------------------------------
 # deterministic serialization
 # ---------------------------------------------------------------------------
@@ -408,7 +418,7 @@ def cmd_measures(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zeemanlab",
         description="Reproducible experiments on Zeeman eigenvalue clusters",
     )
@@ -468,6 +478,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# JSON types a config-file value may have, by the option's argparse type
+_JSON_TYPES = {int: (int,), float: (int, float), None: (str,)}
+
+
 def _merge_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config:
@@ -477,13 +491,31 @@ def _merge_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
         if not isinstance(defaults, dict):
             raise ConfigError("config file must hold a JSON object")
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {a.dest: a for a in sub.choices[args.command]._actions if a.dest != "help"}
         # flags given explicitly on the command line win over the file
         explicit = _explicit_keys(argv)
         for key, value in defaults.items():
             attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in explicit:
+            if attr not in options:
+                raise ConfigError(f"config key {key!r} is not an option of {args.command!r}")
+            value = _config_value(key, value, options[attr])
+            if attr not in explicit:
                 setattr(args, attr, value)
     return args
+
+
+def _config_value(key: str, value, action: argparse.Action):
+    """The file's value as the option stores it, if its JSON type and choice fit."""
+    kinds = (bool,) if action.nargs == 0 else _JSON_TYPES[action.type]
+    if (
+        isinstance(value, bool) != (kinds == (bool,))
+        or not isinstance(value, kinds)
+        or (action.choices is not None and value not in action.choices)
+    ):
+        expected = " or ".join(k.__name__ for k in kinds)
+        raise ConfigError(f"config key {key!r} cannot take {value!r} (expected {expected})")
+    return action.type(value) if action.type else value
 
 
 def _explicit_keys(argv: list[str]) -> set[str]:
@@ -500,7 +532,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _merge_config_file(parser, argv)
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and the library's input checks
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ClusterSeparationError, SubclusterOverlapError) as exc:

@@ -1,11 +1,13 @@
 """Coherent states on the 3-sphere and their angular-momentum moments.
 
 A state of shell index N is the normalized N-th power of the linear form
-alpha . omega, with alpha = a + ib an orthonormal index pair.  All moments
-are computed on the sphere, where the axial angular momentum acts on these
-powers by an exact first-order recursion, so every integrand is an honest
-polynomial and the product quadrature below integrates it to machine
-precision.
+alpha . omega, with alpha = a + ib an orthonormal index pair.  Its moments
+of the axial angular momentum come from the exact law of L3: degree-N
+harmonics split as V_{N/2} x V_{N/2} under SU(2) x SU(2), the state is a
+product of two spin coherent states, and L3 + N is the sum of two
+independent binomials (a convolution of their pmfs).  The product
+quadrature on S^3 below serves normalization, the harmonic basis and the
+completeness checks.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .classical_kepler import CoherentIndex
 
@@ -72,9 +75,9 @@ class QuadratureSpec:
         return min(2 * self.n_chi - 1, 2 * self.n_theta - 1, self.n_phi - 1)
 
     @classmethod
-    def for_state(cls, N: int, power: int = 0) -> "QuadratureSpec":
-        """Spec sized for integrands of degree 2N + 2*power."""
-        return cls(n_chi=N + power + 4, n_theta=N + power + 4, n_phi=2 * N + 2 * power + 8)
+    def for_state(cls, N: int) -> "QuadratureSpec":
+        """Spec sized for integrands of degree 2N."""
+        return cls(n_chi=N + 4, n_theta=N + 4, n_phi=2 * N + 8)
 
 
 @dataclass(frozen=True)
@@ -161,73 +164,46 @@ def coherent_state_values(index: CoherentIndex, N: int, grid: SphereGrid) -> np.
     return np.sqrt(normalization_sq(N)) * u**N
 
 
-def _apply_l3_power(poly: dict, power: int, factor: complex) -> dict:
-    """Apply (factor * L3)^power to a polynomial in the closed triple (u, v, w).
+def _binomial_pmf(N: int, p: float) -> np.ndarray:
+    """Bin(N, p) on 0..N from log-space terms, each one non-negative."""
+    p = min(max(p, 0.0), 1.0)
+    k = np.arange(N + 1)
+    log_pmf = (
+        gammaln(N + 1) - gammaln(k + 1) - gammaln(N - k + 1)
+        + xlogy(k, p) + xlog1py(N - k, -p)
+    )
+    pmf = np.exp(log_pmf)
+    return pmf / pmf.sum()
 
-    u = alpha . omega, v = omega_1 alpha_2 - omega_2 alpha_1,
-    w = omega_1 alpha_1 + omega_2 alpha_2.  The axial angular momentum
-    L3 = -i (omega_1 d_2 - omega_2 d_1) is a derivation acting by
-    L3 u = -i v, L3 v = i w, L3 w = -i v on the generators, which keeps
-    the space spanned by u^j v^k w^l invariant.
+
+def _l3_law(index: CoherentIndex, N: int) -> np.ndarray:
+    """Law of L3 on -N..N in the state of shell index N (entry j is L3 = j - N).
+
+    Degree-N harmonics split as V_{N/2} x V_{N/2} and the state is a product
+    of two spin coherent states, so L3 + N = X1 + X2 with independent
+    X_{1,2} ~ Bin(N, (1 + c_{1,2})/2), c_{1,2} = w12 +- w34 and w = a ^ b.
     """
-    for _ in range(power):
-        new: dict = {}
-        for (ju, jv, jw), c in poly.items():
-            if ju:
-                key = (ju - 1, jv + 1, jw)
-                new[key] = new.get(key, 0.0) + c * factor * (-1j) * ju
-            if jv:
-                key = (ju, jv - 1, jw + 1)
-                new[key] = new.get(key, 0.0) + c * factor * (1j) * jv
-            if jw:
-                key = (ju, jv + 1, jw - 1)
-                new[key] = new.get(key, 0.0) + c * factor * (-1j) * jw
-        poly = new
-    return poly
+    a, b = index.a_vec, index.b_vec
+    w12 = a[0] * b[1] - a[1] * b[0]
+    w34 = a[2] * b[3] - a[3] * b[2]
+    return np.convolve(
+        _binomial_pmf(N, 0.5 * (1.0 + w12 + w34)),
+        _binomial_pmf(N, 0.5 * (1.0 + w12 - w34)),
+    )
 
 
-def _expectation_complex(
-    index: CoherentIndex, N: int, power: int, B: float, spec: QuadratureSpec | None
-) -> complex:
-    if power < 0:
-        raise ValueError("power must be >= 0")
-    if spec is None:
-        spec = QuadratureSpec.for_state(N, power)
-    needed = 2 * N + 2 * power
-    if spec.exactness_degree < needed:
-        raise QuadratureAccuracyError(
-            f"grid exactness {spec.exactness_degree} below required degree {needed}"
-        )
-    grid = sphere_grid(spec)
-    alpha = index.alpha
-    u = grid.omega @ alpha
-    v = grid.omega[:, 0] * alpha[1] - grid.omega[:, 1] * alpha[0]
-    w = grid.omega[:, 0] * alpha[0] + grid.omega[:, 1] * alpha[1]
-    h_btil = (1.0 / (N + 1)) * (-B / 2.0)
-    poly = _apply_l3_power({(N, 0, 0): 1.0 + 0.0j}, power, h_btil)
-    acted = np.zeros(len(u), dtype=complex)
-    for (ju, jv, jw), c in poly.items():
-        acted += c * u**ju * v**jv * w**jw
-    integrand = np.conj(u) ** N * acted
-    return normalization_sq(N) * grid.integrate(integrand)
-
-
-def expectation_L3_power(
-    index: CoherentIndex,
-    N: int,
-    power: int,
-    B: float,
-    spec: QuadratureSpec | None = None,
-) -> float:
+def expectation_L3_power(index: CoherentIndex, N: int, power: int, B: float) -> float:
     """Expectation of (h * (-B/2) * L3)^power in the state of shell index N.
 
-    h = 1/(N+1).  The operator powers are expanded by the exact recursion
-    of :func:`_apply_l3_power`, so the integrand is a polynomial of degree
-    2N and the value is exact up to rounding; the observable is
-    self-adjoint, hence the imaginary residue is discarded (it is checked
-    to be at float level by tests).
+    h = 1/(N+1).  The value is the sum over the exact law of L3
+    (:func:`_l3_law`), so no quadrature is involved.
     """
-    return float(_expectation_complex(index, N, power, B, spec).real)
+    if N < 0:
+        raise ValueError("shell index must be non-negative")
+    if power < 0:
+        raise ValueError("power must be >= 0")
+    values = (-B / 2.0) / (N + 1) * (np.arange(2 * N + 1) - N)
+    return float(_l3_law(index, N) @ values**power)
 
 
 @dataclass

@@ -348,9 +348,6 @@ class ShellMatrix:
     def dim(self) -> int:
         return (self.N + 1) ** 2
 
-    def block(self, m: int) -> np.ndarray:
-        return self.blocks[m]
-
     def block_slices(self) -> dict[int, slice]:
         """Index range of each m-block inside the dense layout."""
         out = {}
@@ -366,11 +363,8 @@ class ShellMatrix:
         if required > budget_bytes:
             raise ResourceBudgetError(required, budget_bytes)
         out = np.zeros((self.dim, self.dim))
-        off = 0
-        for m in range(-self.N, self.N + 1):
-            size = self.N + 1 - abs(m)
-            out[off : off + size, off : off + size] = self.blocks[m]
-            off += size
+        for m, sl in self.block_slices().items():
+            out[sl, sl] = self.blocks[m]
         return out
 
     def norm(self) -> float:
@@ -379,9 +373,6 @@ class ShellMatrix:
             float(np.max(np.abs(np.linalg.eigvalsh(b)))) if b.size else 0.0
             for b in self.blocks.values()
         )
-
-    def eigenvalues_by_block(self) -> dict[int, np.ndarray]:
-        return {m: np.linalg.eigvalsh(b) for m, b in self.blocks.items()}
 
 
 def shell_matrix_L3(N: int) -> ShellMatrix:

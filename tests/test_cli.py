@@ -304,3 +304,61 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "envout"))
     assert run(["cluster", "--N", "3"]) == 0
     assert (tmp_path / "envout" / "cluster_summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--N", "0"],
+        ["kepler", "--tol", "0"],
+        ["cluster", "--N", "3", "--B", "-1"],
+        ["coherent", "--m", "-1", "--N-list", "4,8", "--seed", "1"],
+    ],
+)
+def test_library_value_error_is_one_line_usage_error(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_abbreviated_flag_is_rejected_not_overridden(tmp_path, capsys):
+    # an abbreviation used to escape _explicit_keys, so the file value won
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 50}))
+    argv = ["--config", str(cfg), "szego", "--sam", "1000", "--seed", "1"]
+    assert run(argv + ["--N-list", "4", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments: --sam")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"N": "12"}, {"N": True}, {"N": 4.0}, {"B": "1"}, {"no_diamagnetic": 1},
+     {"mode": "dense"}, {"out": 3}],
+)
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict({"N": 3}, **entry)))
+    assert run(["--config", str(cfg), "cluster", "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key") and len(err.splitlines()) == 1
+
+
+def test_config_integer_for_float_option_is_a_float(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 3, "B": 2, "no-diamagnetic": True}))
+    out = tmp_path / "x"
+    assert run(["--config", str(cfg), "cluster", "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["B"] == 2.0 and isinstance(config["B"], float)
+    assert config["diamagnetic"] is False
+
+
+@pytest.mark.parametrize("key", ["Nn", "seed", "func", "config"])
+def test_config_key_unknown_to_the_command_is_usage_error(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 3, key: 4}))
+    assert run(["--config", str(cfg), "cluster", "--out", str(tmp_path / "x")]) == 1
+    assert f"config key {key!r} is not an option of 'cluster'" in capsys.readouterr().err

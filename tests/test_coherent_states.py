@@ -9,7 +9,7 @@ from zeemanlab.coherent_states import (
     QuadratureAccuracyError,
     QuadratureSpec,
     SPHERE_AREA,
-    _expectation_complex,
+    _l3_law,
     coherent_state_values,
     expectation_L3_power,
     harmonic_basis,
@@ -145,14 +145,6 @@ def test_eigenstate_second_moment_closed_form(N):
     assert got == pytest.approx(b_tilde**2 * N**2 / (N + 1) ** 2, abs=1e-10)
 
 
-def test_moment_is_real():
-    rng = np.random.default_rng(8)
-    for m in (1, 2, 3):
-        index = sample_coherent_index(rng)
-        value = _expectation_complex(index, 12, m, 1.0, None)
-        assert abs(value.imag) <= 1e-10
-
-
 def test_moment_spectral_bound():
     rng = np.random.default_rng(4)
     B = 2.0
@@ -162,9 +154,70 @@ def test_moment_spectral_bound():
         assert abs(expectation_L3_power(index, N, m, B)) <= bound + 1e-10
 
 
-def test_moment_rejects_coarse_grid():
-    with pytest.raises(QuadratureAccuracyError):
-        expectation_L3_power(HALF_INDEX, 10, 1, 1.0, spec=QuadratureSpec(4, 4, 8))
+# ---------------------------------------------------------------------------
+# exact law of the axial angular momentum
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("N", [0, 1, 7, 40, 300])
+def test_l3_law_sums_to_one_with_mean_N_ell3(N):
+    rng = np.random.default_rng(21)
+    for index in (HALF_INDEX, sample_coherent_index(rng), sample_coherent_index(rng)):
+        law = _l3_law(index, N)
+        assert law.shape == (2 * N + 1,)
+        assert np.all(law >= 0.0)
+        assert law.sum() == pytest.approx(1.0, abs=1e-14)
+        mean = law @ np.arange(-N, N + 1)
+        assert mean == pytest.approx(N * index.ell3, abs=1e-12 * max(N, 1))
+
+
+@pytest.mark.parametrize("N", [0, 1, 16, 500])
+def test_l3_law_eigenstates_are_point_masses(N):
+    # c1 = c2 = -1 puts all mass on -N; the opposite orientation on +N
+    flipped = CoherentIndex(a_vec=[1.0, 0, 0, 0], b_vec=[0, 1.0, 0, 0])
+    for index, where in ((EIGEN_INDEX, 0), (flipped, 2 * N)):
+        law = _l3_law(index, N)
+        assert not np.any(np.isnan(law))
+        expected = np.zeros(2 * N + 1)
+        expected[where] = 1.0
+        assert np.array_equal(law, expected)
+
+
+def test_l3_law_large_shell_has_no_overflow():
+    N = 2000
+    index = sample_coherent_index(np.random.default_rng(3))
+    law = _l3_law(index, N)
+    assert np.all(np.isfinite(law))
+    assert law.sum() == pytest.approx(1.0, abs=1e-13)
+    assert law @ np.arange(-N, N + 1) == pytest.approx(N * index.ell3, abs=1e-9)
+    # second moment from the binomial variances, c_{1,2} = w12 +- w34
+    a, b = index.a_vec, index.b_vec
+    w34 = a[2] * b[3] - a[3] * b[2]
+    var = sum(N * (1 - c * c) / 4.0 for c in (index.ell3 + w34, index.ell3 - w34))
+    expected = (0.5 / (N + 1)) ** 2 * (var + (N * index.ell3) ** 2)
+    assert expectation_L3_power(index, N, 2, 1.0) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [3, 8, 17])
+def test_l3_law_matches_rotation_characteristic_function(N):
+    """exp(-i theta L3) rotates (omega_1, omega_2), so on the S^3 grid
+    a_N^2 int conj(u)^N (alpha . R_theta omega)^N = sum_k P(L3 = k) exp(-i theta k),
+    which pins the whole law without the binomial derivation."""
+    rng = np.random.default_rng(100 + N)
+    grid = sphere_grid(QuadratureSpec.for_state(N))
+    omega = grid.omega
+    k = np.arange(-N, N + 1)
+    for index in (HALF_INDEX, sample_coherent_index(rng), sample_coherent_index(rng)):
+        u_conj = np.conj(omega @ index.alpha) ** N
+        law = _l3_law(index, N)
+        for theta in np.linspace(-3.0, 3.0, 7):
+            c, s = np.cos(theta), np.sin(theta)
+            rotated = omega.copy()
+            rotated[:, 0] = c * omega[:, 0] + s * omega[:, 1]
+            rotated[:, 1] = -s * omega[:, 0] + c * omega[:, 1]
+            lhs = normalization_sq(N) * grid.integrate(u_conj * (rotated @ index.alpha) ** N)
+            rhs = law @ np.exp(-1j * theta * k)
+            assert abs(lhs - rhs) <= 1e-13
 
 
 def test_convergence_rate_half_index():
