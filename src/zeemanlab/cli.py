@@ -3,8 +3,9 @@
 Every command writes its results plus a manifest (configuration echo,
 package versions, wall time) into the output directory.  Results are
 deterministic for a fixed configuration and seed: dictionary field order
-is fixed and floats are serialized with 17 significant digits, so reruns
-are byte-identical (the manifest records the wall time and is exempt).
+is fixed, CSV floats have 17 significant digits and JSON floats are the
+shortest repr that round-trips, so reruns are byte-identical (the manifest
+records the wall time and is exempt).
 
 Exit codes: 0 success, 1 usage or configuration error, 2 failed
 scientific check (cluster separation, sub-cluster overlap).
@@ -76,23 +77,17 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _fmt_float(x: float) -> float:
-    return float(f"{float(x):.17g}")
-
-
 def _normalize(obj):
+    # json.dumps writes the shortest repr that round-trips, so Python floats
+    # already serialize deterministically; only numpy types need converting
     if isinstance(obj, dict):
         return {k: _normalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_normalize(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return _fmt_float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
     if isinstance(obj, np.ndarray):
-        return [_normalize(v) for v in obj.tolist()]
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 

@@ -9,17 +9,18 @@ lambda = h^3 eps(h) B, h = 1/(N+1), eps(h) = h^q.  The perturbation
 
 commutes with L3, so every assembled matrix is block diagonal in the
 azimuthal quantum number m, and the diamagnetic part couples l to l, l+-2
-within a block.
+within a block.  Its radial factors <n l|r^2|n2 l2> are evaluated exactly in
+integer arithmetic and rounded to float at the end.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_laguerre, roots_legendre
 
 __all__ = [
     "ShellState",
@@ -27,9 +28,7 @@ __all__ = [
     "ShellMatrix",
     "MultiShellMatrix",
     "ResourceBudgetError",
-    "QuadratureConvergenceError",
     "enumerate_shell",
-    "radial_wavefunction",
     "radial_integral_r2",
     "radial_integral_r2_cross",
     "ladder_coefficient",
@@ -44,13 +43,6 @@ __all__ = [
     "cluster_radius",
 ]
 
-# Exactness of Gauss-Laguerre degrades once weights underflow; beyond this
-# combined quantum number the radial engine switches to a truncated
-# Gauss-Legendre rule with the exponential kept inside the integrand.
-_LAGUERRE_MAX_NN = 130
-_RADIAL_RTOL = 1e-10
-
-
 class ResourceBudgetError(MemoryError):
     """Dense assembly would exceed the configured memory budget."""
 
@@ -60,10 +52,6 @@ class ResourceBudgetError(MemoryError):
         super().__init__(
             f"dense matrix needs {required_bytes} bytes, budget is {budget_bytes}"
         )
-
-
-class QuadratureConvergenceError(RuntimeError):
-    """Adaptive node doubling failed to stabilize the quadrature."""
 
 
 @dataclass(frozen=True)
@@ -174,102 +162,56 @@ def enumerate_shell(N: int) -> list[ShellState]:
 # ---------------------------------------------------------------------------
 
 
-def _laguerre_weighted(k: int, alpha: float, x: np.ndarray) -> np.ndarray:
-    """L_k^(alpha)(x) * exp(-x/2) by upward recurrence.
+def _radial_coeffs(n: int, l: int, n2: int) -> list[int]:
+    """Integer coefficients of R_{n,l} in powers of r/(n n2), times k!/C_{n,l}.
 
-    Folding the exponential into the seed keeps every intermediate bounded
-    for the x, k ranges that occur here, where the bare polynomial would
-    overflow.
+    R_{n,l} = C_{n,l} e^{-r/n} sum_i (-1)^i binom(n+l, k-i)/i! (2r/n)^{l+i}
+    with k = n-l-1; rescaling by k! and writing 2/n = 2 n2/(n n2) leaves
+    integers.
     """
-    e = np.exp(-0.5 * x)
-    if k == 0:
-        return e
-    f_prev = e
-    f = (alpha + 1.0 - x) * e
-    for j in range(1, k):
-        f_prev, f = f, ((2 * j + 1 + alpha - x) * f - (j + alpha) * f_prev) / (j + 1.0)
-    return f
-
-
-def radial_wavefunction(n: int, l: int, r: np.ndarray) -> np.ndarray:
-    """Normalized hydrogenic radial function R_{n,l}(r), unit charge.
-
-    Satisfies integral of R^2 r^2 dr = 1.  Evaluated with the exponential
-    woven into the Laguerre recurrence and the prefactor accumulated in log
-    space, so it stays finite for n of a few hundred.
-    """
-    if not 0 <= l <= n - 1:
-        raise ValueError(f"need 0 <= l <= n-1, got l={l}, n={n}")
-    r = np.asarray(r, dtype=float)
-    x = 2.0 * r / n
-    log_c = (
-        1.5 * math.log(2.0 / n)
-        + 0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1))
-        - 0.5 * math.log(2.0 * n)
-    )
-    f = _laguerre_weighted(n - l - 1, 2 * l + 1, x)
-    if l == 0:
-        return math.exp(log_c) * f
-    with np.errstate(divide="ignore"):
-        t = log_c + l * np.log(np.where(x > 0, x, 1.0))
-    out = np.zeros_like(x)
-    pos = x > 0
-    safe = pos & (t < 680.0)
-    out[safe] = np.exp(t[safe]) * f[safe]
-    big = pos & ~safe  # combine exponents before exponentiating
-    if np.any(big):
-        fb = f[big]
-        nz = fb != 0.0
-        vals = np.zeros_like(fb)
-        vals[nz] = np.sign(fb[nz]) * np.exp(t[big][nz] + np.log(np.abs(fb[nz])))
-        out[big] = vals
-    return out
-
-
-def _radial_quad_laguerre(n: int, l: int, n2: int, l2: int, nodes: int) -> float:
-    gamma = 1.0 / n + 1.0 / n2
-    s, w = roots_laguerre(nodes)
-    keep = (s < 700.0) & (w > 0.0)
-    s, w = s[keep], w[keep]
-    r = s / gamma
-    g = radial_wavefunction(n, l, r) * radial_wavefunction(n2, l2, r) * r**4
-    return float(np.sum(w * np.exp(s) * g)) / gamma
-
-
-def _radial_quad_legendre(n: int, l: int, n2: int, l2: int, nodes: int) -> float:
-    # the r^4 weight fattens the tail; 4.5 n^2 keeps the truncation below 1e-13
-    r_cut = 4.5 * max(n, n2) ** 2 + 60.0
-    t, w = roots_legendre(nodes)
-    r = 0.5 * r_cut * (t + 1.0)
-    g = radial_wavefunction(n, l, r) * radial_wavefunction(n2, l2, r) * r**4
-    return float(np.sum(w * g)) * 0.5 * r_cut
+    k = n - l - 1
+    return [
+        (-1) ** i * math.comb(n + l, k - i) * math.perm(k, k - i) * (2 * n2) ** (l + i)
+        for i in range(k + 1)
+    ]
 
 
 @lru_cache(maxsize=None)
 def _radial_integral(n: int, l: int, n2: int, l2: int) -> float:
-    """integral of R_{n,l}(r) r^2 R_{n2,l2}(r) r^2 dr with certified doubling.
+    """integral of R_{n,l}(r) r^2 R_{n2,l2}(r) r^2 dr, exact until one rounding.
 
-    Node counts are doubled until the value moves by less than 1e-10
-    relative; the polynomial-exact Gauss-Laguerre path is used whenever its
-    weights stay representable, a truncated Gauss-Legendre rule otherwise.
+    The integrand is a polynomial in r/(n n2) times e^{-g r/(n n2)},
+    g = n + n2, so the integral is a finite sum of factorials.  With
+    C_{n,l}^2 = 4 (n-l-1)!/(n^4 (n+l)!) its square is a ratio of integers,
+    rounded once by true division; only the square root rounds again.
     """
-    use_laguerre = (n + n2) <= _LAGUERRE_MAX_NN
-    if use_laguerre:
-        nodes = max(24, (n + n2) // 2 + 4)
-        rule = _radial_quad_laguerre
-    else:
-        nodes = max(512, 4 * max(n, n2))
-        rule = _radial_quad_legendre
-    value = rule(n, l, n2, l2, nodes)
-    for _ in range(6):
-        nodes *= 2
-        refined = rule(n, l, n2, l2, nodes)
-        if abs(refined - value) <= _RADIAL_RTOL * max(1.0, abs(refined)):
-            return refined
-        value = refined
-    raise QuadratureConvergenceError(
-        f"radial integral (n={n},l={l};n2={n2},l2={l2}) did not stabilize"
+    # numpy integers would overflow in the exact arithmetic below
+    n, l, n2, l2 = map(operator.index, (n, l, n2, l2))
+    U = _radial_coeffs(n, l, n2)
+    V = _radial_coeffs(n2, l2, n)
+    W = [0] * (len(U) + len(V) - 1)
+    for i, u in enumerate(U):
+        for j, v in enumerate(V):
+            W[i + j] += u * v
+    t0 = l + l2
+    T = t0 + len(W) - 1
+    g = n + n2
+    # S = sum_t W_t (t0+t+4)! g^(T-t0-t), by Horner
+    S = 0
+    fact = math.factorial(t0 + 4)
+    for t, w in enumerate(W):
+        S = S * g + w * fact
+        fact *= t0 + t + 5
+    num = 16 * (n * n2) ** 6 * S * S
+    den = (
+        math.factorial(n + l)
+        * math.factorial(n2 + l2)
+        * math.factorial(n - l - 1)
+        * math.factorial(n2 - l2 - 1)
+        * g ** (2 * T + 10)
     )
+    value = math.sqrt(num / den)
+    return -value if S < 0 else value
 
 
 def radial_integral_r2(n: int, l: int, l2: int) -> float:
@@ -531,7 +473,7 @@ def multishell_band_matrix(N: int, delta: int, schedule: ScalingSchedule) -> Mul
     """S_V + W(lambda) over the union basis of shells N-delta..N+delta.
 
     Diagonal carries the shell energies E_{N'}; the diamagnetic term mixes
-    shells through cross-shell radial quadrature.  For delta = 0 this is
+    shells through cross-shell radial elements.  For delta = 0 this is
     E_N I + shell_matrix_W(N).
     """
     return _band_blocks(N, delta, schedule, subtract_center=False)

@@ -205,17 +205,19 @@ def subcluster_assignment(spec: ClusterSpectrum) -> dict[int, np.ndarray]:
     if B <= 0:
         raise ValueError("sub-cluster assignment needs B > 0")
     N = spec.N
-    centers_m = np.arange(-N, N + 1)
-    centers = -(B / 2.0) * centers_m / (N + 1)
+    centers = -(B / 2.0) * np.arange(-N, N + 1) / (N + 1)
     allowed = (B / 8.0) / (N + 1)
-    out: dict[int, list[float]] = {int(m): [] for m in centers_m}
-    for s in spec.scaled_shifts:
-        k = int(np.argmin(np.abs(centers - s)))
-        dist = abs(centers[k] - s)
-        if dist >= allowed:
-            raise SubclusterOverlapError(float(s), float(dist), float(allowed))
-        out[int(centers_m[k])].append(float(s))
-    return {m: np.asarray(v) for m, v in out.items()}
+    shifts = np.asarray(spec.scaled_shifts, dtype=float)
+    # nearest center by rounding, as an index into centers
+    k = np.clip(np.rint(-2.0 * (N + 1) * shifts / B), -N, N).astype(int) + N
+    dist = np.abs(centers[k] - shifts)
+    bad = np.flatnonzero(dist >= allowed)
+    if bad.size:
+        i = bad[0]
+        raise SubclusterOverlapError(float(shifts[i]), float(dist[i]), float(allowed))
+    order = np.argsort(k, kind="stable")
+    groups = np.split(shifts[order], np.cumsum(np.bincount(k, minlength=2 * N + 1))[:-1])
+    return dict(zip(range(-N, N + 1), groups))
 
 
 def trace_average(N: int, B: float, rho: Callable[[float], float]) -> float:

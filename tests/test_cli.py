@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from zeemanlab.cli import OUTPUT_DIR_ENV, main, parse_rho
+from zeemanlab.cli import OUTPUT_DIR_ENV, main, parse_rho, write_json
 
 
 def run(args):
@@ -116,6 +116,14 @@ def test_cluster_csv_round_trips_json_values(tmp_path):
     for row, shift, scaled in zip(rows, record["shifts"], record["scaled_shifts"]):
         assert float(row["shift"]) == shift
         assert float(row["scaled_shift"]) == scaled
+
+
+def test_write_json_numpy_floats_match_python_floats(tmp_path):
+    values = [0.1, 1 / 3, -0.0, 5e-324, 1.7976931348623157e308]
+    expected = json.dumps({"a": values, "s": values}, indent=2) + "\n"
+    path = tmp_path / "f.json"
+    write_json(path, {"a": np.array(values), "s": [np.float64(v) for v in values]})
+    assert path.read_text() == expected
 
 
 def test_cluster_paramagnetic_flag(tmp_path):

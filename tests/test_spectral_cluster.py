@@ -168,6 +168,18 @@ def test_subcluster_center_distance_default_schedule():
     assert worst <= 1e-6 * B
 
 
+def test_subcluster_assignment_matches_brute_force_argmin():
+    N, B = 12, 1.0
+    spec = cluster_eigenvalues(N, ScalingSchedule(B=B, q=2.0))
+    centers_m = np.arange(-N, N + 1)
+    centers = -(B / 2.0) * centers_m / (N + 1)
+    nearest = centers_m[np.argmin(np.abs(spec.scaled_shifts[:, None] - centers), axis=1)]
+    assignment = subcluster_assignment(spec)
+    assert list(assignment) == list(centers_m)
+    for m, shifts in assignment.items():
+        np.testing.assert_array_equal(shifts, spec.scaled_shifts[nearest == m])
+
+
 def test_subcluster_overlap_error_reports_distance():
     spec = cluster_eigenvalues(2, _para_schedule(B=1.0))
     # corrupt one scaled shift so it lands midway between two centers
