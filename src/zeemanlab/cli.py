@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -497,6 +498,10 @@ def _merge_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
             value = _config_value(key, value, options[attr])
             if attr not in explicit:
                 setattr(args, attr, value)
+    # float() parses "nan" and "inf", and json.loads accepts NaN and Infinity
+    for key, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value!r}")
     return args
 
 

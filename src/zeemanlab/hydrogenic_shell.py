@@ -7,9 +7,11 @@ lambda = h^3 eps(h) B, h = 1/(N+1), eps(h) = h^q.  The perturbation
 
     W(lambda) = (lambda^2/8) (x1^2 + x2^2) - (lambda/2) L3
 
-commutes with L3, so every assembled matrix is block diagonal in the
-azimuthal quantum number m, and the diamagnetic part couples l to l, l+-2
-within a block.  Its radial factors <n l|r^2|n2 l2> are evaluated exactly in
+commutes with L3, and the diamagnetic part couples l only to l and l+-2, so
+every operator splits into one block per (m, l parity).  Ordered by
+(l, shell), each block is tridiagonal on one shell and banded on a band of
+shells; ShellMatrix stores exactly these bands, and dense() alone builds the
+full matrix.  The radial factors <n l|r^2|n2 l2> are evaluated exactly in
 integer arithmetic and rounded to float at the end.
 """
 
@@ -19,6 +21,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +29,6 @@ __all__ = [
     "ShellState",
     "ScalingSchedule",
     "ShellMatrix",
-    "MultiShellMatrix",
     "ResourceBudgetError",
     "enumerate_shell",
     "radial_integral_r2",
@@ -92,6 +94,8 @@ class ScalingSchedule:
     include_diamagnetic: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.B) and math.isfinite(self.q)):
+            raise ValueError(f"B and q must be finite, got B={self.B}, q={self.q}")
         if self.B < 0:
             raise ValueError(f"field strength must be >= 0, got {self.B}")
 
@@ -275,103 +279,112 @@ def angular_sin2_element(l: int, l2: int, m: int) -> float:
 
 @dataclass
 class ShellMatrix:
-    """Real symmetric operator restricted to shell N, stored as m-blocks.
+    """Real symmetric operator on shells N-delta..N+delta (one shell: delta = 0).
 
-    ``blocks[m]`` is the matrix over l = |m|..N in ascending l order.  The
-    dense layout follows :func:`enumerate_shell` (ascending m, then l);
-    entries between different m vanish identically because they are never
-    assembled.
+    The operator commutes with L3 and couples l only to l and l+-2, so it
+    splits into one block per (m, l parity).  ``bands[m, p]`` holds that
+    block as ``(labels, ab)``: ``labels[i] = (l, shell)`` in ascending
+    order, which makes the block banded, and ``ab`` is its LAPACK lower
+    band form, ``ab[k, j] = A[j+k, j]``.
     """
 
     N: int
-    blocks: dict[int, np.ndarray] = field(repr=False)
+    delta: int
+    bands: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return (self.N + 1) ** 2
+        return sum(len(labels) for labels, _ in self.bands.values())
 
-    def block_slices(self) -> dict[int, slice]:
-        """Index range of each m-block inside the dense layout."""
-        out = {}
-        off = 0
-        for m in range(-self.N, self.N + 1):
-            size = self.N + 1 - abs(m)
-            out[m] = slice(off, off + size)
-            off += size
-        return out
+    def eigenvalues(self, m: int) -> np.ndarray:
+        """Eigenvalues of the m-block, one banded solve per l parity."""
+        from scipy.linalg import eigvals_banded
 
-    def dense(self, budget_bytes: int = 2 << 30) -> np.ndarray:
-        required = 8 * self.dim**2
-        if required > budget_bytes:
-            raise ResourceBudgetError(required, budget_bytes)
-        out = np.zeros((self.dim, self.dim))
-        for m, sl in self.block_slices().items():
-            out[sl, sl] = self.blocks[m]
-        return out
+        blocks = [self.bands[m, p][1] for p in (0, 1) if (m, p) in self.bands]
+        return np.concatenate([eigvals_banded(ab, lower=True) for ab in blocks])
 
     def norm(self) -> float:
         """Spectral norm, maximized over m-blocks."""
-        return max(
-            float(np.max(np.abs(np.linalg.eigvalsh(b)))) if b.size else 0.0
-            for b in self.blocks.values()
-        )
+        mmax = self.N + self.delta
+        return max(float(np.max(np.abs(self.eigenvalues(m)))) for m in range(-mmax, mmax + 1))
+
+    def dense(self, budget_bytes: int = 2 << 30) -> np.ndarray:
+        """Full matrix in :func:`multishell_states` order, which for one
+        shell is :func:`enumerate_shell` order."""
+        required = 8 * self.dim**2
+        if required > budget_bytes:
+            raise ResourceBudgetError(required, budget_bytes)
+        index = {(s.m, s.N, s.l): i for i, s in enumerate(multishell_states(self.N, self.delta))}
+        out = np.zeros((self.dim, self.dim))
+        for (m, _), (labels, ab) in self.bands.items():
+            pos = np.array([index[m, Np, l] for l, Np in labels.tolist()])
+            for k, sub in enumerate(ab):
+                rows, cols = pos[k:], pos[: len(pos) - k]
+                out[rows, cols] = out[cols, rows] = sub[: len(pos) - k]
+        return out
+
+
+def _assemble(
+    N: int, delta: int, level: Callable[[int, int], float], rho2_coeff: float
+) -> ShellMatrix:
+    """level(shell, m) on the diagonal plus rho2_coeff (x1^2 + x2^2), banded.
+
+    x1^2 + x2^2 = r^2 sin^2(theta) is a product of a radial and an angular
+    element and couples (l, shell) only to (l, shell2) and (l+2, shell2)
+    above the diagonal, so only those pairs are visited.  With
+    rho2_coeff = 0 each band is its diagonal alone.
+    """
+    lo, hi = N - delta, N + delta
+    bands = {}
+    for m in range(-hi, hi + 1):
+        levels = [level(Np, m) for Np in range(lo, hi + 1)]
+        for p in (0, 1):
+            l0 = abs(m) + (abs(m) + p) % 2
+            labels = [(l, Np) for l in range(l0, hi + 1, 2) for Np in range(max(lo, l), hi + 1)]
+            if not labels:
+                continue
+            ab = np.array([[levels[Np - lo] for _, Np in labels]])
+            if rho2_coeff:
+                rows, cols, vals = [], [], []
+                for j, (l, Np) in enumerate(labels):
+                    # (l, Np2 >= Np) starts at row j, (l+2, Np2) right after (l, hi)
+                    for l2, first, row in ((l, Np, j), (l + 2, max(lo, l + 2), j + hi + 1 - Np)):
+                        ang = angular_sin2_element(l, l2, m)
+                        for Np2 in range(first, hi + 1):
+                            rad = radial_integral_r2_cross(Np + 1, l, Np2 + 1, l2)
+                            rows.append(row + Np2 - first)
+                            cols.append(j)
+                            vals.append(rho2_coeff * (rad * ang))
+                rows, cols = np.array(rows), np.array(cols)
+                ab = np.concatenate([ab, np.zeros((int(np.max(rows - cols)), len(labels)))])
+                ab[rows - cols, cols] += vals
+            bands[m, p] = (np.array(labels), ab)
+    return ShellMatrix(N=N, delta=delta, bands=bands)
 
 
 def shell_matrix_L3(N: int) -> ShellMatrix:
     """L3 restricted to shell N: diagonal m with multiplicity N+1-|m|."""
     if N < 0:
         raise ValueError(f"shell index must be non-negative, got {N}")
-    blocks = {
-        m: np.diag(np.full(N + 1 - abs(m), float(m))) for m in range(-N, N + 1)
-    }
-    return ShellMatrix(N=N, blocks=blocks)
+    return _assemble(N, 0, lambda Np, m: float(m), 0.0)
 
 
 def shell_matrix_rho2(N: int) -> ShellMatrix:
-    """x1^2 + x2^2 = r^2 sin^2(theta) restricted to shell N.
-
-    Radial and angular factors separate in spherical coordinates, so each
-    entry is a product of a same-shell radial integral and a ladder-built
-    angular element.
-    """
+    """x1^2 + x2^2 = r^2 sin^2(theta) restricted to shell N."""
     if N < 0:
         raise ValueError(f"shell index must be non-negative, got {N}")
-    n = N + 1
-    blocks: dict[int, np.ndarray] = {}
-    for m in range(-N, N + 1):
-        ls = range(abs(m), N + 1)
-        size = N + 1 - abs(m)
-        block = np.zeros((size, size))
-        for i, l in enumerate(ls):
-            for l2 in (l, l + 2):
-                if l2 > N:
-                    continue
-                j = l2 - abs(m)
-                val = radial_integral_r2(n, l, l2) * angular_sin2_element(l, l2, m)
-                block[i, j] = val
-                block[j, i] = val
-        blocks[m] = block
-    return ShellMatrix(N=N, blocks=blocks)
+    return _assemble(N, 0, lambda Np, m: 0.0, 1.0)
 
 
 def shell_matrix_W(N: int, schedule: ScalingSchedule) -> ShellMatrix:
     """(lambda^2/8) rho^2 - (lambda/2) L3 on shell N.
 
-    The diamagnetic part is dropped when provably below the resolution of
-    every scaled quantity (see ScalingSchedule.diamagnetic_negligible); the
-    paramagnetic part is diagonal and exact.
+    The delta = 0 band with E_N subtracted.  The diamagnetic part is dropped
+    when provably below the resolution of every scaled quantity (see
+    ScalingSchedule.diamagnetic_negligible), which leaves the exact
+    paramagnetic ladder on the diagonal.
     """
-    lam = schedule.lam(N)
-    with_rho2 = not schedule.diamagnetic_negligible(N)
-    rho2 = shell_matrix_rho2(N) if with_rho2 else None
-    blocks: dict[int, np.ndarray] = {}
-    for m in range(-N, N + 1):
-        size = N + 1 - abs(m)
-        block = np.diag(np.full(size, -0.5 * lam * m))
-        if rho2 is not None:
-            block = block + (lam**2 / 8.0) * rho2.blocks[m]
-        blocks[m] = block
-    return ShellMatrix(N=N, blocks=blocks)
+    return _band_blocks(N, 0, schedule, subtract_center=True)
 
 
 # ---------------------------------------------------------------------------
@@ -392,88 +405,27 @@ def multishell_states(N: int, delta: int) -> list[ShellState]:
     return states
 
 
-@dataclass
-class MultiShellMatrix:
-    """Band operator over shells N-delta..N+delta in the ordering of
-    :func:`multishell_states`, stored as m-blocks with their state labels."""
-
-    N: int
-    delta: int
-    blocks: dict[int, np.ndarray] = field(repr=False)
-    block_states: dict[int, list[ShellState]] = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return sum(len(s) for s in self.block_states.values())
-
-    def dense(self, budget_bytes: int = 2 << 30) -> np.ndarray:
-        required = 8 * self.dim**2
-        if required > budget_bytes:
-            raise ResourceBudgetError(required, budget_bytes)
-        out = np.zeros((self.dim, self.dim))
-        off = 0
-        mmax = self.N + self.delta
-        for m in range(-mmax, mmax + 1):
-            size = len(self.block_states[m])
-            out[off : off + size, off : off + size] = self.blocks[m]
-            off += size
-        return out
-
-
 def _band_blocks(
-    N: int,
-    delta: int,
-    schedule: ScalingSchedule,
-    subtract_center: bool,
-    budget_bytes: int = 2 << 30,
-) -> MultiShellMatrix:
+    N: int, delta: int, schedule: ScalingSchedule, subtract_center: bool
+) -> ShellMatrix:
     if delta < 0 or N - delta < 0:
         raise ValueError(f"need delta >= 0 and N - delta >= 0, got N={N}, delta={delta}")
     lam = schedule.lam(N)
-    with_rho2 = not schedule.diamagnetic_negligible(N)
     e_center = shell_energy(N) if subtract_center else 0.0
-    mmax = N + delta
-    block_bytes = 8 * sum(
-        sum(Np + 1 - abs(m) for Np in range(N - delta, N + delta + 1) if Np >= abs(m)) ** 2
-        for m in range(-mmax, mmax + 1)
+    return _assemble(
+        N,
+        delta,
+        lambda Np, m: (shell_energy(Np) - e_center) - 0.5 * lam * m,
+        0.0 if schedule.diamagnetic_negligible(N) else lam**2 / 8.0,
     )
-    if block_bytes > budget_bytes:
-        raise ResourceBudgetError(block_bytes, budget_bytes)
-    blocks: dict[int, np.ndarray] = {}
-    block_states: dict[int, list[ShellState]] = {}
-    for m in range(-mmax, mmax + 1):
-        labels = [
-            ShellState(Np, l, m)
-            for Np in range(N - delta, N + delta + 1)
-            for l in range(abs(m), Np + 1)
-        ]
-        size = len(labels)
-        block = np.zeros((size, size))
-        for i, st in enumerate(labels):
-            block[i, i] = (shell_energy(st.N) - e_center) - 0.5 * lam * m
-        if with_rho2:
-            coeff = lam**2 / 8.0
-            for i, st in enumerate(labels):
-                for j in range(i, size):
-                    st2 = labels[j]
-                    if abs(st.l - st2.l) not in (0, 2):
-                        continue
-                    val = coeff * radial_integral_r2_cross(
-                        st.N + 1, st.l, st2.N + 1, st2.l
-                    ) * angular_sin2_element(st.l, st2.l, m)
-                    block[i, j] += val
-                    if j != i:
-                        block[j, i] += val
-        blocks[m] = block
-        block_states[m] = labels
-    return MultiShellMatrix(N=N, delta=delta, blocks=blocks, block_states=block_states)
 
 
-def multishell_band_matrix(N: int, delta: int, schedule: ScalingSchedule) -> MultiShellMatrix:
+def multishell_band_matrix(N: int, delta: int, schedule: ScalingSchedule) -> ShellMatrix:
     """S_V + W(lambda) over the union basis of shells N-delta..N+delta.
 
     Diagonal carries the shell energies E_{N'}; the diamagnetic term mixes
-    shells through cross-shell radial elements.  For delta = 0 this is
-    E_N I + shell_matrix_W(N).
+    shells through cross-shell radial elements.  Each (m, l parity) block,
+    ordered by (l, shell), is banded with bandwidth at most 4 delta + 1.
+    For delta = 0 this is E_N I + shell_matrix_W(N).
     """
     return _band_blocks(N, delta, schedule, subtract_center=False)

@@ -2,8 +2,9 @@
 
 The cluster around E_N is computed either by first-order degenerate
 perturbation theory (eigenvalues of the perturbation restricted to the
-shell, block by block in m) or by diagonalizing a band of shells and
-keeping the eigenvalues inside the separating circle around E_N.  Shifts
+shell) or from a band of shells, keeping the eigenvalues inside the
+separating circle around E_N.  Either way the operator splits into one
+banded block per (m, l parity) and each block is one banded solve.  Shifts
 are reported raw and rescaled by h^2 eps(h), the scale on which their
 empirical law has an N -> infinity limit.
 """
@@ -132,41 +133,37 @@ def cluster_eigenvalues(
     """Eigenvalue shifts of the cluster around E_N.
 
     ``first_order``: eigenvalues of the perturbation projected onto the
-    shell, one dense symmetric solve per m-block.  ``multishell``: dense
-    diagonalization of the band over shells N-delta..N+delta (assembled
-    with E_N subtracted from the diagonal so the cluster sits at the
-    best-conditioned part of the spectrum); the eigenvalues inside the
-    separating circle must number exactly (N+1)^2 or
-    ClusterSeparationError is raised.
+    shell.  ``multishell``: eigenvalues of the band over shells
+    N-delta..N+delta, assembled with E_N subtracted from the diagonal so
+    the cluster sits at the best-conditioned part of the spectrum, that lie
+    inside the separating circle; they must number exactly N+1-|m| in each
+    m-block, or ClusterSeparationError is raised.  Both modes solve one
+    banded symmetric problem per (m, l parity) block; where the diamagnetic
+    term is skipped the blocks are diagonal and the shifts are the exact
+    paramagnetic ladder.
     """
     if N < 1:
         raise ValueError(f"cluster computations need N >= 1, got {N}")
     if mode == "first_order":
-        w = shell_matrix_W(N, schedule)
-        pieces = []
-        for m in range(-N, N + 1):
-            vals = np.linalg.eigvalsh(w.blocks[m])
-            pieces.append((vals, np.full(len(vals), m)))
+        # first order keeps every eigenvalue of the projected perturbation
+        op, radius = shell_matrix_W(N, schedule), np.inf
     elif mode == "multishell":
-        band = _band_blocks(N, delta, schedule, subtract_center=True)
+        op = _band_blocks(N, delta, schedule, subtract_center=True)
         radius = cluster_radius(N)
-        pieces = []
-        found = 0
-        for m in range(-(N + delta), N + delta + 1):
-            vals = np.linalg.eigvalsh(band.blocks[m])
-            inside = vals[np.abs(vals) < radius]
-            found += len(inside)
-            expected_m = max(N + 1 - abs(m), 0)
-            if len(inside) != expected_m:
-                raise ClusterSeparationError(N, found=len(inside), expected=expected_m)
-            if expected_m:
-                pieces.append((inside, np.full(len(inside), m)))
-        if found != (N + 1) ** 2:
-            raise ClusterSeparationError(N, found=found, expected=(N + 1) ** 2)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-
+    pieces = []
+    mmax = N + op.delta
+    for m in range(-mmax, mmax + 1):
+        vals = op.eigenvalues(m)
+        inside = vals[np.abs(vals) < radius]
+        expected_m = max(N + 1 - abs(m), 0)
+        if len(inside) != expected_m:
+            raise ClusterSeparationError(N, found=len(inside), expected=expected_m)
+        pieces.append((inside, np.full(len(inside), m)))
     shifts = np.concatenate([p[0] for p in pieces])
+    if len(shifts) != (N + 1) ** 2:
+        raise ClusterSeparationError(N, found=len(shifts), expected=(N + 1) ** 2)
     labels = np.concatenate([p[1] for p in pieces]).astype(int)
     order = np.lexsort((labels, shifts))
     shifts, labels = shifts[order], labels[order]

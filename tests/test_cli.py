@@ -370,3 +370,29 @@ def test_config_key_unknown_to_the_command_is_usage_error(tmp_path, capsys, key)
     cfg.write_text(json.dumps({"N": 3, key: 4}))
     assert run(["--config", str(cfg), "cluster", "--out", str(tmp_path / "x")]) == 1
     assert f"config key {key!r} is not an option of 'cluster'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--N", "3", "--B", "nan"],
+        ["cluster", "--N", "3", "--B", "inf"],
+        ["cluster", "--N", "3", "--q", "nan"],
+        ["szego", "--B", "nan", "--N-list", "5"],
+    ],
+)
+def test_non_finite_flag_is_usage_error(tmp_path, capsys, argv):
+    # these used to fail inside LAPACK, or (szego) exit 0 with NaN in the JSON
+    assert run(argv + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and "must be finite" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "x").exists()
+
+
+def test_non_finite_config_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"N": 3, "B": NaN}')  # json.loads accepts NaN
+    assert run(["--config", str(cfg), "cluster", "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --B must be finite, got nan\n"

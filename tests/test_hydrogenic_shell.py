@@ -11,6 +11,7 @@ from zeemanlab.hydrogenic_shell import (
     ResourceBudgetError,
     ScalingSchedule,
     angular_cos2_element,
+    angular_sin2_element,
     cluster_radius,
     enumerate_shell,
     ladder_coefficient,
@@ -122,6 +123,12 @@ def test_schedule_rejects_negative_field():
         ScalingSchedule(B=-1.0)
 
 
+@pytest.mark.parametrize("B, q", [(np.nan, 17.0), (np.inf, 17.0), (1.0, np.nan), (1.0, -np.inf)])
+def test_schedule_rejects_non_finite_field_and_exponent(B, q):
+    with pytest.raises(ValueError, match="finite"):
+        ScalingSchedule(B=B, q=q)
+
+
 # ---------------------------------------------------------------------------
 # radial integrals
 # ---------------------------------------------------------------------------
@@ -226,6 +233,47 @@ def test_angular_rejects_bad_arguments():
 # ---------------------------------------------------------------------------
 
 
+def oracle_all_pairs(N, delta, schedule, e_center):
+    """Dense assembly over every label pair of each m-block.
+
+    Entries in multishell_states order: (E_N' - e_center) - (lambda/2) m on
+    the diagonal, plus (lambda^2/8) radial x angular for every pair with
+    |l - l2| in {0, 2}, unless the diamagnetic term is skipped.
+    """
+    lam = schedule.lam(N)
+    coeff = 0.0 if schedule.diamagnetic_negligible(N) else lam**2 / 8.0
+    states = multishell_states(N, delta)
+    out = np.zeros((len(states), len(states)))
+    for m in range(-(N + delta), N + delta + 1):
+        idx = [i for i, s in enumerate(states) if s.m == m]
+        for i in idx:
+            si = states[i]
+            out[i, i] = (shell_energy(si.N) - e_center) - 0.5 * lam * m
+            for j in idx:
+                sj = states[j]
+                if coeff and abs(si.l - sj.l) in (0, 2):
+                    out[i, j] += coeff * radial_integral_r2_cross(
+                        si.N + 1, si.l, sj.N + 1, sj.l
+                    ) * angular_sin2_element(si.l, sj.l, m)
+    return out
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_W_matches_all_pairs_oracle(N):
+    sched = ScalingSchedule(B=1.0, q=2.0)
+    assert not sched.diamagnetic_negligible(N)
+    oracle = oracle_all_pairs(N, 0, sched, shell_energy(N))
+    np.testing.assert_allclose(shell_matrix_W(N, sched).dense(), oracle, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("N, delta", [(10, 1), (10, 2), (12, 1), (12, 2)])
+def test_band_matches_all_pairs_oracle(N, delta):
+    sched = ScalingSchedule(B=1.0, q=2.0)
+    oracle = oracle_all_pairs(N, delta, sched, 0.0)
+    band = multishell_band_matrix(N, delta, sched).dense()
+    np.testing.assert_allclose(band, oracle, rtol=1e-15, atol=0)
+
+
 def test_L3_matrix_n1_diagonal():
     dense = shell_matrix_L3(1).dense()
     assert np.array_equal(np.diag(dense), [-1.0, 0.0, 0.0, 1.0])
@@ -260,14 +308,22 @@ def test_rho2_exactly_symmetric_and_m_block():
         for j, sj in enumerate(states):
             if si.m != sj.m:
                 assert dense[i, j] == 0.0
+            # nor between opposite l parity
+            if (si.l - sj.l) % 2:
+                assert dense[i, j] == 0.0
 
 
-def test_block_slices_match_enumeration():
-    mat = shell_matrix_L3(3)
+def test_dense_layout_matches_enumeration():
+    # one shell: enumerate_shell order, each m-block contiguous
     states = enumerate_shell(3)
-    for m, sl in mat.block_slices().items():
-        assert all(states[i].m == m for i in range(sl.start, sl.stop))
-        assert sl.stop - sl.start == 3 + 1 - abs(m)
+    assert np.diag(shell_matrix_L3(3).dense()).tolist() == [float(s.m) for s in states]
+    for m in range(-3, 4):
+        rows = [i for i, s in enumerate(states) if s.m == m]
+        assert rows == list(range(rows[0], rows[0] + 3 + 1 - abs(m)))
+    # a band: multishell_states order, shell energies on the diagonal
+    states = multishell_states(3, 1)
+    diag = np.diag(multishell_band_matrix(3, 1, ScalingSchedule(B=0.0)).dense())
+    assert diag.tolist() == [shell_energy(s.N) for s in states]
 
 
 def test_rho2_norm_scaling_consistency():
@@ -362,7 +418,8 @@ def test_W_matches_dense_quadrature_oracle():
 def test_rho2_assembled_matrix_matches_oracle_with_l_coupling():
     """N=2 is the smallest shell with an l <-> l+2 diamagnetic coupling."""
     N, n = 2, 3
-    mat = shell_matrix_rho2(N)
+    dense = shell_matrix_rho2(N).dense()
+    ms = np.array([s.m for s in enumerate_shell(N)])
     for m in range(-N, N + 1):
         ls = list(range(abs(m), N + 1))
         oracle = np.zeros((len(ls), len(ls)))
@@ -372,9 +429,10 @@ def test_rho2_assembled_matrix_matches_oracle_with_l_coupling():
                     continue
                 ang = (1.0 if l == l2 else 0.0) - oracle_angular_cos2(l, l2, m)
                 oracle[i, j] = oracle_radial_integral(n, l, l2) * ang
-        assert mat.blocks[m] == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+        block = dense[np.ix_(ms == m, ms == m)]
+        assert block == pytest.approx(oracle, rel=1e-9, abs=1e-9)
     # the coupling really is nonzero
-    assert abs(mat.blocks[0][0, 2]) > 1.0
+    assert abs(dense[np.ix_(ms == 0, ms == 0)][0, 2]) > 1.0
 
 
 def test_diamagnetic_skip_is_harmless():
@@ -384,12 +442,13 @@ def test_diamagnetic_skip_is_harmless():
     assert sched.diamagnetic_negligible(N)
     lam = sched.lam(N)
     scale = sched.shift_scale(N)
-    skipped = shell_matrix_W(N, sched)
-    rho2 = shell_matrix_rho2(N)
+    skipped = shell_matrix_W(N, sched).dense()
+    full = skipped + (lam**2 / 8.0) * shell_matrix_rho2(N).dense()
+    ms = np.array([s.m for s in enumerate_shell(N)])
     for m in range(-N, N + 1):
-        full = skipped.blocks[m] + (lam**2 / 8.0) * rho2.blocks[m]
+        block = np.ix_(ms == m, ms == m)
         gap = np.abs(
-            np.linalg.eigvalsh(full) - np.linalg.eigvalsh(skipped.blocks[m])
+            np.linalg.eigvalsh(full[block]) - np.linalg.eigvalsh(skipped[block])
         ).max()
         assert gap / scale <= 1e-8
 
@@ -398,9 +457,8 @@ def test_diamagnetic_skip_is_harmless():
 @settings(deadline=None, max_examples=7)
 def test_matrices_symmetric_property(N):
     for build in (shell_matrix_L3, shell_matrix_rho2):
-        mat = build(N)
-        for block in mat.blocks.values():
-            assert np.array_equal(block, block.T)
+        dense = build(N).dense()
+        assert np.array_equal(dense, dense.T)
 
 
 # ---------------------------------------------------------------------------

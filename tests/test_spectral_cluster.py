@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zeemanlab.hydrogenic_shell import ScalingSchedule, shell_matrix_L3
+from zeemanlab.hydrogenic_shell import (
+    ScalingSchedule,
+    cluster_radius,
+    enumerate_shell,
+    multishell_band_matrix,
+    multishell_states,
+    shell_energy,
+    shell_matrix_L3,
+    shell_matrix_W,
+)
 from zeemanlab.spectral_cluster import (
     ClusterSeparationError,
     EmpiricalMeasure,
@@ -45,6 +54,47 @@ def test_paramagnetic_ladder_is_exact():
         )
     )
     assert np.array_equal(np.sort(spec.shifts), expected)
+
+
+def test_skipped_diamagnetic_ladder_is_exact_at_large_N():
+    N, sched = 400, ScalingSchedule(B=1.0, q=17.0)
+    assert sched.diamagnetic_negligible(N)
+    m = np.arange(-N, N + 1)
+    ladder = np.sort(np.repeat(-(sched.lam(N) / 2.0) * m, N + 1 - np.abs(m)))
+    assert np.array_equal(cluster_eigenvalues(N, sched).shifts, ladder)
+
+
+def _dense_cluster(N, sched, mode, delta):
+    """eigvalsh of each m-block of dense(), filtered and ordered like the cluster."""
+    if mode == "first_order":
+        states, radius = enumerate_shell(N), np.inf
+        dense = shell_matrix_W(N, sched).dense()
+    else:
+        states, radius = multishell_states(N, delta), cluster_radius(N)
+        dense = multishell_band_matrix(N, delta, sched).dense()
+        dense -= shell_energy(N) * np.eye(len(states))
+    ms = np.array([s.m for s in states])
+    vals, labels = [], []
+    for m in range(ms.min(), ms.max() + 1):
+        v = np.linalg.eigvalsh(dense[np.ix_(ms == m, ms == m)])
+        vals.append(v[np.abs(v) < radius])
+        labels.append(np.full(len(vals[-1]), m))
+    vals, labels = np.concatenate(vals), np.concatenate(labels)
+    order = np.lexsort((labels, vals))
+    return vals[order], labels[order]
+
+
+@pytest.mark.parametrize(
+    "N, mode, delta, rtol",
+    [(N, "first_order", 2, 1e-14) for N in range(1, 13)]
+    + [(N, "multishell", d, 1e-12) for N in (10, 12) for d in (1, 2)],
+)
+def test_cluster_matches_dense_eigvalsh(N, mode, delta, rtol):
+    sched = ScalingSchedule(B=1.0, q=2.0)
+    spec = cluster_eigenvalues(N, sched, mode=mode, delta=delta)
+    vals, labels = _dense_cluster(N, sched, mode, delta)
+    assert np.max(np.abs(spec.shifts - vals)) <= rtol * sched.shift_scale(N)
+    assert np.array_equal(spec.subcluster_m, labels)
 
 
 def test_scaled_shifts_supported_in_reported_interval():
@@ -225,9 +275,7 @@ def test_trace_average_square_vs_quadrature_oracle():
 def test_trace_identity_against_matrix_functional_calculus():
     # trace_average must reproduce (1/d_N) Tr Q(-(B/2) h L3) for polynomials
     N, B = 9, 1.7
-    ell3 = np.concatenate(
-        [np.diag(b) for _, b in sorted(shell_matrix_L3(N).blocks.items())]
-    )
+    ell3 = np.diag(shell_matrix_L3(N).dense())
     eigs = -(B / 2.0) / (N + 1) * ell3
     rng = np.random.default_rng(1)
     for _ in range(5):
