@@ -403,32 +403,31 @@ def integrate_kepler(
 def measure_period(pt0: PhasePoint, tol: float = 1e-10) -> float:
     """Return time to the first recurrence of the initial state near 2*pi.
 
-    Finds the zero of the phase condition (z(s) - z(0)) . z'(0) = 0 by a
-    secant iteration seeded just below the expected period.
+    One integration up to s = 2*pi + 0.5 gives the phase condition
+    f(s) = (z(s) - z(0)) . z'(0) at every accepted state.  The recurrence
+    is the root of the cubic Hermite interpolant of f (end slopes
+    z'(s) . z'(0)) on the first step where f turns from negative to
+    non-negative and that ends in [2*pi - 0.5, 2*pi + 0.5].  Off the -1/2
+    shell the period is 2*pi / sqrt(-2E) and may fall outside that window,
+    which raises ValueError.
     """
     z0 = np.concatenate([pt0.x, pt0.p])
     v0 = _rhs(z0)
-    base_s = 2.0 * np.pi - 0.5
-    base = integrate_kepler(pt0, base_s, tol=tol).final
-    zb = np.concatenate([base.x, base.p])
-
-    def phase(s: float) -> float:
-        pt = PhasePoint(x=zb[:3], p=zb[3:])
-        zs = integrate_kepler(pt, s - base_s, tol=tol).final
-        return float((np.concatenate([zs.x, zs.p]) - z0) @ v0)
-
-    s_a, s_b = 2.0 * np.pi - 0.05, 2.0 * np.pi + 0.05
-    f_a, f_b = phase(s_a), phase(s_b)
-    for _ in range(60):
-        if f_b == f_a:
-            break
-        s_next = s_b - f_b * (s_b - s_a) / (f_b - f_a)
-        s_next = min(max(s_next, base_s + 1e-6), base_s + 1.5)
-        s_a, f_a, s_b = s_b, f_b, s_next
-        f_b = phase(s_b)
-        if abs(s_b - s_a) < 1e-12:
-            break
-    return float(s_b)
+    lo, hi = 2.0 * np.pi - 0.5, 2.0 * np.pi + 0.5
+    traj = integrate_kepler(pt0, hi, tol=tol)
+    s, f = traj.s, (traj.states - z0) @ v0
+    up = np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0) & (s[1:] >= lo))
+    if not len(up):
+        raise ValueError(f"the initial state does not recur for s in [{lo!r}, {hi!r}]")
+    i = up[0]
+    h = s[i + 1] - s[i]
+    f0, f1 = f[i], f[i + 1]
+    d0, d1 = h * (_rhs(traj.states[i]) @ v0), h * (_rhs(traj.states[i + 1]) @ v0)
+    # Hermite cubic in t = (s - s_i) / h; of its real roots, the one
+    # nearest the secant estimate
+    t = np.roots([2 * f0 + d0 - 2 * f1 + d1, 3 * (f1 - f0) - 2 * d0 - d1, d0, f0])
+    t = t.real[t.imag == 0.0]
+    return float(s[i] + h * t[np.argmin(np.abs(t - f0 / (f0 - f1)))])
 
 
 def orbit_point_from_elements(el: OrbitElements) -> PhasePoint:

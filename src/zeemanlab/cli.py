@@ -93,7 +93,9 @@ def _normalize(obj):
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_normalize(payload), indent=2) + "\n")
+    with path.open("w") as fh:
+        json.dump(_normalize(payload), fh, indent=2)
+        fh.write("\n")
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -191,10 +193,10 @@ def cmd_cluster(args) -> int:
     # own left-limit evaluator
     cdf_left = (lambda x: (np.asarray(x, dtype=float) > 0).astype(float)) if args.B == 0 else None
     ks = ks_distance(measure, triangular_shift_cdf(args.B), cdf_left)
-    rows = [
+    rows = (
         (spec.N, int(m), float(shift), float(scaled))
         for m, shift, scaled in zip(spec.subcluster_m, spec.shifts, spec.scaled_shifts)
-    ]
+    )
     write_csv(outdir / "cluster_spectrum.csv", ["N", "m", "shift", "scaled_shift"], rows)
     summary = {
         "N": spec.N,

@@ -24,7 +24,6 @@ from .classical_kepler import CoherentIndex
 __all__ = [
     "QuadratureSpec",
     "SphereGrid",
-    "SphereFunctionSample",
     "QuadratureAccuracyError",
     "BasisConstructionError",
     "IdentityCheckResult",
@@ -92,22 +91,6 @@ class SphereGrid:
         return complex(np.sum(self.weights * values))
 
 
-@dataclass
-class SphereFunctionSample:
-    """Values of a function at the nodes of a sphere grid."""
-
-    grid: SphereGrid
-    values: np.ndarray
-
-    @classmethod
-    def from_function(cls, f, spec: QuadratureSpec) -> "SphereFunctionSample":
-        grid = sphere_grid(spec)
-        return cls(grid=grid, values=np.asarray(f(grid.omega)))
-
-    def integral(self) -> complex:
-        return self.grid.integrate(self.values)
-
-
 @lru_cache(maxsize=32)
 def _grid_cached(n_chi: int, n_theta: int, n_phi: int) -> SphereGrid:
     # chi: Gauss-Chebyshev (second kind) in t = cos(chi), weight sqrt(1-t^2)
@@ -143,7 +126,8 @@ def sphere_grid(spec: QuadratureSpec) -> SphereGrid:
 
 def s3_quadrature(f, spec: QuadratureSpec) -> complex:
     """Integral of f over S^3; f receives the (nodes, 4) array of points."""
-    return SphereFunctionSample.from_function(f, spec).integral()
+    grid = sphere_grid(spec)
+    return grid.integrate(f(grid.omega))
 
 
 def normalization_sq(N: int) -> float:

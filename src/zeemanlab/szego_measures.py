@@ -88,12 +88,11 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class AngleState:
-    """Orbit angles (psi, theta, phi, gamma, beta) with an optional lift angle.
+    """Orbit angles (psi, theta, phi, gamma, beta).
 
     psi in (0, pi/2) splits angular momentum and eccentricity; theta, phi
     orient the angular momentum; gamma and beta move around the orbit
-    plane and along the orbit; delta parametrizes the residual rotation of
-    the orthogonal frame.
+    plane and along the orbit.
     """
 
     psi: float
@@ -101,7 +100,6 @@ class AngleState:
     phi: float
     gamma: float
     beta: float
-    delta: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.psi < np.pi / 2:
@@ -112,8 +110,6 @@ class AngleState:
             v = getattr(self, name)
             if not 0.0 <= v <= 2.0 * np.pi:
                 raise ValueError(f"{name} must lie in [0, 2 pi], got {v!r}")
-        if self.delta is not None and not 0.0 <= self.delta <= 2.0 * np.pi:
-            raise ValueError(f"delta must lie in [0, 2 pi], got {self.delta!r}")
 
     def to_orbit_elements(self) -> OrbitElements:
         return OrbitElements.from_angles(self.psi, self.theta, self.phi, self.gamma, self.beta)
@@ -127,6 +123,20 @@ class AngleState:
 def _gauss_nodes(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     t, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (b - a) * t + 0.5 * (a + b), 0.5 * (b - a) * w
+
+
+def _doubled_until_stable(value: Callable[[int], float], tol: float) -> float:
+    """value(n) for n = 16, 32, ... up to 4096, stopping once two successive
+    values agree to ``tol`` absolutely."""
+    n = 16
+    prev = value(n)
+    for _ in range(8):
+        n *= 2
+        cur = value(n)
+        if abs(cur - prev) <= tol:
+            return cur
+        prev = cur
+    return prev
 
 
 def limit_triangular(
@@ -147,15 +157,7 @@ def limit_triangular(
             total += float(np.sum(w * np.asarray(rho(-(B / 2.0) * u)) * (1.0 - np.abs(u))))
         return total
 
-    n = 16
-    prev = value(n)
-    for _ in range(8):
-        n *= 2
-        cur = value(n)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    return prev
+    return _doubled_until_stable(value, tol)
 
 
 def limit_angle_density(
@@ -177,15 +179,7 @@ def limit_angle_density(
         vals = np.asarray(rho(-(B / 2.0) * np.outer(c, s)))
         return float((wc * c) @ vals @ ws)
 
-    n = 16
-    prev = value(n)
-    for _ in range(8):
-        n *= 2
-        cur = value(n)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    return prev
+    return _doubled_until_stable(value, tol)
 
 
 @dataclass
@@ -264,24 +258,15 @@ def liouville_pushforward_check(
 
 @dataclass(frozen=True)
 class HaarGrid:
-    """Tensor node counts over the six angles (psi, theta, phi, gamma, beta, delta)."""
+    """Node counts in the angles psi, theta, beta of the group density; it
+    is uniform in phi, gamma, delta, which need no nodes."""
 
     n_psi: int = 48
     n_theta: int = 48
-    n_phi: int = 8
-    n_gamma: int = 8
     n_beta: int = 512
-    n_delta: int = 8
 
     def doubled(self) -> "HaarGrid":
-        return HaarGrid(
-            2 * self.n_psi,
-            2 * self.n_theta,
-            self.n_phi,
-            self.n_gamma,
-            2 * self.n_beta,
-            self.n_delta,
-        )
+        return HaarGrid(2 * self.n_psi, 2 * self.n_theta, 2 * self.n_beta)
 
 
 def _beta_trapezoid(sin_psi: float, n_beta_min: int) -> float:

@@ -12,6 +12,7 @@ from zeemanlab.classical_kepler import (
     PhasePoint,
     SingularityError,
     SpherePoint,
+    _forward_arrays,
     integrate_kepler,
     kepler_constants,
     measure_period,
@@ -270,16 +271,50 @@ def test_radial_infall_hits_collision_floor():
             integrate_kepler(pt0, 1.0, tol=1e-8)
 
 
+def _period_test_orbits():
+    for ell in (0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0):
+        yield OrbitElements(ell=[0, 0, ell], rl=[np.sqrt(1.0 - ell**2), 0.0, 0.0])
+    yield OrbitElements(ell=[0, 0, 0.05], rl=[np.sqrt(1.0 - 0.05**2), 0.0, 0.0], beta=np.pi)
+    rng = np.random.default_rng(2)
+    for _ in range(7):
+        yield OrbitElements.from_angles(
+            rng.uniform(0.05, np.pi / 2 - 0.05),
+            rng.uniform(0, np.pi),
+            rng.uniform(0, 2 * np.pi),
+            rng.uniform(0, 2 * np.pi),
+            beta=rng.uniform(0, 2 * np.pi),
+        )
+
+
 def test_period_circular_and_eccentric():
-    for ell in (1.0, 0.05):
-        rl_norm = np.sqrt(1.0 - ell**2)
-        if rl_norm > 0:
-            el = OrbitElements(ell=[0, 0, ell], rl=[rl_norm, 0.0, 0.0])
-            pt0 = orbit_point_from_elements(el)
-        else:
-            pt0 = PhasePoint(x=[1, 0, 0], p=[0, 1, 0])
-        period = measure_period(pt0, tol=1e-10)
-        assert period == pytest.approx(2.0 * np.pi, abs=1e-6)
+    # circular to ell = 0.05, perihelion and aphelion starts, random orientations
+    for el in _period_test_orbits():
+        period = measure_period(orbit_point_from_elements(el), tol=1e-10)
+        assert period == pytest.approx(2.0 * np.pi, abs=1e-9)
+
+
+def test_period_without_recurrence_in_window_raises():
+    # off shell the s-period is 2 pi / sqrt(-2E) = 8.396, outside the window
+    pt0 = PhasePoint(x=[1, 0, 0], p=[0, 1.2, 0])
+    with pytest.warns(UserWarning):
+        with pytest.raises(ValueError, match=r"s in \[5\.78.*, 6\.78.*\]"):
+            measure_period(pt0, tol=1e-10)
+
+
+@pytest.mark.parametrize("ell", [0.9, 0.3, 0.05])
+def test_flow_is_the_great_circle(ell):
+    """Every accepted state lies on the exact Moser image of the flow.
+
+    At energy -1/2 the regularized flow is the unit-speed geodesic flow on
+    S^3: omega(s) = cos s omega0 + sin s xi0, xi(s) = -sin s omega0 + cos s xi0.
+    """
+    el = OrbitElements(ell=[0, 0, ell], rl=[np.sqrt(1.0 - ell**2), 0.0, 0.0])
+    tol = 1e-10
+    traj = integrate_kepler(orbit_point_from_elements(el), 2.0 * np.pi, tol=tol)
+    omega, xi = _forward_arrays(traj.states[:, :3], traj.states[:, 3:])
+    c, s = np.cos(traj.s)[:, None], np.sin(traj.s)[:, None]
+    assert np.max(np.abs(omega - (c * omega[0] + s * xi[0]))) <= 100.0 * tol
+    assert np.max(np.abs(xi - (-s * omega[0] + c * xi[0]))) <= 100.0 * tol
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,11 @@ def test_quadrature_volume():
 
 
 def test_function_sample_weights_invariant():
-    from zeemanlab.coherent_states import SphereFunctionSample
-
-    sample = SphereFunctionSample.from_function(lambda om: om[:, 0] ** 2, QuadratureSpec(6, 6, 12))
-    assert sample.grid.weights.sum() == pytest.approx(SPHERE_AREA, abs=1e-10)
-    assert sample.integral().real == pytest.approx(SPHERE_AREA / 4.0, abs=1e-12)
+    spec = QuadratureSpec(6, 6, 12)
+    assert sphere_grid(spec).weights.sum() == pytest.approx(SPHERE_AREA, abs=1e-10)
+    assert s3_quadrature(lambda om: om[:, 0] ** 2, spec).real == pytest.approx(
+        SPHERE_AREA / 4.0, abs=1e-12
+    )
 
 
 def test_quadrature_odd_component_vanishes():
