@@ -44,7 +44,6 @@ from .spectral_cluster import (
     EmpiricalMeasure,
     cluster_eigenvalues,
     ks_distance,
-    riemann_sum_limit,
     scaled_shift_measure,
     subcluster_assignment,
     trace_average,

@@ -57,7 +57,8 @@ class CollisionOrbitError(ValueError):
 
 
 class NumericalCollisionError(RuntimeError):
-    """Trajectory fell below the collision floor; regularization lost."""
+    """Regularization lost: the trajectory fell below the collision floor,
+    or the step size or the step budget ran out."""
 
 
 @dataclass(frozen=True)
@@ -365,7 +366,7 @@ def integrate_kepler(
     while s < s_max:
         steps += 1
         if steps > max_steps:
-            raise RuntimeError("step budget exhausted; tolerance too tight?")
+            raise NumericalCollisionError(f"step budget exhausted at s={s}")
         h = min(h, s_max - s)
         k2 = _rhs(z + h * (_A21 * k1))
         k3 = _rhs(z + h * (_A31 * k1 + _A32 * k2))
@@ -400,25 +401,27 @@ def integrate_kepler(
     return Trajectory(s=np.asarray(samples_s), states=np.asarray(samples_z))
 
 
-def measure_period(pt0: PhasePoint, tol: float = 1e-10) -> float:
-    """Return time to the first recurrence of the initial state near 2*pi.
+def measure_period(traj: Trajectory) -> float:
+    """Return the time at which a trajectory first recurs near 2*pi.
 
-    One integration up to s = 2*pi + 0.5 gives the phase condition
-    f(s) = (z(s) - z(0)) . z'(0) at every accepted state.  The recurrence
-    is the root of the cubic Hermite interpolant of f (end slopes
-    z'(s) . z'(0)) on the first step where f turns from negative to
+    The initial state is traj.states[0].  The phase condition
+    f(s) = (z(s) - z(0)) . z'(0) is evaluated at every accepted state; the
+    recurrence is the root of the cubic Hermite interpolant of f (end
+    slopes z'(s) . z'(0)) on the first step where f turns from negative to
     non-negative and that ends in [2*pi - 0.5, 2*pi + 0.5].  Off the -1/2
     shell the period is 2*pi / sqrt(-2E) and may fall outside that window,
-    which raises ValueError.
+    and a trajectory may stop short of it; either raises ValueError.
     """
-    z0 = np.concatenate([pt0.x, pt0.p])
+    z0 = traj.states[0]
     v0 = _rhs(z0)
     lo, hi = 2.0 * np.pi - 0.5, 2.0 * np.pi + 0.5
-    traj = integrate_kepler(pt0, hi, tol=tol)
     s, f = traj.s, (traj.states - z0) @ v0
-    up = np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0) & (s[1:] >= lo))
+    up = np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0) & (s[1:] >= lo) & (s[1:] <= hi))
     if not len(up):
-        raise ValueError(f"the initial state does not recur for s in [{lo!r}, {hi!r}]")
+        raise ValueError(
+            f"the initial state does not recur for s in [{lo!r}, {hi!r}] "
+            f"(trajectory ends at s={float(s[-1])!r})"
+        )
     i = up[0]
     h = s[i + 1] - s[i]
     f0, f1 = f[i], f[i + 1]
@@ -466,26 +469,22 @@ def orbit_point_from_elements(el: OrbitElements) -> PhasePoint:
 def sample_index_batch(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n orthonormal pairs drawn from the rotation-invariant measure.
 
-    Two independent standard Gaussian 4-vectors are orthonormalized;
-    isotropy of the Gaussian makes the law rotation invariant.  Degenerate
-    draws (vanishing norms or numerically parallel pairs) are redrawn.
+    Two independent standard Gaussian 4-vectors are orthonormalized in
+    place; isotropy of the Gaussian makes the law rotation invariant.
+    Degenerate draws (vanishing norms or numerically parallel pairs) are
+    redrawn, in row order, by a recursive call on the same generator.
     """
-    a = np.empty((n, 4))
-    b = np.empty((n, 4))
-    todo = np.arange(n)
-    while len(todo):
-        g1 = rng.standard_normal((len(todo), 4))
-        g2 = rng.standard_normal((len(todo), 4))
-        n1 = np.linalg.norm(g1, axis=1)
-        ok1 = n1 > 1e-12
-        g1[ok1] /= n1[ok1, None]
-        g2 -= np.sum(g2 * g1, axis=1, keepdims=True) * g1
-        n2 = np.linalg.norm(g2, axis=1)
-        ok = ok1 & (n2 > 1e-12)
-        g2[ok] /= n2[ok, None]
-        a[todo[ok]] = g1[ok]
-        b[todo[ok]] = g2[ok]
-        todo = todo[~ok]
+    a = rng.standard_normal((n, 4))
+    b = rng.standard_normal((n, 4))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n1 = np.linalg.norm(a, axis=1)
+        a /= n1[:, None]
+        b -= np.sum(b * a, axis=1, keepdims=True) * a
+        n2 = np.linalg.norm(b, axis=1)
+        b /= n2[:, None]
+    redo = np.flatnonzero(~((n1 > 1e-12) & (n2 > 1e-12)))
+    if len(redo):
+        a[redo], b[redo] = sample_index_batch(rng, len(redo))
     return a, b
 
 

@@ -8,7 +8,8 @@ shortest repr that round-trips, so reruns are byte-identical (the manifest
 records the wall time and is exempt).
 
 Exit codes: 0 success, 1 usage or configuration error, 2 failed
-scientific check (cluster separation, sub-cluster overlap).
+scientific check (cluster separation, sub-cluster overlap, lost orbit
+regularization).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .classical_kepler import (
+    NumericalCollisionError,
     OrbitElements,
     integrate_kepler,
     kepler_constants,
@@ -321,7 +323,6 @@ def cmd_coherent(args) -> int:
 
 
 def cmd_kepler(args) -> int:
-    outdir = _outdir(args)
     started = time.time()
     ell = args.ell
     if not 0.0 < ell <= 1.0:
@@ -333,6 +334,8 @@ def cmd_kepler(args) -> int:
     )
     pt0 = orbit_point_from_elements(elements)
     traj = integrate_kepler(pt0, args.s_max, tol=args.tol)
+    period = measure_period(traj)
+    outdir = _outdir(args)
     energies = traj.energies()
     ell3 = traj.ell3()
     rows = [
@@ -344,7 +347,6 @@ def cmd_kepler(args) -> int:
         ["s", "x1", "x2", "x3", "p1", "p2", "p3", "energy", "ell3"],
         rows,
     )
-    period = measure_period(pt0, tol=args.tol)
     energy0, ell_vec, rl_vec = kepler_constants(pt0)
     write_json(
         outdir / "kepler_summary.json",
@@ -537,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # ConfigError and the library's input checks
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ClusterSeparationError, SubclusterOverlapError) as exc:
+    except (ClusterSeparationError, SubclusterOverlapError, NumericalCollisionError) as exc:
         print(f"scientific check failed: {exc}", file=sys.stderr)
         return 2
 

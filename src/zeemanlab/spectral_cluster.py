@@ -32,7 +32,6 @@ __all__ = [
     "scaled_shift_measure",
     "subcluster_assignment",
     "trace_average",
-    "riemann_sum_limit",
     "ks_distance",
     "ks_two_sample",
     "triangular_shift_cdf",
@@ -109,13 +108,8 @@ class EmpiricalMeasure:
 
     def sorted_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique atoms in ascending order with their merged weights."""
-        order = np.argsort(self.values, kind="stable")
-        v = self.values[order]
-        w = self.weights[order]
-        uniq, inverse = np.unique(v, return_inverse=True)
-        merged = np.zeros(len(uniq))
-        np.add.at(merged, inverse, w)
-        return uniq, merged
+        uniq, inverse = np.unique(self.values, return_inverse=True)
+        return uniq, np.bincount(inverse, weights=self.weights, minlength=len(uniq))
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         atoms, w = self.sorted_atoms()
@@ -227,14 +221,6 @@ def trace_average(N: int, B: float, rho: Callable[[float], float]) -> float:
     mult = (N + 1 - np.abs(m)).astype(float)
     vals = np.asarray([rho(x) for x in -(B / 2.0) * m / (N + 1)], dtype=float)
     return float(np.sum(mult * vals)) / (N + 1) ** 2
-
-
-def riemann_sum_limit(N: int, B: float, rho: Callable[[float], float]) -> float:
-    """Riemann sum for the triangular-weight average on the partition m/(N+1)."""
-    m = np.arange(-(N + 1), N + 1)
-    w = 1.0 - np.abs(m) / (N + 1.0)
-    vals = np.asarray([rho(x) for x in -(B / 2.0) * m / (N + 1)], dtype=float)
-    return float(np.sum(w * vals)) / (N + 1)
 
 
 def ks_distance(

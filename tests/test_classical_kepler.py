@@ -1,5 +1,7 @@
 """Moser correspondence, conserved quantities, flow, and index sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,19 +288,38 @@ def _period_test_orbits():
         )
 
 
+# the end of the recurrence window
+_S_WINDOW = 2.0 * np.pi + 0.5
+
+
 def test_period_circular_and_eccentric():
     # circular to ell = 0.05, perihelion and aphelion starts, random orientations
     for el in _period_test_orbits():
-        period = measure_period(orbit_point_from_elements(el), tol=1e-10)
-        assert period == pytest.approx(2.0 * np.pi, abs=1e-9)
+        traj = integrate_kepler(orbit_point_from_elements(el), _S_WINDOW, tol=1e-10)
+        assert measure_period(traj) == pytest.approx(2.0 * np.pi, abs=1e-9)
+
+
+def test_period_does_not_depend_on_trajectory_length():
+    # the steps before the window are the same however far the run goes
+    pt0 = orbit_point_from_elements(OrbitElements.from_angles(0.9, 1.1, 0.3, 2.2, beta=0.5))
+    short = measure_period(integrate_kepler(pt0, _S_WINDOW, tol=1e-10))
+    assert measure_period(integrate_kepler(pt0, 4.0 * np.pi, tol=1e-10)) == short
 
 
 def test_period_without_recurrence_in_window_raises():
-    # off shell the s-period is 2 pi / sqrt(-2E) = 8.396, outside the window
+    # off shell the s-period is 2 pi / sqrt(-2E) = 8.396: a 4 pi run reaches
+    # that recurrence, but it lies past the window
     pt0 = PhasePoint(x=[1, 0, 0], p=[0, 1.2, 0])
     with pytest.warns(UserWarning):
-        with pytest.raises(ValueError, match=r"s in \[5\.78.*, 6\.78.*\]"):
-            measure_period(pt0, tol=1e-10)
+        traj = integrate_kepler(pt0, 4.0 * np.pi, tol=1e-10)
+    with pytest.raises(ValueError, match=r"s in \[5\.78.*, 6\.78.*\] \(trajectory ends at s=12\.56"):
+        measure_period(traj)
+
+
+def test_period_of_a_trajectory_short_of_the_window_raises():
+    pt0 = PhasePoint(x=[1.0, 0.0, 0.0], p=[0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match=r"does not recur .*trajectory ends at s=1\.0\)"):
+        measure_period(integrate_kepler(pt0, 1.0, tol=1e-10))
 
 
 @pytest.mark.parametrize("ell", [0.9, 0.3, 0.05])
@@ -405,6 +426,48 @@ def test_sample_ell3_law_is_triangular():
     # the mean vanishes by symmetry; 3 standard errors of slack
     sem = ell3.std(ddof=1) / np.sqrt(n)
     assert abs(ell3.mean()) <= 3.0 * sem
+
+
+class _ScriptedGenerator:
+    """Hands out fixed standard-normal draws in order and records their shapes."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        out = self.draws.pop(0)
+        assert out.shape == shape
+        return out.copy()
+
+
+def _gram_schmidt(a, b):
+    a = a / np.linalg.norm(a, axis=1, keepdims=True)
+    b = b - np.sum(b * a, axis=1, keepdims=True) * a
+    return a, b / np.linalg.norm(b, axis=1, keepdims=True)
+
+
+def test_sample_redraws_degenerate_rows_in_order():
+    rng = np.random.default_rng(5)
+    a0, b0 = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
+    a0[1] = 0.0  # vanishing first vector
+    b0[3] = 3.0 * a0[3]  # parallel pair
+    a1, b1 = rng.standard_normal((2, 4)), rng.standard_normal((2, 4))
+    a1[0] = 0.0  # the redraw of row 1 degenerates again
+    a2, b2 = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
+    gen = _ScriptedGenerator([a0, b0, a1, b1, a2, b2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = sample_index_batch(gen, 5)
+    assert gen.shapes == [(5, 4), (5, 4), (2, 4), (2, 4), (1, 4), (1, 4)]
+    expect_a, expect_b = np.empty((5, 4)), np.empty((5, 4))
+    keep = [0, 2, 4]
+    expect_a[keep], expect_b[keep] = _gram_schmidt(a0[keep], b0[keep])
+    expect_a[3], expect_b[3] = (v[0] for v in _gram_schmidt(a1[1:], b1[1:]))
+    expect_a[1], expect_b[1] = (v[0] for v in _gram_schmidt(a2, b2))
+    np.testing.assert_allclose(a, expect_a, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(b, expect_b, rtol=0, atol=1e-15)
 
 
 def test_single_sample_constructor():

@@ -263,6 +263,31 @@ def test_kepler_period_report(tmp_path):
     }
 
 
+def test_kepler_short_run_is_usage_error_and_writes_nothing(tmp_path, capsys):
+    # a trajectory that stops before s = 2 pi - 0.5 holds no recurrence
+    out = tmp_path / "kep"
+    assert run(["kepler", "--s-max", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the initial state does not recur")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--ell", "1e-4"], ["--tol", "1e-300"]])
+# expected diagnostics of these inputs: the ell = 1e-4 start rounds 3e-8 off
+# the shell, and at tol = 1e-300 the step error estimate overflows
+@pytest.mark.filterwarnings("ignore:initial energy", "ignore:overflow")
+def test_kepler_lost_regularization_is_failed_check(tmp_path, capsys, argv):
+    # lost regularization is a failed scientific check, reported in one line
+    out = tmp_path / "kep"
+    assert run(["kepler", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scientific check failed: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # measures command
 # ---------------------------------------------------------------------------

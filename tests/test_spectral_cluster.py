@@ -21,7 +21,6 @@ from zeemanlab.spectral_cluster import (
     cluster_eigenvalues,
     ks_distance,
     ks_two_sample,
-    riemann_sum_limit,
     scaled_shift_measure,
     subcluster_assignment,
     trace_average,
@@ -284,37 +283,6 @@ def test_trace_identity_against_matrix_functional_calculus():
         by_trace = float(np.mean(poly(eigs)))
         by_formula = trace_average(N, B, poly)
         assert by_formula == pytest.approx(by_trace, rel=1e-10, abs=1e-12)
-
-
-def test_riemann_sum_constant():
-    assert riemann_sum_limit(100, 1.0, lambda x: 1.0) == pytest.approx(1.0, abs=1e-2)
-
-
-def test_riemann_sum_odd_boundary():
-    N, B = 30, 2.0
-    assert abs(riemann_sum_limit(N, B, lambda x: x)) <= (B / 2.0) / (N + 1)
-
-
-def test_riemann_sum_agrees_with_trace_average():
-    N, B = 75, 1.0
-    rho = lambda x: np.cos(3.0 * x)
-    assert riemann_sum_limit(N, B, rho) == pytest.approx(
-        trace_average(N, B, rho), abs=10.0 / N
-    )
-
-
-@given(
-    st.lists(st.floats(min_value=-2, max_value=2, allow_nan=False), min_size=1, max_size=6),
-    st.integers(min_value=1, max_value=60),
-)
-@settings(deadline=None, max_examples=40)
-def test_riemann_sum_is_trace_average_for_polynomials(coeffs, N):
-    # the two sums are algebraically identical: the extra Riemann term
-    # carries weight zero and the remaining weights match term by term
-    poly = np.polynomial.Polynomial(coeffs)
-    a = trace_average(N, 1.3, poly)
-    b = riemann_sum_limit(N, 1.3, poly)
-    assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
