@@ -5,7 +5,10 @@ package versions, wall time) into the output directory.  Results are
 deterministic for a fixed configuration and seed: dictionary field order
 is fixed, CSV floats have 17 significant digits and JSON floats are the
 shortest repr that round-trips, so reruns are byte-identical (the manifest
-records the wall time and is exempt).
+records the wall time and is exempt).  The writers take whole columns and
+format each distinct bit pattern of a block of rows once, which makes a
+cluster spectrum (few distinct shifts, each many times over) cheap to
+write; tests pin their bytes to ``csv.writer`` and ``json.dump(indent=2)``.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 failed
 scientific check (cluster separation, sub-cluster overlap, lost orbit
@@ -80,6 +83,12 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+# Rows go out in blocks of this many; within a block each distinct bit
+# pattern of a column is formatted once.  The cap bounds the memory the
+# formatted text takes.
+_BLOCK_ROWS = 1 << 14
+
+
 def _normalize(obj):
     # json.dumps writes the shortest repr that round-trips, so Python floats
     # already serialize deterministically; only numpy types need converting
@@ -94,18 +103,77 @@ def _normalize(obj):
     return obj
 
 
+def _csv_texts(values: np.ndarray) -> list[str]:
+    if values.dtype.kind == "f":
+        return list(map("%.17g".__mod__, values.tolist()))
+    return list(map(str, values.tolist()))
+
+
+def _json_texts(values: np.ndarray) -> list[str]:
+    if values.dtype.kind == "b":
+        return ["true" if v else "false" for v in values.tolist()]
+    texts = list(map(repr, values.tolist()))
+    if values.dtype.kind == "f":
+        # json spells the non-finite floats NaN, Infinity and -Infinity
+        for i in np.flatnonzero(~np.isfinite(values)):
+            texts[i] = json.dumps(values[i].item())
+    return texts
+
+
+def _formatted(column: np.ndarray, texts) -> list[str]:
+    """``texts`` of every value of a 1-d block, run once per distinct bit pattern.
+
+    Deduplicating by bits rather than by value keeps -0.0 apart from 0.0
+    and NaN equal to itself.
+    """
+    column = np.ascontiguousarray(column)
+    bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+    return np.array(texts(bits.view(column.dtype)), dtype=object)[inverse].tolist()
+
+
+def _write_json_value(fh, obj, level: int) -> None:
+    """Write ``obj`` as ``json.dump(_normalize(obj), indent=2)`` would at ``level``."""
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.size and obj.dtype.kind in "biuf":
+        sep = "[" + inner
+        for start in range(0, len(obj), _BLOCK_ROWS):
+            texts = _formatted(obj[start : start + _BLOCK_ROWS], _json_texts)
+            fh.write(sep + ("," + inner).join(texts))
+            sep = "," + inner
+        fh.write("\n" + "  " * level + "]")
+        return
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        sep = "{" + inner
+        for key, value in obj.items():
+            fh.write(f"{sep}{json.dumps(key)}: ")
+            _write_json_value(fh, value, level + 1)
+            sep = "," + inner
+        fh.write("\n" + "  " * level + "}")
+        return
+    fh.write(json.dumps(_normalize(obj), indent=2).replace("\n", "\n" + "  " * level))
+
+
 def write_json(path: Path, payload: dict) -> None:
+    """``payload`` as indented JSON; 1-d numeric arrays are formatted blockwise."""
     with path.open("w") as fh:
-        json.dump(_normalize(payload), fh, indent=2)
+        _write_json_value(fh, payload, 0)
         fh.write("\n")
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """One CSV row per entry of the 1-d ``columns``; a scalar column is broadcast.
+
+    Floats have 17 significant digits, other values their ``str``.
+    """
+    columns = np.broadcast_arrays(*(np.atleast_1d(c) for c in columns))
+    if any(c.ndim != 1 for c in columns):
+        raise ValueError("CSV columns must be 1-d arrays or scalars")
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            texts = [_formatted(c[start : start + _BLOCK_ROWS], _csv_texts) for c in columns]
+            # numbers never need CSV quoting; the line ending is csv's
+            fh.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
 
 
 def _write_manifest(outdir: Path, command: str, config: dict, started: float) -> None:
@@ -195,11 +263,11 @@ def cmd_cluster(args) -> int:
     # own left-limit evaluator
     cdf_left = (lambda x: (np.asarray(x, dtype=float) > 0).astype(float)) if args.B == 0 else None
     ks = ks_distance(measure, triangular_shift_cdf(args.B), cdf_left)
-    rows = (
-        (spec.N, int(m), float(shift), float(scaled))
-        for m, shift, scaled in zip(spec.subcluster_m, spec.shifts, spec.scaled_shifts)
+    write_csv(
+        outdir / "cluster_spectrum.csv",
+        ["N", "m", "shift", "scaled_shift"],
+        [spec.N, spec.subcluster_m, spec.shifts, spec.scaled_shifts],
     )
-    write_csv(outdir / "cluster_spectrum.csv", ["N", "m", "shift", "scaled_shift"], rows)
     summary = {
         "N": spec.N,
         "mode": spec.mode,
@@ -245,14 +313,12 @@ def cmd_szego(args) -> int:
     if args.samples:
         rng = _require_seed(args)
         mc = limit_quadric_mc(rho, args.B, args.samples, rng)
-    rows = []
-    for N in n_list:
-        lhs = trace_average(N, args.B, rho)
-        rows.append((N, lhs, rhs_tri, abs(lhs - rhs_tri)))
+    lhs = np.array([trace_average(N, args.B, rho) for N in n_list])
+    gaps = np.abs(lhs - rhs_tri)
     write_csv(
         outdir / "szego_table.csv",
         ["N", "trace_average", "limit_triangular", "gap"],
-        rows,
+        [n_list, lhs, rhs_tri, gaps],
     )
     results = [
         {
@@ -289,7 +355,7 @@ def cmd_szego(args) -> int:
         "limit_triangular": rhs_tri,
         "limit_angle_density": rhs_angle,
         "triangular_vs_angle_gap": abs(rhs_tri - rhs_angle),
-        "final_gap": rows[-1][3],
+        "final_gap": gaps[-1],
     }
     write_json(outdir / "szego_summary.json", summary)
     _write_manifest(outdir, "szego", config, started)
@@ -307,7 +373,7 @@ def cmd_coherent(args) -> int:
     write_csv(
         outdir / "coherent_convergence.csv",
         ["N", "moment", "error", "slope"],
-        [(r["N"], r["moment"], r["error"], table.slope) for r in table.rows()],
+        [table.N_values, table.moments, table.errors, table.slope],
     )
     write_json(
         outdir / "coherent_summary.json",
@@ -338,14 +404,10 @@ def cmd_kepler(args) -> int:
     outdir = _outdir(args)
     energies = traj.energies()
     ell3 = traj.ell3()
-    rows = [
-        (float(s), *map(float, state[:3]), *map(float, state[3:]), float(E), float(l3))
-        for s, state, E, l3 in zip(traj.s, traj.states, energies, ell3)
-    ]
     write_csv(
         outdir / "trajectory.csv",
         ["s", "x1", "x2", "x3", "p1", "p2", "p3", "energy", "ell3"],
-        rows,
+        [traj.s, *traj.states.T, energies, ell3],
     )
     energy0, ell_vec, rl_vec = kepler_constants(pt0)
     write_json(
@@ -377,10 +439,7 @@ def cmd_measures(args) -> int:
     write_csv(
         outdir / "ell3_samples.csv",
         ["ell3_index", "ell3_phase"],
-        [
-            (float(u), float(v))
-            for u, v in zip(check.sample_ell3_index, check.sample_ell3_phase)
-        ],
+        [check.sample_ell3_index, check.sample_ell3_phase],
     )
     haar = haar_density_normalization(HaarGrid())
     haar_fine = haar_density_normalization(HaarGrid().doubled())

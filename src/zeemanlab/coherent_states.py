@@ -17,7 +17,6 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .classical_kepler import CoherentIndex
 
@@ -150,6 +149,8 @@ def coherent_state_values(index: CoherentIndex, N: int, grid: SphereGrid) -> np.
 
 def _binomial_pmf(N: int, p: float) -> np.ndarray:
     """Bin(N, p) on 0..N from log-space terms, each one non-negative."""
+    from scipy.special import gammaln, xlog1py, xlogy
+
     p = min(max(p, 0.0), 1.0)
     k = np.arange(N + 1)
     log_pmf = (
@@ -199,12 +200,6 @@ class ConvergenceTable:
     errors: np.ndarray
     target: float
     slope: float
-
-    def rows(self) -> list[dict]:
-        return [
-            {"N": int(n), "moment": float(v), "error": float(e)}
-            for n, v, e in zip(self.N_values, self.moments, self.errors)
-        ]
 
 
 def moment_convergence_table(

@@ -215,11 +215,13 @@ def trace_average(N: int, B: float, rho: Callable[[float], float]) -> float:
     """Normalized trace of rho over the paramagnetic ladder of shell N.
 
     (1/(N+1)^2) sum_m (N+1-|m|) rho(-(B/2) m/(N+1)), using the exact
-    multiplicity structure of L3 on the shell.
+    multiplicity structure of L3 on the shell.  ``rho`` is called once, on
+    the array of ladder points; a scalar return is broadcast.
     """
     m = np.arange(-N, N + 1)
     mult = (N + 1 - np.abs(m)).astype(float)
-    vals = np.asarray([rho(x) for x in -(B / 2.0) * m / (N + 1)], dtype=float)
+    x = -(B / 2.0) * m / (N + 1)
+    vals = np.broadcast_to(np.asarray(rho(x), dtype=float), x.shape)
     return float(np.sum(mult * vals)) / (N + 1) ** 2
 
 

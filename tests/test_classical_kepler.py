@@ -263,6 +263,18 @@ def test_off_shell_warns():
         integrate_kepler(PhasePoint(x=[1, 0, 0], p=[0, 1.2, 0]), 1.0, tol=1e-8)
 
 
+def test_start_rounded_off_the_shell_does_not_warn():
+    # at ell = 1e-4, |p|^2/2 is about 2e8 and the energy rounds 3e-8 off -1/2
+    ell = 1e-4
+    pt0 = orbit_point_from_elements(
+        OrbitElements(ell=np.array([0.0, 0.0, ell]), rl=np.array([np.sqrt(1.0 - ell * ell), 0.0, 0.0]))
+    )
+    assert abs(0.5 * pt0.p @ pt0.p - 1.0 / np.linalg.norm(pt0.x) + 0.5) > 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        integrate_kepler(pt0, 0.0)
+
+
 def test_radial_infall_hits_collision_floor():
     from zeemanlab.classical_kepler import NumericalCollisionError
 

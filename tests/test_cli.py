@@ -2,15 +2,144 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zeemanlab.cli import OUTPUT_DIR_ENV, main, parse_rho, write_json
+from zeemanlab.cli import (
+    _BLOCK_ROWS,
+    OUTPUT_DIR_ENV,
+    _normalize,
+    main,
+    parse_rho,
+    write_csv,
+    write_json,
+)
+from zeemanlab.hydrogenic_shell import ScalingSchedule
+from zeemanlab.spectral_cluster import cluster_eigenvalues
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
     return main(args)
+
+
+def run_fresh(args):
+    """``python args`` in a fresh interpreter that imports this checkout's package."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_importing_the_cli_leaves_scipy_submodules_unloaded():
+    # every command pays the import; only coherent and cluster need these
+    code = (
+        "import sys, zeemanlab.cli; "
+        "print([m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])"
+    )
+    proc = run_fresh(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# result writers against the retired row-by-row writers
+# ---------------------------------------------------------------------------
+
+
+def _oracle_write_json(path, payload):
+    with path.open("w") as fh:
+        json.dump(_normalize(payload), fh, indent=2)
+        fh.write("\n")
+
+
+def _oracle_write_csv(path, header, rows):
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+
+
+def _repeating(n, seed):
+    """n floats with few distinct values, zeros of both signs among them."""
+    values = np.round(np.random.default_rng(seed).standard_normal(n), 1)
+    values[::5] = -0.0
+    values[1::5] = 0.0
+    return values
+
+
+def _spectrum(N, q):
+    spec = cluster_eigenvalues(N, ScalingSchedule(B=1.0, q=q, include_diamagnetic=True))
+    return spec.N, spec.subcluster_m, spec.shifts, spec.scaled_shifts
+
+
+_SIGNED_ZEROS = np.array([0.0, -0.0, -0.0, 0.0, 1.0, -0.0])
+_NON_FINITE = np.array([np.nan, np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.7976931348623157e308])
+
+_COLUMN_CASES = {
+    "signed_zeros": [_SIGNED_ZEROS, -_SIGNED_ZEROS],
+    "non_finite": [_NON_FINITE, 2.5],
+    "empty": [np.array([]), np.array([], dtype=np.int64), 1.0],
+    "one": [np.array([0.1]), np.array([3])],
+    "block_minus_1": [_repeating(_BLOCK_ROWS - 1, 1), np.arange(_BLOCK_ROWS - 1)],
+    "block": [_repeating(_BLOCK_ROWS, 2), 7, np.float64(1 / 3)],
+    "block_plus_1": [_repeating(_BLOCK_ROWS + 1, 3), _repeating(_BLOCK_ROWS + 1, 4)],
+    "int_bool_scalars": [
+        np.array([-2, 0, 2**62], dtype=np.int64),
+        np.array([True, False, True]),
+        np.int64(-5),
+        np.bool_(False),
+        0.25,
+    ],
+    "ladder_N40_q17": list(_spectrum(40, 17.0)),
+    "spectrum_N12_q2": list(_spectrum(12, 2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COLUMN_CASES))
+def test_write_csv_matches_row_writer(tmp_path, case):
+    columns = _COLUMN_CASES[case]
+    header = [f"c{i}" for i in range(len(columns) - 1)] + ['say "x", y']
+    write_csv(tmp_path / "new.csv", header, columns)
+    rows = zip(*np.broadcast_arrays(*(np.atleast_1d(c) for c in columns)))
+    _oracle_write_csv(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_rejects_a_2d_column(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "bad.csv", ["a", "b"], [np.zeros((2, 2)), 1.0])
+
+
+_JSON_CASES = {
+    name: {f"c{i}": c for i, c in enumerate(columns)}
+    for name, columns in _COLUMN_CASES.items()
+}
+_JSON_CASES["structure"] = {
+    "grid": np.arange(6.0).reshape(2, 3),
+    "scalars": [np.float64(0.1), np.int64(7), np.bool_(True), 1 / 3, None],
+    "nested": {"inner": {"a": np.array([1.0, -0.0]), "b": {}}, "empty": [], "none": None},
+    "mixed": (1, np.array([3.0]), {"d": None}, [[1, 2], [np.float64(3)]]),
+    "text": 'say "hi" \u2014 \u00fcn\u00efcode\\n',
+    "int_keys": {1: np.float64(2.0), "2": None},
+    "empty_dict": {},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_JSON_CASES))
+def test_write_json_matches_json_dump(tmp_path, case):
+    payload = _JSON_CASES[case]
+    write_json(tmp_path / "new.json", payload)
+    _oracle_write_json(tmp_path / "old.json", payload)
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +402,13 @@ def test_kepler_short_run_is_usage_error_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["--ell", "1e-4"], ["--tol", "1e-300"]])
-# expected diagnostics of these inputs: the ell = 1e-4 start rounds 3e-8 off
-# the shell, and at tol = 1e-300 the step error estimate overflows
-@pytest.mark.filterwarnings("ignore:initial energy", "ignore:overflow")
+# the ell = 1e-4 start rounds 3e-8 off the shell, which is no reason to
+# warn, and at tol = 1e-300 the step error estimate overflows to a rejection
+_LOST_REGULARIZATION = [["--ell", "1e-4"], ["--tol", "1e-300"]]
+
+
+@pytest.mark.parametrize("argv", _LOST_REGULARIZATION)
+@pytest.mark.filterwarnings("error")
 def test_kepler_lost_regularization_is_failed_check(tmp_path, capsys, argv):
     # lost regularization is a failed scientific check, reported in one line
     out = tmp_path / "kep"
@@ -286,6 +418,14 @@ def test_kepler_lost_regularization_is_failed_check(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", _LOST_REGULARIZATION)
+def test_kepler_failed_check_prints_one_stderr_line(tmp_path, argv):
+    proc = run_fresh(["-m", "zeemanlab.cli", "kepler", *argv, "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("scientific check failed: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from zeemanlab.spectral_cluster import (
     trace_average,
     triangular_shift_cdf,
 )
+from zeemanlab.szego_measures import TestFunction
 
 
 def _para_schedule(B=1.0, q=17.0):
@@ -269,6 +270,26 @@ def test_trace_average_square_vs_quadrature_oracle():
     u = np.linspace(-1.0, 1.0, 200001)
     oracle = np.trapezoid(u * u * (1.0 - np.abs(u)), u)
     assert trace_average(2000, 2.0, lambda x: x * x) == pytest.approx(oracle, abs=1e-6)
+
+
+def _trace_average_by_point(N, B, rho):
+    # the retired loop: rho called on one ladder point at a time
+    m = np.arange(-N, N + 1)
+    mult = (N + 1 - np.abs(m)).astype(float)
+    vals = np.asarray([rho(x) for x in -(B / 2.0) * m / (N + 1)], dtype=float)
+    return float(np.sum(mult * vals)) / (N + 1) ** 2
+
+
+@pytest.mark.parametrize("B", [0.0, 1.0, 2.0, 3.7])
+@pytest.mark.parametrize("N", [1, 40, 1000])
+def test_trace_average_matches_per_point_loop(N, B):
+    rhos = [TestFunction.monomial(k) for k in range(13)] + [
+        TestFunction.polynomial([0.5, -1.0, 0.0, 2.5]),
+        TestFunction.tabulated([-1.0, 0.0, 0.3, 2.0], [0.2, 1.0, -0.4, 3.0]),
+        lambda x: 1.0,
+    ]
+    for rho in rhos:
+        assert trace_average(N, B, rho) == _trace_average_by_point(N, B, rho)
 
 
 def test_trace_identity_against_matrix_functional_calculus():
