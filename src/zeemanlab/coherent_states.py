@@ -148,16 +148,24 @@ def coherent_state_values(index: CoherentIndex, N: int, grid: SphereGrid) -> np.
 
 
 def _binomial_pmf(N: int, p: float) -> np.ndarray:
-    """Bin(N, p) on 0..N from log-space terms, each one non-negative."""
-    from scipy.special import gammaln, xlog1py, xlogy
+    """Bin(N, p) on 0..N by the term ratio, walked outward from the mode.
 
+    pmf[k+1] / pmf[k] = (N-k)/(k+1) * p/(1-p).  Away from the mode every
+    factor is at most one, so the running products only shrink: the tails
+    underflow to 0 instead of overflowing, and the bulk carries a few
+    roundings per step from the mode.  p = 0 and p = 1 are point masses.
+    """
     p = min(max(p, 0.0), 1.0)
-    k = np.arange(N + 1)
-    log_pmf = (
-        gammaln(N + 1) - gammaln(k + 1) - gammaln(N - k + 1)
-        + xlogy(k, p) + xlog1py(N - k, -p)
-    )
-    pmf = np.exp(log_pmf)
+    pmf = np.zeros(N + 1)
+    if p in (0.0, 1.0):
+        pmf[round(p * N)] = 1.0
+        return pmf
+    k = np.arange(N)
+    ratio = (N - k) / (k + 1.0) * (p / (1.0 - p))
+    mode = min(int((N + 1) * p), N)
+    pmf[mode] = 1.0
+    pmf[mode + 1 :] = np.cumprod(ratio[mode:])
+    pmf[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
     return pmf / pmf.sum()
 
 

@@ -11,8 +11,13 @@ commutes with L3, and the diamagnetic part couples l only to l and l+-2, so
 every operator splits into one block per (m, l parity).  Ordered by
 (l, shell), each block is tridiagonal on one shell and banded on a band of
 shells; ShellMatrix stores exactly these bands, and dense() alone builds the
-full matrix.  The radial factors <n l|r^2|n2 l2> are evaluated exactly in
-integer arithmetic and rounded to float at the end.
+full matrix.  Each block is assembled by array operations over
+(l, shell, shell2), and each distinct radial factor is fetched once and
+shared by every m.  The radial factors <n l|r^2|n2 l2> are exact until
+one rounding of their square: cross-shell ones from integer arithmetic,
+same-shell ones from the Bethe-Salpeter closed forms, which round to the
+same bits.  A block whose band is its diagonal alone needs no
+eigensolver: its eigenvalues are the sorted diagonal.
 """
 
 from __future__ import annotations
@@ -218,6 +223,21 @@ def _radial_integral(n: int, l: int, n2: int, l2: int) -> float:
     return -value if S < 0 else value
 
 
+def _same_shell_r2(n: int, l: int, l2: int) -> float:
+    """<n l|r^2|n l2> for l2 in {l, l+2} from the Bethe-Salpeter closed forms.
+
+    (n^2/2)(5n^2 + 1 - 3l(l+1)) and (5/2) n^2 sqrt((n^2-(l+1)^2)(n^2-(l+2)^2)),
+    both positive.  Each square is an exact integer over 4, rounded once by
+    true division like the ratio in _radial_integral, so the two paths
+    return the same bits.
+    """
+    n, l = operator.index(n), operator.index(l)
+    if l2 == l:
+        a = n * n * (5 * n * n + 1 - 3 * l * (l + 1))
+        return math.sqrt(a * a / 4)
+    return math.sqrt(25 * n**4 * (n * n - (l + 1) ** 2) * (n * n - (l + 2) ** 2) / 4)
+
+
 def radial_integral_r2(n: int, l: int, l2: int) -> float:
     """Same-shell radial element of r^2 between (n,l) and (n,l2).
 
@@ -228,17 +248,21 @@ def radial_integral_r2(n: int, l: int, l2: int) -> float:
         raise ValueError(f"need 0 <= l, l2 <= n-1, got l={l}, l2={l2}, n={n}")
     if abs(l - l2) not in (0, 2):
         raise ValueError(f"unsupported angular coupling |l-l2|={abs(l - l2)}")
-    return _radial_integral(n, l, n, l2)
+    return _same_shell_r2(n, min(l, l2), max(l, l2))
 
 
 def radial_integral_r2_cross(n: int, l: int, n2: int, l2: int) -> float:
-    """Cross-shell radial element of r^2 between (n,l) and (n2,l2)."""
+    """Radial element of r^2 between (n,l) and (n2,l2), on one shell or two."""
     if not (0 <= l <= n - 1 and 0 <= l2 <= n2 - 1):
-        raise ValueError(f"need 0 <= l <= n-1 and 0 <= l2 <= n2-1")
+        raise ValueError(
+            f"need 0 <= l <= n-1 and 0 <= l2 <= n2-1, got n={n}, l={l}, n2={n2}, l2={l2}"
+        )
     if abs(l - l2) not in (0, 2):
         raise ValueError(f"unsupported angular coupling |l-l2|={abs(l - l2)}")
     if (n2, l2) < (n, l):
         n, l, n2, l2 = n2, l2, n, l
+    if n == n2:
+        return _same_shell_r2(n, l, l2)
     return _radial_integral(n, l, n2, l2)
 
 
@@ -297,11 +321,20 @@ class ShellMatrix:
         return sum(len(labels) for labels, _ in self.bands.values())
 
     def eigenvalues(self, m: int) -> np.ndarray:
-        """Eigenvalues of the m-block, one banded solve per l parity."""
-        from scipy.linalg import eigvals_banded
+        """Eigenvalues of the m-block, one banded solve per l parity.
 
-        blocks = [self.bands[m, p][1] for p in (0, 1) if (m, p) in self.bands]
-        return np.concatenate([eigvals_banded(ab, lower=True) for ab in blocks])
+        A band of one row is a diagonal block, whose eigenvalues are its
+        sorted diagonal; only wider bands import and call the solver.
+        """
+        out = []
+        for ab in (self.bands[m, p][1] for p in (0, 1) if (m, p) in self.bands):
+            if len(ab) == 1:
+                out.append(np.sort(ab[0]))
+            else:
+                from scipy.linalg import eigvals_banded
+
+                out.append(eigvals_banded(ab, lower=True))
+        return np.concatenate(out)
 
     def norm(self) -> float:
         """Spectral norm, maximized over m-blocks."""
@@ -324,41 +357,76 @@ class ShellMatrix:
         return out
 
 
+def _ladder(l: np.ndarray, m: int) -> np.ndarray:
+    """ladder_coefficient over an array of l >= |m| - 1, by the same IEEE operations.
+
+    At l = |m| - 1 the numerator vanishes, which gives the 0.0 that
+    ladder_coefficient returns below |m|.
+    """
+    return np.sqrt(((l + 1) ** 2 - m * m) / ((2 * l + 1.0) * (2 * l + 3.0)))
+
+
 def _assemble(
     N: int, delta: int, level: Callable[[int, int], float], rho2_coeff: float
 ) -> ShellMatrix:
     """level(shell, m) on the diagonal plus rho2_coeff (x1^2 + x2^2), banded.
 
     x1^2 + x2^2 = r^2 sin^2(theta) is a product of a radial and an angular
-    element and couples (l, shell) only to (l, shell2) and (l+2, shell2)
-    above the diagonal, so only those pairs are visited.  With
+    element and couples (l, shell) only to (l, shell2 >= shell) and
+    (l+2, shell2) below the diagonal.  Each block builds those entries as
+    arrays over (l, shell, shell2).  Each distinct radial element is fetched
+    once, in canonical argument order, and shared by every m.  With
     rho2_coeff = 0 each band is its diagonal alone.
     """
     lo, hi = N - delta, N + delta
+    shells = np.arange(lo, hi + 1)
+    if rho2_coeff:
+        # rad[d // 2, l, s, s2] = <lo+s+1, l|r^2|lo+s2+1, l+d> wherever the block needs it
+        rad = np.zeros((2, hi + 1, len(shells), len(shells)))
+        for s, Np in enumerate(range(lo, hi + 1)):
+            for s2, Np2 in enumerate(range(lo, hi + 1)):
+                for d in (0, 2) if Np2 >= Np else (2,):
+                    for l in range(min(Np, Np2 - d) + 1):
+                        a, b = sorted([(Np + 1, l), (Np2 + 1, l + d)])
+                        rad[d // 2, l, s, s2] = radial_integral_r2_cross(*a, *b)
     bands = {}
     for m in range(-hi, hi + 1):
-        levels = [level(Np, m) for Np in range(lo, hi + 1)]
+        levels = np.array([level(Np, m) for Np in range(lo, hi + 1)])
         for p in (0, 1):
-            l0 = abs(m) + (abs(m) + p) % 2
-            labels = [(l, Np) for l in range(l0, hi + 1, 2) for Np in range(max(lo, l), hi + 1)]
-            if not labels:
+            ls = np.arange(abs(m) + (abs(m) + p) % 2, hi + 1, 2)
+            if not len(ls):
                 continue
-            ab = np.array([[levels[Np - lo] for _, Np in labels]])
+            # (l, Np) exists for Np >= max(l, lo); labels run over l, then Np
+            first = np.maximum(ls, lo)
+            count = hi + 1 - first
+            start = np.cumsum(count) - count
+            l_of = np.repeat(ls, count)
+            Np_of = np.arange(len(l_of)) + np.repeat(first - start, count)
+            ab = levels[Np_of - lo][None, :]
             if rho2_coeff:
-                rows, cols, vals = [], [], []
-                for j, (l, Np) in enumerate(labels):
-                    # (l, Np2 >= Np) starts at row j, (l+2, Np2) right after (l, hi)
-                    for l2, first, row in ((l, Np, j), (l + 2, max(lo, l + 2), j + hi + 1 - Np)):
-                        ang = angular_sin2_element(l, l2, m)
-                        for Np2 in range(first, hi + 1):
-                            rad = radial_integral_r2_cross(Np + 1, l, Np2 + 1, l2)
-                            rows.append(row + Np2 - first)
-                            cols.append(j)
-                            vals.append(rho2_coeff * (rad * ang))
-                rows, cols = np.array(rows), np.array(cols)
-                ab = np.concatenate([ab, np.zeros((int(np.max(rows - cols)), len(labels)))])
-                ab[rows - cols, cols] += vals
-            bands[m, p] = (np.array(labels), ab)
+                index = start[:, None] + shells - first[:, None]  # of (ls[i], shells[s])
+                has = ls[:, None] <= shells
+                same = has[:, :, None] & (shells[:, None] <= shells)
+                up = has[:-1, :, None] & has[1:, None, :]
+                c = _ladder(ls, m)
+                # squares through pow, as Python's float ** does; c * c can differ in the last bit
+                sin2 = 1.0 - (np.float_power(c, 2) + np.float_power(_ladder(ls - 1, m), 2))
+                sin2_up = -(c[:-1] * _ladder(ls[:-1] + 1, m))
+                rows = np.concatenate([
+                    np.broadcast_to(index[:, None, :], same.shape)[same],
+                    np.broadcast_to(index[1:, None, :], up.shape)[up],
+                ])
+                cols = np.concatenate([
+                    np.broadcast_to(index[:, :, None], same.shape)[same],
+                    np.broadcast_to(index[:-1, :, None], up.shape)[up],
+                ])
+                vals = np.concatenate([
+                    (rad[0, ls] * sin2[:, None, None])[same],
+                    (rad[1, ls[:-1]] * sin2_up[:, None, None])[up],
+                ])
+                ab = np.concatenate([ab, np.zeros((int(np.max(rows - cols)), len(l_of)))])
+                ab[rows - cols, cols] += rho2_coeff * vals
+            bands[m, p] = (np.column_stack([l_of, Np_of]), ab)
     return ShellMatrix(N=N, delta=delta, bands=bands)
 
 

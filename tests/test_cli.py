@@ -38,15 +38,34 @@ def run_fresh(args):
     )
 
 
-def test_importing_the_cli_leaves_scipy_submodules_unloaded():
-    # every command pays the import; only coherent and cluster need these
+def _scipy_submodules_loaded_after(statement):
     code = (
-        "import sys, zeemanlab.cli; "
+        f"import sys, zeemanlab.cli; {statement}; "
         "print([m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])"
     )
     proc = run_fresh(["-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_importing_the_cli_leaves_scipy_submodules_unloaded():
+    # every command pays the import
+    assert _scipy_submodules_loaded_after("pass") == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # diagonal blocks need no banded solver
+        ["cluster", "--N", "6", "--q", "17"],
+        # the L3 law is built without scipy.special
+        ["coherent", "--m", "2", "--N-list", "8,16", "--seed", "1"],
+    ],
+)
+def test_commands_leave_scipy_submodules_unloaded(argv, tmp_path):
+    run_argv = [*argv, "--out", str(tmp_path / "out")]
+    statement = f"assert zeemanlab.cli.main({run_argv!r}) == 0"
+    assert _scipy_submodules_loaded_after(statement) == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +189,8 @@ def test_cluster_writes_artifacts(tmp_path):
     out = tmp_path / "run"
     code = run(["cluster", "--N", "6", "--B", "1", "--q", "17", "--out", str(out)])
     assert code == 0
-    rows = list(csv.reader((out / "cluster_spectrum.csv").open()))
+    with (out / "cluster_spectrum.csv").open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["N", "m", "shift", "scaled_shift"]
     assert len(rows) - 1 == 49
     summary = json.loads((out / "cluster_summary.json").read_text())
@@ -240,7 +260,8 @@ def test_cluster_csv_round_trips_json_values(tmp_path):
     out = tmp_path / "rt"
     assert run(["cluster", "--N", "7", "--out", str(out)]) == 0
     record = json.loads((out / "cluster_spectrum.json").read_text())
-    rows = list(csv.DictReader((out / "cluster_spectrum.csv").open()))
+    with (out / "cluster_spectrum.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     # 17 significant digits are lossless for doubles
     for row, shift, scaled in zip(rows, record["shifts"], record["scaled_shifts"]):
         assert float(row["shift"]) == shift
@@ -282,7 +303,8 @@ def test_szego_table_and_gaps(tmp_path):
         ["szego", "--rho", "x^2", "--B", "2", "--N-list", "25,50,100", "--out", str(out)]
     )
     assert code == 0
-    rows = list(csv.DictReader((out / "szego_table.csv").open()))
+    with (out / "szego_table.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     gaps = [float(r["gap"]) for r in rows]
     assert gaps == sorted(gaps, reverse=True)
     assert gaps[-1] <= 3.0 / 100.0
@@ -293,7 +315,8 @@ def test_szego_table_and_gaps(tmp_path):
 def test_szego_constant_gap_zero(tmp_path):
     out = tmp_path / "szc"
     assert run(["szego", "--rho", "1", "--N-list", "30,60", "--out", str(out)]) == 0
-    rows = list(csv.DictReader((out / "szego_table.csv").open()))
+    with (out / "szego_table.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     assert all(abs(float(r["gap"])) <= 1e-12 for r in rows)
 
 
@@ -338,7 +361,8 @@ def test_coherent_slope(tmp_path):
     assert code == 0
     summary = json.loads((out / "coherent_summary.json").read_text())
     assert -1.2 <= summary["slope"] <= -0.8
-    rows = list(csv.DictReader((out / "coherent_convergence.csv").open()))
+    with (out / "coherent_convergence.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     assert [int(r["N"]) for r in rows] == [8, 16, 32, 64]
 
 
@@ -378,7 +402,8 @@ def test_kepler_period_report(tmp_path):
     summary = json.loads((out / "kepler_summary.json").read_text())
     assert abs(summary["period_minus_2pi"]) <= 1e-6
     assert summary["max_energy_drift"] <= 1e-9
-    rows = list(csv.DictReader((out / "trajectory.csv").open()))
+    with (out / "trajectory.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     assert set(rows[0].keys()) == {
         "s",
         "x1",

@@ -1,5 +1,9 @@
 """Sphere quadrature, state normalization, moments, and completeness."""
 
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from zeemanlab.coherent_states import (
     QuadratureAccuracyError,
     QuadratureSpec,
     SPHERE_AREA,
+    _binomial_pmf,
     _l3_law,
     coherent_state_values,
     expectation_L3_power,
@@ -218,6 +223,101 @@ def test_l3_law_matches_rotation_characteristic_function(N):
             lhs = normalization_sq(N) * grid.integrate(u_conj * (rotated @ index.alpha) ** N)
             rhs = law @ np.exp(-1j * theta * k)
             assert abs(lhs - rhs) <= 1e-13
+
+
+def _index_probabilities(index):
+    """The two binomial parameters of the law, by the same float operations."""
+    a, b = index.a_vec, index.b_vec
+    w12 = a[0] * b[1] - a[1] * b[0]
+    w34 = a[2] * b[3] - a[3] * b[2]
+    return 0.5 * (1.0 + w12 + w34), 0.5 * (1.0 + w12 - w34)
+
+
+def _exact_moment(index, N, power, B):
+    """E[(h (-B/2) L3)^power] as an exact rational in the float inputs.
+
+    E[X^j] = sum_r S(j, r) N^(r) p^r for X ~ Bin(N, p), with Stirling
+    numbers of the second kind and falling factorials N^(r); then
+    L3 = X1 + X2 - N is expanded by the multinomial theorem.
+    """
+    stirling = [[Fraction(1)]]
+    for j in range(1, power + 1):
+        prev = stirling[-1] + [Fraction(0)]
+        stirling.append([Fraction(0)] + [r * prev[r] + prev[r - 1] for r in range(1, j + 1)])
+
+    def raw(p):
+        p = Fraction(p)
+        return [
+            sum(stirling[j][r] * math.perm(N, r) * p**r for r in range(j + 1))
+            for j in range(power + 1)
+        ]
+
+    r1, r2 = (raw(p) for p in _index_probabilities(index))
+    total = sum(
+        Fraction(math.factorial(power), math.factorial(i) * math.factorial(j) * math.factorial(power - i - j))
+        * r1[i] * r2[j] * (-N) ** (power - i - j)
+        for i in range(power + 1)
+        for j in range(power + 1 - i)
+    )
+    return float(total * (Fraction(-B) / 2 / (N + 1)) ** power)
+
+
+def _retired_binomial_pmf(N, p):
+    """The log-space scipy form the ratio walk replaced."""
+    from scipy.special import gammaln, xlog1py, xlogy
+
+    k = np.arange(N + 1)
+    log_pmf = (
+        gammaln(N + 1) - gammaln(k + 1) - gammaln(N - k + 1)
+        + xlogy(k, p) + xlog1py(N - k, -p)
+    )
+    pmf = np.exp(log_pmf)
+    return pmf / pmf.sum()
+
+
+MOMENT_N = [1, 4, 9, 16, 40, 128, 2000]
+
+
+def _moment_indices():
+    rng = np.random.default_rng(8)
+    return [HALF_INDEX, sample_coherent_index(rng), sample_coherent_index(rng)]
+
+
+@pytest.mark.parametrize("N", MOMENT_N)
+def test_l3_moments_match_exact_rationals(N):
+    for index in _moment_indices():
+        for power in (1, 2, 3, 4):
+            exact = _exact_moment(index, N, power, 1.0)
+            assert expectation_L3_power(index, N, power, 1.0) == pytest.approx(
+                exact, rel=1e-14, abs=0
+            )
+
+
+@pytest.mark.parametrize("N", MOMENT_N)
+def test_l3_moments_match_retired_scipy_form(N):
+    # the retired form rounds lgamma of arguments up to N, so its own error
+    # grows with N: 9e-14 off the exact moments at N = 2000
+    values = (-0.5) / (N + 1) * (np.arange(2 * N + 1) - N)
+    for index in _moment_indices():
+        p1, p2 = _index_probabilities(index)
+        law = np.convolve(_retired_binomial_pmf(N, p1), _retired_binomial_pmf(N, p2))
+        for power in (1, 2, 3, 4):
+            assert expectation_L3_power(index, N, power, 1.0) == pytest.approx(
+                float(law @ values**power), rel=1e-14 * max(1.0, N / 40), abs=0
+            )
+
+
+@pytest.mark.parametrize("N", [0, 1, 5, 2000])
+@pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 0.3, 0.5, 1.0 - 2.0**-53, 1.0])
+def test_binomial_pmf_extremes_are_finite_and_normalized(N, p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pmf = _binomial_pmf(N, p)
+    assert pmf.shape == (N + 1,)
+    assert np.all(pmf >= 0.0)
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-13)
+    if p in (0.0, 1.0):
+        assert pmf[round(p * N)] == 1.0
 
 
 def test_convergence_rate_half_index():

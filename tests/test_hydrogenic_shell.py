@@ -9,6 +9,7 @@ from scipy.special import eval_genlaguerre, lpmv, roots_legendre
 
 from zeemanlab.hydrogenic_shell import (
     ResourceBudgetError,
+    _radial_integral,
     ScalingSchedule,
     angular_cos2_element,
     angular_sin2_element,
@@ -155,10 +156,17 @@ def test_radial_diagonal_matches_oracle_and_closed_form(n, l):
     if n <= 81:  # beyond, the oracle's scipy Laguerre polynomials overflow
         # confirm the closed form against the independent quadrature first
         assert oracle_radial_integral(n, l, l) == pytest.approx(closed, rel=1e-10)
-    assert radial_integral_r2(n, l, l) == pytest.approx(closed, rel=1e-15)
+    # the exact integer sum, rounded once, and the production path agree bit for bit
+    assert _radial_integral(n, l, n, l) == closed
+    assert radial_integral_r2(n, l, l) == closed
+    assert radial_integral_r2_cross(n, l, n, l) == closed
     if l + 2 < n:
         up = 2.5 * n * n * math.sqrt((n * n - (l + 1) ** 2) * (n * n - (l + 2) ** 2))
-        assert radial_integral_r2(n, l, l + 2) == pytest.approx(up, rel=1e-15)
+        exact = _radial_integral(n, l, n, l + 2)
+        assert exact == pytest.approx(up, rel=1e-15)
+        assert radial_integral_r2(n, l, l + 2) == exact
+        assert radial_integral_r2(n, l + 2, l) == exact
+        assert radial_integral_r2_cross(n, l + 2, n, l) == exact
 
 
 def test_radial_offdiagonal_matches_oracle():
@@ -191,6 +199,10 @@ def test_radial_cross_shell_symmetric_in_arguments():
 def test_radial_integral_rejects_bad_pairs(n, l, l2):
     with pytest.raises(ValueError):
         radial_integral_r2(n, l, l2)
+    # the message names the offending pair
+    named = rf"\|l-l2\|={abs(l - l2)}" if l2 < n else f"got n={n}, l={l}, n2={n}, l2={l2}$"
+    with pytest.raises(ValueError, match=named):
+        radial_integral_r2_cross(n, l, n, l2)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +268,96 @@ def oracle_all_pairs(N, delta, schedule, e_center):
                         si.N + 1, si.l, sj.N + 1, sj.l
                     ) * angular_sin2_element(si.l, sj.l, m)
     return out
+
+
+def oracle_assemble(N, delta, level, rho2_coeff, radial=_radial_integral):
+    """The retired per-element band assembler, by default on the exact integer radial path.
+
+    ``radial`` receives its arguments in canonical order.  Returns the
+    ``bands`` dict of a ShellMatrix: ``(m, parity) -> (labels, ab)``.
+    """
+    lo, hi = N - delta, N + delta
+    bands = {}
+    for m in range(-hi, hi + 1):
+        levels = [level(Np, m) for Np in range(lo, hi + 1)]
+        for p in (0, 1):
+            l0 = abs(m) + (abs(m) + p) % 2
+            labels = [(l, Np) for l in range(l0, hi + 1, 2) for Np in range(max(lo, l), hi + 1)]
+            if not labels:
+                continue
+            ab = np.array([[levels[Np - lo] for _, Np in labels]])
+            if rho2_coeff:
+                rows, cols, vals = [], [], []
+                for j, (l, Np) in enumerate(labels):
+                    # (l, Np2 >= Np) starts at row j, (l+2, Np2) right after (l, hi)
+                    for l2, first, row in ((l, Np, j), (l + 2, max(lo, l + 2), j + hi + 1 - Np)):
+                        ang = angular_sin2_element(l, l2, m)
+                        for Np2 in range(first, hi + 1):
+                            a, b = sorted([(Np + 1, l), (Np2 + 1, l2)])
+                            rad = radial(*a, *b)
+                            rows.append(row + Np2 - first)
+                            cols.append(j)
+                            vals.append(rho2_coeff * (rad * ang))
+                rows, cols = np.array(rows), np.array(cols)
+                ab = np.concatenate([ab, np.zeros((int(np.max(rows - cols)), len(labels)))])
+                ab[rows - cols, cols] += vals
+            bands[m, p] = (np.array(labels), ab)
+    return bands
+
+
+def assert_same_bands(bands, oracle):
+    assert list(bands) == list(oracle)
+    for key, (labels, ab) in bands.items():
+        for got, want in zip((labels, ab), oracle[key]):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), key
+            assert got.tobytes() == want.tobytes(), key
+
+
+def schedule_levels(N, schedule, e_center):
+    lam = schedule.lam(N)
+    coeff = 0.0 if schedule.diamagnetic_negligible(N) else lam**2 / 8.0
+    return (lambda Np, m: (shell_energy(Np) - e_center) - 0.5 * lam * m), coeff
+
+
+@pytest.mark.parametrize("N", [*range(1, 13), 40, 80])
+def test_W_bands_match_retired_assembler_bit_for_bit(N):
+    sched = ScalingSchedule(B=1.0, q=2.0)
+    assert not sched.diamagnetic_negligible(N)
+    level, coeff = schedule_levels(N, sched, shell_energy(N))
+    assert_same_bands(shell_matrix_W(N, sched).bands, oracle_assemble(N, 0, level, coeff))
+
+
+@pytest.mark.parametrize("N, delta", [(10, 1), (12, 2), (32, 2)])
+def test_band_matches_retired_assembler_bit_for_bit(N, delta):
+    sched = ScalingSchedule(B=1.0, q=2.0)
+    level, coeff = schedule_levels(N, sched, 0.0)
+    band = multishell_band_matrix(N, delta, sched)
+    assert_same_bands(band.bands, oracle_assemble(N, delta, level, coeff))
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 7, 20, 120, 160])
+def test_rho2_and_L3_match_retired_assembler_bit_for_bit(N):
+    # Radial values are pinned to the integer path elsewhere; the shells past
+    # N = 80 reach the (l, m) where ladder c * c and c ** 2 differ in the last bit.
+    radial = _radial_integral if N <= 20 else radial_integral_r2_cross
+    rho2 = oracle_assemble(N, 0, lambda Np, m: 0.0, 1.0, radial)
+    assert_same_bands(shell_matrix_rho2(N).bands, rho2)
+    assert_same_bands(shell_matrix_L3(N).bands, oracle_assemble(N, 0, lambda Np, m: float(m), 0.0))
+
+
+@pytest.mark.parametrize(
+    "N, delta, q", [(1, 0, 17.0), (40, 0, 17.0), (400, 0, 17.0), (400, 0, 40.0), (10, 2, 17.0)]
+)
+def test_diagonal_bands_sort_like_the_banded_solver(N, delta, q):
+    from scipy.linalg import eigvals_banded
+
+    sched = ScalingSchedule(B=1.0, q=q)
+    op = multishell_band_matrix(N, delta, sched) if delta else shell_matrix_W(N, sched)
+    for m in range(-(N + delta), N + delta + 1):
+        blocks = [op.bands[m, p][1] for p in (0, 1) if (m, p) in op.bands]
+        assert all(len(ab) == 1 for ab in blocks)
+        solved = np.concatenate([eigvals_banded(ab, lower=True) for ab in blocks])
+        assert op.eigenvalues(m).tobytes() == solved.tobytes()
 
 
 @pytest.mark.parametrize("N", range(1, 13))
