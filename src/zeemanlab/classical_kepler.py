@@ -10,10 +10,15 @@ with the time reparametrization d/ds = |x| d/dt, which makes every orbit
 on the shell 2*pi periodic in s, collisions included.  Unit covectors are
 indexed by pairs of orthonormal 4-vectors (the real and imaginary parts of
 a complex index), carrying the rotation-invariant probability measure.
+
+The integrator steps one orbit in Python floats: each state and stage
+slope is a 6-tuple and every component a scalar expression, in a fixed
+operation order, so no BLAS kernel runs inside a step.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -295,17 +300,12 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 _STEP_TIGHTEN = 1e-5
 
 
-def _rhs(z: np.ndarray) -> np.ndarray:
-    x, p = z[:3], z[3:]
-    r = np.sqrt(x @ x)
-    out = np.empty(6)
-    out[:3] = r * p
-    out[3:] = -x / (r * r)
-    return out
-
-
-def _energy_of(z: np.ndarray) -> float:
-    return 0.5 * float(z[3:] @ z[3:]) - 1.0 / float(np.linalg.norm(z[:3]))
+def _rhs(z) -> tuple:
+    """Slope of the regularized flow at a 6-sequence z = (x, p), in floats."""
+    x1, x2, x3, p1, p2, p3 = z
+    r = math.sqrt((x1 * x1 + x2 * x2) + x3 * x3)
+    rr = r * r
+    return (r * p1, r * p2, r * p3, -x1 / rr, -x2 / rr, -x3 / rr)
 
 
 @dataclass
@@ -342,14 +342,23 @@ def integrate_kepler(
     s = 2*pi to within about 100 * tol; off-shell data is integrated too
     but the periodicity statement no longer applies, so a warning is
     emitted.
+
+    A step works on six Python floats, not on arrays: every component is
+    one scalar expression, so no BLAS kernel runs inside a step and the
+    result does not depend on it.  Squared norms are summed as
+    (v1*v1 + v2*v2) + v3*v3, and the error norm is the square root of the
+    left-to-right sum of the six scaled squares over 6.  A step whose stages
+    divide by zero or produce non-finite values is rejected like any step
+    with a non-finite error estimate.
     """
     if s_max < 0:
         raise ValueError("s_max must be >= 0")
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    z = np.concatenate([pt0.x, pt0.p])
-    kinetic = 0.5 * float(z[3:] @ z[3:])
-    potential = 1.0 / float(np.linalg.norm(z[:3]))
+    z = tuple(pt0.x.tolist() + pt0.p.tolist())
+    x1, x2, x3, p1, p2, p3 = z
+    kinetic = 0.5 * ((p1 * p1 + p2 * p2) + p3 * p3)
+    potential = 1.0 / math.sqrt((x1 * x1 + x2 * x2) + x3 * x3)
     energy0 = kinetic - potential
     # the energy rounds at the size of its terms, which near-collision
     # starts (|p|^2/2 ~ 1/|x| ~ 1/ell^2) make large
@@ -363,7 +372,8 @@ def integrate_kepler(
     s = 0.0
     h = min(0.05, s_max) if s_max > 0 else 0.0
     samples_s = [0.0]
-    samples_z = [z.copy()]
+    samples_z = [z]
+    energy = energy0
     k1 = _rhs(z)
     max_steps = 2_000_000
     steps = 0
@@ -372,30 +382,61 @@ def integrate_kepler(
         if steps > max_steps:
             raise NumericalCollisionError(f"step budget exhausted at s={s}")
         h = min(h, s_max - s)
-        k2 = _rhs(z + h * (_A21 * k1))
-        k3 = _rhs(z + h * (_A31 * k1 + _A32 * k2))
-        k4 = _rhs(z + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = _rhs(z + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = _rhs(z + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-        z_new = z + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = _rhs(z_new)
-        err_vec = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        scale = rt * (1.0 + np.maximum(np.abs(z), np.abs(z_new)))
-        with np.errstate(all="ignore"):
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if not np.isfinite(err):
+        try:
+            k2 = _rhs([zi + h * (_A21 * a1) for zi, a1 in zip(z, k1)])
+            k3 = _rhs([zi + h * (_A31 * a1 + _A32 * a2) for zi, a1, a2 in zip(z, k1, k2)])
+            k4 = _rhs(
+                [
+                    zi + h * (_A41 * a1 + _A42 * a2 + _A43 * a3)
+                    for zi, a1, a2, a3 in zip(z, k1, k2, k3)
+                ]
+            )
+            k5 = _rhs(
+                [
+                    zi + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
+                    for zi, a1, a2, a3, a4 in zip(z, k1, k2, k3, k4)
+                ]
+            )
+            k6 = _rhs(
+                [
+                    zi + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
+                    for zi, a1, a2, a3, a4, a5 in zip(z, k1, k2, k3, k4, k5)
+                ]
+            )
+            z_new = tuple(
+                zi + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
+                for zi, a1, a3, a4, a5, a6 in zip(z, k1, k3, k4, k5, k6)
+            )
+            k7 = _rhs(z_new)
+            sq = 0.0
+            for zi, zn, a1, a3, a4, a5, a6, a7 in zip(z, z_new, k1, k3, k4, k5, k6, k7):
+                # z is finite, so a NaN in z_new survives max() as in np.maximum
+                q = h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * a7) / (
+                    rt * (1.0 + max(abs(zn), abs(zi)))
+                )
+                sq += q * q
+            err = math.sqrt(sq / 6)
+        except ZeroDivisionError:
             err = 2.0
-        energy_ok = abs(_energy_of(z_new) - _energy_of(z)) <= 10.0 * tol
-        if err <= 1.0 and energy_ok:
+        if not math.isfinite(err):
+            err = 2.0
+        accept = False
+        if err <= 1.0:
+            x1, x2, x3, p1, p2, p3 = z_new
+            r_new = math.sqrt((x1 * x1 + x2 * x2) + x3 * x3)
+            energy_new = 0.5 * ((p1 * p1 + p2 * p2) + p3 * p3) - 1.0 / r_new
+            accept = abs(energy_new - energy) <= 10.0 * tol
+        if accept:
             s += h
             z = z_new
             k1 = k7
-            if float(np.linalg.norm(z[:3])) < collision_floor:
+            energy = energy_new
+            if r_new < collision_floor:
                 raise NumericalCollisionError(
                     f"|x| fell below the collision floor {collision_floor} at s={s}"
                 )
             samples_s.append(s)
-            samples_z.append(z.copy())
+            samples_z.append(z)
             factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
             h *= min(5.0, max(0.2, factor))
         else:
@@ -418,7 +459,7 @@ def measure_period(traj: Trajectory) -> float:
     and a trajectory may stop short of it; either raises ValueError.
     """
     z0 = traj.states[0]
-    v0 = _rhs(z0)
+    v0 = np.asarray(_rhs(z0))
     lo, hi = 2.0 * np.pi - 0.5, 2.0 * np.pi + 0.5
     s, f = traj.s, (traj.states - z0) @ v0
     up = np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0) & (s[1:] >= lo) & (s[1:] <= hi))
@@ -430,7 +471,7 @@ def measure_period(traj: Trajectory) -> float:
     i = up[0]
     h = s[i + 1] - s[i]
     f0, f1 = f[i], f[i + 1]
-    d0, d1 = h * (_rhs(traj.states[i]) @ v0), h * (_rhs(traj.states[i + 1]) @ v0)
+    d0, d1 = (h * (np.asarray(_rhs(traj.states[j])) @ v0) for j in (i, i + 1))
     # Hermite cubic in t = (s - s_i) / h; of its real roots, the one
     # nearest the secant estimate
     t = np.roots([2 * f0 + d0 - 2 * f1 + d1, 3 * (f1 - f0) - 2 * d0 - d1, d0, f0])

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .classical_kepler import OrbitElements, _inverse_arrays, sample_index_batch
+from .classical_kepler import OrbitElements, sample_index_batch
 from .spectral_cluster import ks_two_sample, ks_distance, EmpiricalMeasure, triangular_shift_cdf
 
 __all__ = [
@@ -234,17 +234,24 @@ def liouville_pushforward_check(
     a, b = sample_index_batch(rng, n_samples)
     keep = (1.0 - a[:, 3]) > 1e-12
     skipped = int(n_samples - keep.sum())
-    a, b = a[keep], b[keep]
+    if skipped:
+        a, b = a[keep], b[keep]
+    del keep
     ell3_index = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    x, p = _inverse_arrays(a, b)
-    ell3_phase = x[:, 0] * p[:, 1] - x[:, 1] * p[:, 0]
-    gap = float(np.max(np.abs(ell3_phase - ell3_index))) if len(a) else 0.0
+    # the x1, x2, p1, p2 columns of the inverse lift, as _inverse_arrays
+    # computes them
+    one_minus = 1.0 - a[:, 3]
+    x1 = -(one_minus * b[:, 0] + b[:, 3] * a[:, 0])
+    x2 = -(one_minus * b[:, 1] + b[:, 3] * a[:, 1])
+    ell3_phase = x1 * (a[:, 1] / one_minus) - x2 * (a[:, 0] / one_minus)
+    del a, b, one_minus, x1, x2
+    gap = float(np.max(np.abs(ell3_phase - ell3_index))) if len(ell3_index) else 0.0
     ks_same = ks_two_sample(ell3_phase, ell3_index)
     measure = EmpiricalMeasure(
         values=ell3_phase, weights=np.full(len(ell3_phase), 1.0 / len(ell3_phase))
     )
     ks_tri = ks_distance(measure, triangular_shift_cdf(2.0))
-    keep = min(keep_samples, len(a))
+    keep = min(keep_samples, len(ell3_index))
     return PushforwardCheck(
         max_pointwise_gap=gap,
         ks_vs_index_law=ks_same,

@@ -10,10 +10,12 @@ from zeemanlab.classical_kepler import (
     CoherentIndex,
     CollisionOrbitError,
     NorthPoleError,
+    NumericalCollisionError,
     OrbitElements,
     PhasePoint,
     SingularityError,
     SpherePoint,
+    Trajectory,
     _forward_arrays,
     integrate_kepler,
     kepler_constants,
@@ -276,8 +278,6 @@ def test_start_rounded_off_the_shell_does_not_warn():
 
 
 def test_radial_infall_hits_collision_floor():
-    from zeemanlab.classical_kepler import NumericalCollisionError
-
     # off-shell straight-line infall must trip the floor, not loop forever
     pt0 = PhasePoint(x=[1e-6, 0.0, 0.0], p=[0.0, 0.0, 0.0])
     with pytest.warns(UserWarning):
@@ -332,6 +332,155 @@ def test_period_of_a_trajectory_short_of_the_window_raises():
     pt0 = PhasePoint(x=[1.0, 0.0, 0.0], p=[0.0, 1.0, 0.0])
     with pytest.raises(ValueError, match=r"does not recur .*trajectory ends at s=1\.0\)"):
         measure_period(integrate_kepler(pt0, 1.0, tol=1e-10))
+
+
+# ---------------------------------------------------------------------------
+# the retired NumPy stepper as oracle for the scalar one
+# ---------------------------------------------------------------------------
+
+# Dormand-Prince 5(4) tableau, as the retired stepper spelled it.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+
+
+def _blas_sq(v):
+    return v @ v
+
+
+def _spelled_sq(v):
+    return (v[0] * v[0] + v[1] * v[1]) + v[2] * v[2]
+
+
+def _numpy_integrate_kepler(pt0, s_max, tol=1e-10, collision_floor=1e-8, sq=_blas_sq):
+    """The retired stepper on 6-element arrays, with its squared norms
+    taken by ``sq``.  With the BLAS dot it is the retired code as it ran
+    (np.linalg.norm of a vector is the square root of that dot)."""
+
+    def norm(v):
+        return np.sqrt(sq(v))
+
+    def rhs(z):
+        x, p = z[:3], z[3:]
+        r = norm(x)
+        out = np.empty(6)
+        out[:3] = r * p
+        out[3:] = -x / (r * r)
+        return out
+
+    def energy_of(z):
+        return 0.5 * float(sq(z[3:])) - 1.0 / float(norm(z[:3]))
+
+    z = np.concatenate([pt0.x, pt0.p])
+    kinetic = 0.5 * float(sq(z[3:]))
+    potential = 1.0 / float(norm(z[:3]))
+    energy0 = kinetic - potential
+    if abs(energy0 + 0.5) > 1e-9 * max(1.0, kinetic + potential):
+        warnings.warn(f"initial energy {energy0!r} is off the -1/2 shell", stacklevel=2)
+    rt = tol * 1e-5
+    s = 0.0
+    h = min(0.05, s_max) if s_max > 0 else 0.0
+    samples_s = [0.0]
+    samples_z = [z.copy()]
+    k1 = rhs(z)
+    steps = 0
+    while s < s_max:
+        steps += 1
+        if steps > 2_000_000:
+            raise NumericalCollisionError(f"step budget exhausted at s={s}")
+        h = min(h, s_max - s)
+        k2 = rhs(z + h * (_A21 * k1))
+        k3 = rhs(z + h * (_A31 * k1 + _A32 * k2))
+        k4 = rhs(z + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+        k5 = rhs(z + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+        k6 = rhs(z + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+        z_new = z + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        k7 = rhs(z_new)
+        err_vec = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+        scale = rt * (1.0 + np.maximum(np.abs(z), np.abs(z_new)))
+        with np.errstate(all="ignore"):
+            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        if not np.isfinite(err):
+            err = 2.0
+        energy_ok = abs(energy_of(z_new) - energy_of(z)) <= 10.0 * tol
+        if err <= 1.0 and energy_ok:
+            s += h
+            z = z_new
+            k1 = k7
+            if float(norm(z[:3])) < collision_floor:
+                raise NumericalCollisionError(
+                    f"|x| fell below the collision floor {collision_floor} at s={s}"
+                )
+            samples_s.append(s)
+            samples_z.append(z.copy())
+            factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
+            h *= min(5.0, max(0.2, factor))
+        else:
+            factor = 0.9 * err ** (-0.2) if err > 1.0 else 0.5
+            h *= min(0.9, max(0.2, factor))
+        if h <= 1e-15:
+            raise NumericalCollisionError(f"step size collapsed at s={s}")
+    return Trajectory(s=np.asarray(samples_s), states=np.asarray(samples_z))
+
+
+# the period test orbits to the window, and the first of them (ell = 0.05
+# from perihelion) to 4 pi
+_ORACLE_CASES = [(orbit_point_from_elements(el), _S_WINDOW) for el in _period_test_orbits()]
+_ORACLE_CASES.append((_ORACLE_CASES[0][0], 4.0 * np.pi))
+
+
+@pytest.mark.parametrize("case", range(len(_ORACLE_CASES)))
+def test_scalar_stepper_is_the_retired_stepper(case):
+    """Byte for byte against the retired stepper with the same squared
+    norms; with the BLAS dot, which may fuse multiply-adds, the same step
+    count and the same period to 1e-10."""
+    pt0, s_max = _ORACLE_CASES[case]
+    traj = integrate_kepler(pt0, s_max, tol=1e-10)
+    spelled = _numpy_integrate_kepler(pt0, s_max, tol=1e-10, sq=_spelled_sq)
+    assert traj.s.tobytes() == spelled.s.tobytes()
+    assert traj.states.tobytes() == spelled.states.tobytes()
+    blas = _numpy_integrate_kepler(pt0, s_max, tol=1e-10)
+    assert len(blas.s) == len(traj.s)
+    assert abs(measure_period(blas) - measure_period(traj)) <= 1e-10
+
+
+def _outcome(integrate, *args, **kwargs):
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            traj = integrate(*args, **kwargs)
+        except NumericalCollisionError as exc:
+            return str(exc)
+    return traj.s.tobytes(), traj.states.tobytes()
+
+
+def test_step_with_a_stage_at_the_origin_is_rejected():
+    # x = 1, p = -100 along e1: the first stage, 1 + 0.05 * (0.2 * -100),
+    # lands on x = 0 exactly, which divides by zero in the slope
+    pt0 = PhasePoint(x=[1.0, 0.0, 0.0], p=[-100.0, 0.0, 0.0])
+    assert 1.0 + 0.05 * (_A21 * -100.0) == 0.0
+    got = _outcome(integrate_kepler, pt0, 0.05, tol=1e-8)
+    assert got == _outcome(_numpy_integrate_kepler, pt0, 0.05, tol=1e-8, sq=_spelled_sq)
+    s = np.frombuffer(got[0])
+    assert len(s) > 2 and s[1] < 0.05  # the full first step was rejected
+
+
+@pytest.mark.parametrize(
+    "pt0, tol",
+    [
+        # stages overflow to inf and then to nan: every step is rejected
+        (PhasePoint(x=[1.0, 0.0, 0.0], p=[0.0, 1e154, 0.0]), 1e-8),
+        # on the shell, but the squares of the scaled error overflow
+        (PhasePoint(x=[1.0, 0.0, 0.0], p=[0.0, 1.0, 0.0]), 1e-300),
+    ],
+)
+def test_step_with_overflow_is_rejected(pt0, tol):
+    got = _outcome(integrate_kepler, pt0, 1.0, tol=tol)
+    assert got == _outcome(_numpy_integrate_kepler, pt0, 1.0, tol=tol, sq=_spelled_sq)
 
 
 @pytest.mark.parametrize("ell", [0.9, 0.3, 0.05])

@@ -105,8 +105,8 @@ def test_normalization_closed_form_vs_quadrature(N):
 
 
 def test_normalization_smallest_shells():
-    assert normalization_sq(0) == pytest.approx(1.0 / (2.0 * np.pi**2), rel=1e-15)
-    assert normalization_sq(1) == pytest.approx(1.0 / np.pi**2, rel=1e-15)
+    assert normalization_sq(0) == pytest.approx(1.0 / (2.0 * np.pi**2), rel=1e-15, abs=0)
+    assert normalization_sq(1) == pytest.approx(1.0 / np.pi**2, rel=1e-15, abs=0)
 
 
 def test_normalization_asymptotic_ratio():
@@ -200,7 +200,7 @@ def test_l3_law_large_shell_has_no_overflow():
     w34 = a[2] * b[3] - a[3] * b[2]
     var = sum(N * (1 - c * c) / 4.0 for c in (index.ell3 + w34, index.ell3 - w34))
     expected = (0.5 / (N + 1)) ** 2 * (var + (N * index.ell3) ** 2)
-    assert expectation_L3_power(index, N, 2, 1.0) == pytest.approx(expected, rel=1e-12)
+    assert expectation_L3_power(index, N, 2, 1.0) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("N", [3, 8, 17])

@@ -262,7 +262,7 @@ def test_trace_average_square_limit():
     # closed value N(N+2)/(6(N+1)^2) at B=2 converges to 1/6
     for N in (50, 400):
         got = trace_average(N, 2.0, lambda x: x * x)
-        assert got == pytest.approx(N * (N + 2) / (6.0 * (N + 1) ** 2), rel=1e-12)
+        assert got == pytest.approx(N * (N + 2) / (6.0 * (N + 1) ** 2), rel=1e-12, abs=0)
     assert trace_average(4000, 2.0, lambda x: x * x) == pytest.approx(1.0 / 6.0, abs=1e-5)
 
 

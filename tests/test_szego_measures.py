@@ -1,5 +1,7 @@
 """Agreement of the three limit-functional representations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +15,21 @@ from zeemanlab.szego_measures import (
     limit_angle_density,
     limit_quadric_mc,
     limit_triangular,
+    PushforwardCheck,
     liouville_pushforward_check,
 )
-from zeemanlab.classical_kepler import kepler_constants, orbit_point_from_elements
+from zeemanlab.classical_kepler import (
+    _inverse_arrays,
+    kepler_constants,
+    orbit_point_from_elements,
+    sample_index_batch,
+)
+from zeemanlab.spectral_cluster import (
+    EmpiricalMeasure,
+    ks_distance,
+    ks_two_sample,
+    triangular_shift_cdf,
+)
 
 
 def brute_force_triangular(rho, B, n=4000001):
@@ -186,6 +200,73 @@ def test_liouville_pushforward():
     assert check.ks_vs_index_law <= 3.0 / n
     assert check.ks_vs_triangular <= 0.005
     assert check.skipped_fraction <= 1e-6
+
+
+def _retired_pushforward_check(n_samples, rng, keep_samples=0):
+    """liouville_pushforward_check as it was before it kept only the
+    columns of the inverse lift that ell3 needs."""
+    a, b = sample_index_batch(rng, n_samples)
+    keep = (1.0 - a[:, 3]) > 1e-12
+    skipped = int(n_samples - keep.sum())
+    a, b = a[keep], b[keep]
+    ell3_index = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    x, p = _inverse_arrays(a, b)
+    ell3_phase = x[:, 0] * p[:, 1] - x[:, 1] * p[:, 0]
+    gap = float(np.max(np.abs(ell3_phase - ell3_index))) if len(a) else 0.0
+    ks_same = ks_two_sample(ell3_phase, ell3_index)
+    measure = EmpiricalMeasure(
+        values=ell3_phase, weights=np.full(len(ell3_phase), 1.0 / len(ell3_phase))
+    )
+    ks_tri = ks_distance(measure, triangular_shift_cdf(2.0))
+    keep = min(keep_samples, len(a))
+    return PushforwardCheck(
+        max_pointwise_gap=gap,
+        ks_vs_index_law=ks_same,
+        ks_vs_triangular=ks_tri,
+        skipped_fraction=skipped / n_samples,
+        n_samples=n_samples,
+        sample_ell3_index=ell3_index[:keep].copy() if keep else None,
+        sample_ell3_phase=ell3_phase[:keep].copy() if keep else None,
+    )
+
+
+class _PolePlantingGenerator:
+    """A seeded generator whose first draw has the given rows replaced by
+    multiples of e4 or by points within 1e-7 of it, so that those index
+    vectors land on (or next to) the north pole."""
+
+    def __init__(self, seed, rows):
+        self.rng = np.random.default_rng(seed)
+        self.rows = rows
+
+    def standard_normal(self, shape):
+        out = self.rng.standard_normal(shape)
+        if self.rows:
+            for i, row in enumerate(self.rows):
+                out[row] = [1e-7 * (i % 2), 0.0, 0.0, 2.0 + i]
+            self.rows = None
+        return out
+
+
+def _field_bytes(check):
+    values = {f.name: getattr(check, f.name) for f in dataclasses.fields(check)}
+    return {k: None if v is None else np.asarray(v).tobytes() for k, v in values.items()}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 11])
+@pytest.mark.parametrize("n, keep_samples", [(1, 1), (5000, 0), (200000, 20000)])
+def test_pushforward_is_the_retired_check(seed, n, keep_samples):
+    got = liouville_pushforward_check(n, np.random.default_rng(seed), keep_samples)
+    want = _retired_pushforward_check(n, np.random.default_rng(seed), keep_samples)
+    assert _field_bytes(got) == _field_bytes(want)
+
+
+@pytest.mark.parametrize("rows", [[0], [3, 17, 4999], list(range(0, 5000, 7))])
+def test_pushforward_with_pole_rows_is_the_retired_check(rows):
+    got = liouville_pushforward_check(5000, _PolePlantingGenerator(4, rows), 3000)
+    want = _retired_pushforward_check(5000, _PolePlantingGenerator(4, rows), 3000)
+    assert got.skipped_fraction == len(rows) / 5000
+    assert _field_bytes(got) == _field_bytes(want)
 
 
 def test_haar_normalization_default_grid():
