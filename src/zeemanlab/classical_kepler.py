@@ -148,26 +148,6 @@ class OrbitElements:
         if abs(float(ell @ ell + rl @ rl) - 1.0) > 1e-10:
             raise ValueError("need |ell|^2 + |rl|^2 = 1 on the energy shell")
 
-    @classmethod
-    def from_angles(
-        cls, psi: float, theta: float, phi: float, gamma: float, beta: float = 0.0
-    ) -> "OrbitElements":
-        """Build elements from the five orbit angles.
-
-        psi in (0, pi/2) sets |ell| = cos(psi) and |rl| = sin(psi);
-        (theta, phi) orient ell on the 2-sphere; gamma rotates rl in the
-        plane orthogonal to ell; beta moves along the orbit.
-        """
-        if not 0.0 < psi < np.pi / 2:
-            raise ValueError(f"psi must lie in (0, pi/2), got {psi!r}")
-        st, ct = np.sin(theta), np.cos(theta)
-        sp, cp = np.sin(phi), np.cos(phi)
-        ell = np.cos(psi) * np.array([st * cp, st * sp, ct])
-        u_hat = np.array([sp, -cp, 0.0])
-        v_hat = np.array([ct * cp, ct * sp, -st])
-        rl = np.sin(psi) * (np.cos(gamma) * u_hat + np.sin(gamma) * v_hat)
-        return cls(ell=ell, rl=rl, beta=beta)
-
 
 # ---------------------------------------------------------------------------
 # constants of motion and the Moser correspondence
@@ -299,6 +279,10 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 # requested trajectory tolerance.
 _STEP_TIGHTEN = 1e-5
 
+# An accepted state closer than this to the origin has lost the
+# regularization; the run stops there.
+_COLLISION_FLOOR = 1e-8
+
 
 def _rhs(z) -> tuple:
     """Slope of the regularized flow at a 6-sequence z = (x, p), in floats."""
@@ -315,10 +299,6 @@ class Trajectory:
     s: np.ndarray
     states: np.ndarray
 
-    @property
-    def final(self) -> PhasePoint:
-        return PhasePoint(x=self.states[-1, :3], p=self.states[-1, 3:])
-
     def energies(self) -> np.ndarray:
         r = np.linalg.norm(self.states[:, :3], axis=1)
         return 0.5 * np.sum(self.states[:, 3:] ** 2, axis=1) - 1.0 / r
@@ -328,12 +308,7 @@ class Trajectory:
         return x[:, 0] * p[:, 1] - x[:, 1] * p[:, 0]
 
 
-def integrate_kepler(
-    pt0: PhasePoint,
-    s_max: float,
-    tol: float = 1e-10,
-    collision_floor: float = 1e-8,
-) -> Trajectory:
+def integrate_kepler(pt0: PhasePoint, s_max: float, tol: float = 1e-10) -> Trajectory:
     """Integrate dx/ds = |x| p, dp/ds = -x/|x|^2 up to regularized time s_max.
 
     Adaptive embedded Dormand-Prince 5(4) stepping with two rejection
@@ -431,9 +406,9 @@ def integrate_kepler(
             z = z_new
             k1 = k7
             energy = energy_new
-            if r_new < collision_floor:
+            if r_new < _COLLISION_FLOOR:
                 raise NumericalCollisionError(
-                    f"|x| fell below the collision floor {collision_floor} at s={s}"
+                    f"|x| fell below the collision floor {_COLLISION_FLOOR} at s={s}"
                 )
             samples_s.append(s)
             samples_z.append(z)

@@ -233,6 +233,9 @@ def parse_rho(text: str) -> TestFunction:
 def _require_seed(args) -> np.random.Generator:
     if args.seed is None:
         raise ConfigError("this command is stochastic: --seed is mandatory")
+    # the seed is the 128-bit Philox key
+    if not 0 <= args.seed < 2**128:
+        raise ConfigError(f"--seed must lie in [0, 2**128), got {args.seed}")
     return np.random.default_rng(np.random.Philox(key=args.seed))
 
 

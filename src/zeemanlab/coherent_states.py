@@ -26,17 +26,14 @@ __all__ = [
     "QuadratureAccuracyError",
     "BasisConstructionError",
     "IdentityCheckResult",
-    "MomentumNormResult",
     "ConvergenceTable",
     "normalization_sq",
     "s3_quadrature",
     "sphere_grid",
-    "coherent_state_values",
     "expectation_L3_power",
     "moment_convergence_table",
     "harmonic_basis",
     "resolution_of_identity_check",
-    "momentum_norm_check",
 ]
 
 SPHERE_AREA = 2.0 * np.pi**2
@@ -139,12 +136,6 @@ def normalization_sq(N: int) -> float:
     if N < 0:
         raise ValueError("shell index must be non-negative")
     return (N + 1) / SPHERE_AREA
-
-
-def coherent_state_values(index: CoherentIndex, N: int, grid: SphereGrid) -> np.ndarray:
-    """Normalized state a(N) (alpha . omega)^N at the grid nodes."""
-    u = grid.omega @ index.alpha
-    return np.sqrt(normalization_sq(N)) * u**N
 
 
 def _binomial_pmf(N: int, p: float) -> np.ndarray:
@@ -304,13 +295,13 @@ def resolution_of_identity_check(
     N: int,
     n_samples: int,
     rng: np.random.Generator,
-    batch_size: int = 20000,
 ) -> IdentityCheckResult:
     """Monte-Carlo check that dim * E[ |state><state| ] is the identity.
 
     Estimates d_N * integral of <Y_i, state> <state, Y_j> over the index
     measure on an orthonormal harmonic basis Y and reports the worst entry
-    deviation from the identity together with the trace.
+    deviation from the identity together with the trace.  Indices are drawn
+    in batches of 20000.
     """
     from .classical_kepler import sample_index_batch
 
@@ -324,7 +315,7 @@ def resolution_of_identity_check(
     acc = np.zeros((dim, dim), dtype=complex)
     done = 0
     while done < n_samples:
-        take = min(batch_size, n_samples - done)
+        take = min(20000, n_samples - done)
         a, b = sample_index_batch(rng, take)
         u = grid.omega @ (a + 1j * b).T
         states = scale * u**N
@@ -339,83 +330,3 @@ def resolution_of_identity_check(
         n_samples=n_samples,
     )
 
-
-# ---------------------------------------------------------------------------
-# momentum-space norm
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MomentumNormResult:
-    deviation: float
-    median_scaled_momentum: float
-    n_radial: int
-
-
-def momentum_norm_check(
-    index: CoherentIndex,
-    N: int,
-    n_theta: int | None = None,
-    n_phi: int | None = None,
-    radial_tol: float = 1e-9,
-) -> MomentumNormResult:
-    """Norm of the momentum-space state by direct 3-d quadrature.
-
-    The state is a(N) (N+1)^(3/2) (2/((N+1)^2 |p|^2 + 1))^2 times the N-th
-    power of alpha . omega((N+1) p).  The squared norm is integrated in
-    spherical momentum coordinates: exact Gauss/trapezoid rules in the
-    angles, and a mapped Gauss-Legendre radial rule refined until the value
-    is stable to ``radial_tol``.  Returns the deviation from 1 and the
-    median of (N+1)|p| under the radial mass, the concentration diagnostic.
-    """
-    if n_theta is None:
-        n_theta = N + 4
-    if n_phi is None:
-        n_phi = 2 * N + 8
-    a_sq = normalization_sq(N)
-    alpha = index.alpha
-    s, w_s = np.polynomial.legendre.leggauss(n_theta)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    w_phi = np.full(n_phi, 2.0 * np.pi / n_phi)
-    sin_t = np.sqrt(1.0 - s**2)
-    qhat = np.stack(
-        [
-            np.outer(sin_t, np.cos(phi)),
-            np.outer(sin_t, np.sin(phi)),
-            np.outer(s, np.ones(n_phi)),
-        ],
-        axis=-1,
-    ).reshape(-1, 3)
-    w_ang = np.outer(w_s, w_phi).ravel()
-
-    def total(n_radial: int) -> tuple[float, np.ndarray, np.ndarray]:
-        t, w_t = np.polynomial.legendre.leggauss(n_radial)
-        q = (1.0 + t) / (1.0 - t)  # maps [-1, 1) to [0, inf)
-        jac = 2.0 / (1.0 - t) ** 2
-        om3 = 2.0 * q[:, None, None] * qhat[None, :, :] / (q**2 + 1.0)[:, None, None]
-        om4 = ((q**2 - 1.0) / (q**2 + 1.0))[:, None]
-        u_re = np.tensordot(om3, alpha.real[:3], axes=([2], [0])) + om4 * alpha.real[3]
-        u_im = np.tensordot(om3, alpha.imag[:3], axes=([2], [0])) + om4 * alpha.imag[3]
-        u2 = u_re**2 + u_im**2
-        radial_factor = (2.0 / (q**2 + 1.0)) ** 4 * q**2 * jac * w_t
-        shell_mass = a_sq * radial_factor * (u2**N @ w_ang)
-        return float(np.sum(shell_mass)), q, shell_mass
-
-    n_radial = 64
-    value, q, mass = total(n_radial)
-    for _ in range(5):
-        n_radial *= 2
-        refined, q, mass = total(n_radial)
-        if abs(refined - value) <= radial_tol * max(1.0, abs(refined)):
-            value = refined
-            break
-        value = refined
-    order = np.argsort(q)
-    cum = np.cumsum(mass[order])
-    cum /= cum[-1]
-    median = float(np.interp(0.5, cum, q[order]))
-    return MomentumNormResult(
-        deviation=abs(value - 1.0),
-        median_scaled_momentum=median,
-        n_radial=n_radial,
-    )

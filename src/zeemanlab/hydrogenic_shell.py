@@ -10,8 +10,8 @@ lambda = h^3 eps(h) B, h = 1/(N+1), eps(h) = h^q.  The perturbation
 commutes with L3, and the diamagnetic part couples l only to l and l+-2, so
 every operator splits into one block per (m, l parity).  Ordered by
 (l, shell), each block is tridiagonal on one shell and banded on a band of
-shells; ShellMatrix stores exactly these bands, and dense() alone builds the
-full matrix.  Each block is assembled by array operations over
+shells; ShellMatrix stores exactly these bands and no full matrix is ever
+built.  Each block is assembled by array operations over
 (l, shell, shell2), and each distinct radial factor is fetched once and
 shared by every m.  The radial factors <n l|r^2|n2 l2> are exact until
 one rounding of their square: cross-shell ones from integer arithmetic,
@@ -31,55 +31,16 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "ShellState",
     "ScalingSchedule",
     "ShellMatrix",
-    "ResourceBudgetError",
-    "enumerate_shell",
     "radial_integral_r2",
     "radial_integral_r2_cross",
-    "ladder_coefficient",
-    "angular_cos2_element",
-    "angular_sin2_element",
     "shell_matrix_L3",
     "shell_matrix_rho2",
     "shell_matrix_W",
-    "multishell_band_matrix",
-    "multishell_states",
     "shell_energy",
     "cluster_radius",
 ]
-
-class ResourceBudgetError(MemoryError):
-    """Dense assembly would exceed the configured memory budget."""
-
-    def __init__(self, required_bytes: int, budget_bytes: int):
-        self.required_bytes = required_bytes
-        self.budget_bytes = budget_bytes
-        super().__init__(
-            f"dense matrix needs {required_bytes} bytes, budget is {budget_bytes}"
-        )
-
-
-@dataclass(frozen=True)
-class ShellState:
-    """Quantum labels (N; l, m) of one state in the shell of index N.
-
-    The principal quantum number is n = N + 1; the full shell has (N+1)^2
-    states.
-    """
-
-    N: int
-    l: int
-    m: int
-
-    def __post_init__(self):
-        if self.N < 0:
-            raise ValueError(f"shell index must be non-negative, got {self.N}")
-        if not 0 <= self.l <= self.N:
-            raise ValueError(f"need 0 <= l <= N, got l={self.l}, N={self.N}")
-        if abs(self.m) > self.l:
-            raise ValueError(f"need |m| <= l, got m={self.m}, l={self.l}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +68,17 @@ class ScalingSchedule:
     def h(self, N: int) -> float:
         return 1.0 / (N + 1)
 
+    def _out_of_range(self, N: int) -> ValueError:
+        return ValueError(
+            f"B={self.B!r} and q={self.q!r} put the coupling schedule out of "
+            f"floating-point range at N={N}"
+        )
+
     def epsilon(self, N: int) -> float:
-        return self.h(N) ** self.q
+        try:
+            return self.h(N) ** self.q
+        except OverflowError:
+            raise self._out_of_range(N) from None
 
     def lam(self, N: int) -> float:
         """Effective field lambda = h^3 eps(h) B."""
@@ -116,12 +86,21 @@ class ScalingSchedule:
         return h**3 * self.epsilon(N) * self.B
 
     def shift_scale(self, N: int) -> float:
-        """h^2 eps(h), the scale on which cluster shifts are O(1)."""
-        return self.h(N) ** 2 * self.epsilon(N)
+        """h^2 eps(h), the scale on which cluster shifts are O(1).
+
+        A scale that underflows to zero leaves no scaled shift defined.
+        """
+        scale = self.h(N) ** 2 * self.epsilon(N)
+        if scale == 0.0:
+            raise self._out_of_range(N)
+        return scale
 
     def diamagnetic_bound(self, N: int) -> float:
         """Upper bound 3 lambda^2 (N+1)^4 / 8 on the diamagnetic block norm."""
-        return 3.0 * self.lam(N) ** 2 * (N + 1) ** 4 / 8.0
+        try:
+            return 3.0 * self.lam(N) ** 2 * (N + 1) ** 4 / 8.0
+        except OverflowError:
+            raise self._out_of_range(N) from None
 
     def diamagnetic_slack(self, N: int) -> float:
         """The bound above in units of the shift scale.
@@ -157,13 +136,6 @@ def cluster_radius(N: int) -> float:
     lower = abs(shell_energy(N - 1) - shell_energy(N))
     upper = abs(shell_energy(N + 1) - shell_energy(N))
     return min(lower, upper) / 4.0
-
-
-def enumerate_shell(N: int) -> list[ShellState]:
-    """All (N+1)^2 states of shell N, ordered by ascending m then ascending l."""
-    if N < 0:
-        raise ValueError(f"shell index must be non-negative, got {N}")
-    return [ShellState(N, l, m) for m in range(-N, N + 1) for l in range(abs(m), N + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -267,36 +239,6 @@ def radial_integral_r2_cross(n: int, l: int, n2: int, l2: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# angular matrix elements
-# ---------------------------------------------------------------------------
-
-
-def ladder_coefficient(l: int, m: int) -> float:
-    """c_{l,m} in cos(theta) Y_{l,m} = c_{l,m} Y_{l+1,m} + c_{l-1,m} Y_{l-1,m}."""
-    if l < abs(m):
-        return 0.0
-    return math.sqrt(((l + 1) ** 2 - m * m) / ((2 * l + 1.0) * (2 * l + 3.0)))
-
-
-def angular_cos2_element(l: int, l2: int, m: int) -> float:
-    """<l2, m| cos^2(theta) |l, m> from two ladder steps."""
-    if abs(m) > min(l, l2):
-        raise ValueError(f"need |m| <= min(l, l2), got m={m}, l={l}, l2={l2}")
-    lo, hi = min(l, l2), max(l, l2)
-    if hi == lo:
-        return ladder_coefficient(l, m) ** 2 + ladder_coefficient(l - 1, m) ** 2
-    if hi == lo + 2:
-        return ladder_coefficient(lo, m) * ladder_coefficient(lo + 1, m)
-    raise ValueError(f"unsupported angular coupling |l-l2|={hi - lo}")
-
-
-def angular_sin2_element(l: int, l2: int, m: int) -> float:
-    """<l2, m| sin^2(theta) |l, m> = delta_{l,l2} - <l2, m| cos^2(theta) |l, m>."""
-    base = 1.0 if l == l2 else 0.0
-    return base - angular_cos2_element(l, l2, m)
-
-
-# ---------------------------------------------------------------------------
 # shell matrices
 # ---------------------------------------------------------------------------
 
@@ -315,10 +257,6 @@ class ShellMatrix:
     N: int
     delta: int
     bands: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return sum(len(labels) for labels, _ in self.bands.values())
 
     def eigenvalues(self, m: int) -> np.ndarray:
         """Eigenvalues of the m-block, one banded solve per l parity.
@@ -341,27 +279,12 @@ class ShellMatrix:
         mmax = self.N + self.delta
         return max(float(np.max(np.abs(self.eigenvalues(m)))) for m in range(-mmax, mmax + 1))
 
-    def dense(self, budget_bytes: int = 2 << 30) -> np.ndarray:
-        """Full matrix in :func:`multishell_states` order, which for one
-        shell is :func:`enumerate_shell` order."""
-        required = 8 * self.dim**2
-        if required > budget_bytes:
-            raise ResourceBudgetError(required, budget_bytes)
-        index = {(s.m, s.N, s.l): i for i, s in enumerate(multishell_states(self.N, self.delta))}
-        out = np.zeros((self.dim, self.dim))
-        for (m, _), (labels, ab) in self.bands.items():
-            pos = np.array([index[m, Np, l] for l, Np in labels.tolist()])
-            for k, sub in enumerate(ab):
-                rows, cols = pos[k:], pos[: len(pos) - k]
-                out[rows, cols] = out[cols, rows] = sub[: len(pos) - k]
-        return out
-
 
 def _ladder(l: np.ndarray, m: int) -> np.ndarray:
-    """ladder_coefficient over an array of l >= |m| - 1, by the same IEEE operations.
+    """c_{l,m} in cos(theta) Y_{l,m} = c_{l,m} Y_{l+1,m} + c_{l-1,m} Y_{l-1,m}.
 
-    At l = |m| - 1 the numerator vanishes, which gives the 0.0 that
-    ladder_coefficient returns below |m|.
+    Evaluated over an array of l >= |m| - 1.  At l = |m| - 1 the numerator
+    vanishes, which gives the c = 0 that the recurrence has below |m|.
     """
     return np.sqrt(((l + 1) ** 2 - m * m) / ((2 * l + 1.0) * (2 * l + 3.0)))
 
@@ -447,53 +370,30 @@ def shell_matrix_rho2(N: int) -> ShellMatrix:
 def shell_matrix_W(N: int, schedule: ScalingSchedule) -> ShellMatrix:
     """(lambda^2/8) rho^2 - (lambda/2) L3 on shell N.
 
-    The delta = 0 band with E_N subtracted.  The diamagnetic part is dropped
-    when provably below the resolution of every scaled quantity (see
+    The delta = 0 band.  The diamagnetic part is dropped when provably
+    below the resolution of every scaled quantity (see
     ScalingSchedule.diamagnetic_negligible), which leaves the exact
     paramagnetic ladder on the diagonal.
     """
-    return _band_blocks(N, 0, schedule, subtract_center=True)
+    return _band_blocks(N, 0, schedule)
 
 
-# ---------------------------------------------------------------------------
-# multishell band matrix
-# ---------------------------------------------------------------------------
+def _band_blocks(N: int, delta: int, schedule: ScalingSchedule) -> ShellMatrix:
+    """S_V - E_N + W(lambda) over shells N-delta..N+delta.
 
-
-def multishell_states(N: int, delta: int) -> list[ShellState]:
-    """Union basis over shells N-delta..N+delta, ordered by (m, shell, l)."""
-    if delta < 0 or N - delta < 0:
-        raise ValueError(f"need delta >= 0 and N - delta >= 0, got N={N}, delta={delta}")
-    mmax = N + delta
-    states = []
-    for m in range(-mmax, mmax + 1):
-        for Np in range(N - delta, N + delta + 1):
-            for l in range(abs(m), Np + 1):
-                states.append(ShellState(Np, l, m))
-    return states
-
-
-def _band_blocks(
-    N: int, delta: int, schedule: ScalingSchedule, subtract_center: bool
-) -> ShellMatrix:
+    The diagonal carries the shell energies E_{N'} - E_N, so the cluster
+    around E_N sits at the best-conditioned part of the spectrum; the
+    diamagnetic term mixes shells through cross-shell radial elements.
+    Each (m, l parity) block, ordered by (l, shell), is banded with
+    bandwidth at most 4 delta + 1.
+    """
     if delta < 0 or N - delta < 0:
         raise ValueError(f"need delta >= 0 and N - delta >= 0, got N={N}, delta={delta}")
     lam = schedule.lam(N)
-    e_center = shell_energy(N) if subtract_center else 0.0
+    e_center = shell_energy(N)
     return _assemble(
         N,
         delta,
         lambda Np, m: (shell_energy(Np) - e_center) - 0.5 * lam * m,
         0.0 if schedule.diamagnetic_negligible(N) else lam**2 / 8.0,
     )
-
-
-def multishell_band_matrix(N: int, delta: int, schedule: ScalingSchedule) -> ShellMatrix:
-    """S_V + W(lambda) over the union basis of shells N-delta..N+delta.
-
-    Diagonal carries the shell energies E_{N'}; the diamagnetic term mixes
-    shells through cross-shell radial elements.  Each (m, l parity) block,
-    ordered by (l, shell), is banded with bandwidth at most 4 delta + 1.
-    For delta = 0 this is E_N I + shell_matrix_W(N).
-    """
-    return _band_blocks(N, delta, schedule, subtract_center=False)

@@ -111,12 +111,6 @@ class EmpiricalMeasure:
         uniq, inverse = np.unique(self.values, return_inverse=True)
         return uniq, np.bincount(inverse, weights=self.weights, minlength=len(uniq))
 
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        atoms, w = self.sorted_atoms()
-        cum = np.cumsum(w)
-        idx = np.searchsorted(atoms, np.asarray(x, dtype=float), side="right")
-        return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-
 
 def cluster_eigenvalues(
     N: int,
@@ -142,7 +136,7 @@ def cluster_eigenvalues(
         # first order keeps every eigenvalue of the projected perturbation
         op, radius = shell_matrix_W(N, schedule), np.inf
     elif mode == "multishell":
-        op = _band_blocks(N, delta, schedule, subtract_center=True)
+        op = _band_blocks(N, delta, schedule)
         radius = cluster_radius(N)
     else:
         raise ValueError(f"unknown mode {mode!r}")

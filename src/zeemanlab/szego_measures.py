@@ -17,12 +17,11 @@ from typing import Callable
 
 import numpy as np
 
-from .classical_kepler import OrbitElements, sample_index_batch
+from .classical_kepler import sample_index_batch
 from .spectral_cluster import ks_two_sample, ks_distance, EmpiricalMeasure, triangular_shift_cdf
 
 __all__ = [
     "TestFunction",
-    "AngleState",
     "HaarGrid",
     "McEstimate",
     "PushforwardCheck",
@@ -86,40 +85,6 @@ class TestFunction:
         return np.interp(x, xs, ys)
 
 
-@dataclass(frozen=True)
-class AngleState:
-    """Orbit angles (psi, theta, phi, gamma, beta).
-
-    psi in (0, pi/2) splits angular momentum and eccentricity; theta, phi
-    orient the angular momentum; gamma and beta move around the orbit
-    plane and along the orbit.
-    """
-
-    psi: float
-    theta: float
-    phi: float
-    gamma: float
-    beta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.psi < np.pi / 2:
-            raise ValueError(f"psi must lie in (0, pi/2), got {self.psi!r}")
-        if not 0.0 <= self.theta <= np.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
-        for name in ("phi", "gamma", "beta"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 2.0 * np.pi:
-                raise ValueError(f"{name} must lie in [0, 2 pi], got {v!r}")
-
-    def to_orbit_elements(self) -> OrbitElements:
-        return OrbitElements.from_angles(self.psi, self.theta, self.phi, self.gamma, self.beta)
-
-    @property
-    def ell3(self) -> float:
-        """Axial angular momentum cos(psi) cos(theta) of these elements."""
-        return float(np.cos(self.psi) * np.cos(self.theta))
-
-
 def _gauss_nodes(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     t, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (b - a) * t + 0.5 * (a + b), 0.5 * (b - a) * w
@@ -139,13 +104,11 @@ def _doubled_until_stable(value: Callable[[int], float], tol: float) -> float:
     return prev
 
 
-def limit_triangular(
-    rho: Callable[[np.ndarray], np.ndarray], B: float, tol: float = 1e-12
-) -> float:
+def limit_triangular(rho: Callable[[np.ndarray], np.ndarray], B: float) -> float:
     """integral of rho(-(B/2) u) (1 - |u|) du over [-1, 1].
 
     Gauss panels split at the kink u = 0, node counts doubled until the
-    value is stable to ``tol`` absolutely.
+    value is stable to 1e-12 absolutely.
     """
     if B < 0:
         raise ValueError("B must be >= 0")
@@ -157,18 +120,17 @@ def limit_triangular(
             total += float(np.sum(w * np.asarray(rho(-(B / 2.0) * u)) * (1.0 - np.abs(u))))
         return total
 
-    return _doubled_until_stable(value, tol)
+    return _doubled_until_stable(value, 1e-12)
 
 
-def limit_angle_density(
-    rho: Callable[[np.ndarray], np.ndarray], B: float, tol: float = 1e-10
-) -> float:
+def limit_angle_density(rho: Callable[[np.ndarray], np.ndarray], B: float) -> float:
     """Two-angle form: rho(-(B/2) cos psi cos theta) against
     cos(psi) sin(psi) sin(theta) d psi d theta on (0, pi/2) x (0, pi).
 
     Evaluated in the variables c = cos(psi), s = cos(theta), where the
     density becomes c dc ds and polynomial test functions are integrated
-    exactly; node counts double until stable.
+    exactly; node counts double until the value is stable to 1e-10
+    absolutely.
     """
     if B < 0:
         raise ValueError("B must be >= 0")
@@ -179,7 +141,7 @@ def limit_angle_density(
         vals = np.asarray(rho(-(B / 2.0) * np.outer(c, s)))
         return float((wc * c) @ vals @ ws)
 
-    return _doubled_until_stable(value, tol)
+    return _doubled_until_stable(value, 1e-10)
 
 
 @dataclass
@@ -310,19 +272,19 @@ def haar_density_normalization(grid: HaarGrid = HaarGrid()) -> float:
     return joint * theta_part * (2.0 * np.pi) ** 3 / (2.0 * np.pi) ** 4
 
 
-def beta_marginalization_gap(n_psi: int = 32, n_beta: int = 4096) -> float:
+def beta_marginalization_gap() -> float:
     """Worst relative gap in the closed beta marginal of the group density.
 
-    For each psi node the periodic trapezoid value of
+    For each of 32 Gauss nodes in psi the periodic trapezoid value of
     integral d beta / (1 + sin(psi) cos(beta)) is compared with
     2 pi / cos(psi), relative to that value since it diverges toward
-    psi = pi/2; node counts adapt to the pole distance as in
+    psi = pi/2; at least 4096 beta nodes, more as the poles approach as in
     :func:`haar_density_normalization`.
     """
-    psi, _ = _gauss_nodes(n_psi, 0.0, np.pi / 2.0)
+    psi, _ = _gauss_nodes(32, 0.0, np.pi / 2.0)
     worst = 0.0
     for p in psi:
         closed = 2.0 * np.pi / np.cos(p)
-        got = _beta_trapezoid(float(np.sin(p)), n_beta)
+        got = _beta_trapezoid(float(np.sin(p)), 4096)
         worst = max(worst, abs(got - closed) / closed)
     return worst

