@@ -11,13 +11,13 @@ commutes with L3, and the diamagnetic part couples l only to l and l+-2, so
 every operator splits into one block per (m, l parity).  Ordered by
 (l, shell), each block is tridiagonal on one shell and banded on a band of
 shells; ShellMatrix stores exactly these bands and no full matrix is ever
-built.  Each block is assembled by array operations over
-(l, shell, shell2), and each distinct radial factor is fetched once and
-shared by every m.  The radial factors <n l|r^2|n2 l2> are exact until
-one rounding of their square: cross-shell ones from integer arithmetic,
-same-shell ones from the Bethe-Salpeter closed forms, which round to the
-same bits.  A block whose band is its diagonal alone needs no
-eigensolver: its eigenvalues are the sorted diagonal.
+built.  Each block is a trailing slice of one band per l parity, whose
+labels and radial factors are built once and shared by every m.  The
+radial factors <n l|r^2|n2 l2> are exact until one rounding of their
+square: cross-shell ones from integer arithmetic, same-shell ones from the
+Bethe-Salpeter closed forms, which round to the same bits.  A block whose
+band is its diagonal alone needs no eigensolver: its eigenvalues are the
+sorted diagonal.
 """
 
 from __future__ import annotations
@@ -296,60 +296,59 @@ def _assemble(
 
     x1^2 + x2^2 = r^2 sin^2(theta) is a product of a radial and an angular
     element and couples (l, shell) only to (l, shell2 >= shell) and
-    (l+2, shell2) below the diagonal.  Each block builds those entries as
-    arrays over (l, shell, shell2).  Each distinct radial element is fetched
-    once, in canonical argument order, and shared by every m.  With
-    rho2_coeff = 0 each band is its diagonal alone.
+    (l+2, shell2) below the diagonal.  The (m, p) block runs over the
+    parity-p labels (l, shell >= max(l, N - delta)) with l >= |m|, a
+    trailing part of the list, so its band is the trailing columns of one
+    parity band.  Each parity's labels and radial bands (l -> l and
+    l -> l+2, one radial call per coupling) are built once; a block scales
+    its columns by its m's angular factors and keeps the rows they reach.
+    With rho2_coeff = 0 each band is its diagonal alone.
     """
     lo, hi = N - delta, N + delta
-    shells = np.arange(lo, hi + 1)
-    if rho2_coeff:
-        # rad[d // 2, l, s, s2] = <lo+s+1, l|r^2|lo+s2+1, l+d> wherever the block needs it
-        rad = np.zeros((2, hi + 1, len(shells), len(shells)))
-        for s, Np in enumerate(range(lo, hi + 1)):
-            for s2, Np2 in enumerate(range(lo, hi + 1)):
-                for d in (0, 2) if Np2 >= Np else (2,):
-                    for l in range(min(Np, Np2 - d) + 1):
-                        a, b = sorted([(Np + 1, l), (Np2 + 1, l + d)])
-                        rad[d // 2, l, s, s2] = radial_integral_r2_cross(*a, *b)
+    parities = []
+    for p in (0, 1):
+        ls = np.arange(p, hi + 1, 2)
+        # (l, Np) exists for Np >= max(l, lo); labels run over l, then Np
+        first = np.maximum(ls, lo)
+        count = hi + 1 - first
+        start = np.cumsum(count) - count
+        l_of = np.repeat(ls, count)
+        labels = np.column_stack([l_of, np.arange(len(l_of)) + np.repeat(first - start, count)])
+        same = up = reach = None
+        if rho2_coeff and len(ls):
+            # each column reaches the last shell of the next l, or of its own l
+            end = start + count
+            reach = np.repeat(np.append(end[1:], end[-1]), count) - 1 - np.arange(len(labels))
+            same, up = np.zeros((2, reach.max() + 1, len(labels)))
+            for j, (l, Np) in enumerate(labels.tolist()):
+                for Np2 in range(Np, hi + 1):
+                    same[Np2 - Np, j] = radial_integral_r2_cross(Np + 1, l, Np2 + 1, l)
+                # (l+2, Np2) starts right after (l, hi)
+                for k, Np2 in enumerate(range(max(lo, l + 2), hi + 1), start=hi + 1 - Np):
+                    a, b = sorted([(Np + 1, l), (Np2 + 1, l + 2)])
+                    up[k, j] = radial_integral_r2_cross(*a, *b)
+        parities.append((start, labels, same, up, reach))
     bands = {}
     for m in range(-hi, hi + 1):
         levels = np.array([level(Np, m) for Np in range(lo, hi + 1)])
-        for p in (0, 1):
-            ls = np.arange(abs(m) + (abs(m) + p) % 2, hi + 1, 2)
-            if not len(ls):
+        for p, (start, labels, same, up, reach) in enumerate(parities):
+            i = (abs(m) + 1 - p) // 2  # the first l >= |m| of parity p is p + 2 i
+            if i >= len(start):
                 continue
-            # (l, Np) exists for Np >= max(l, lo); labels run over l, then Np
-            first = np.maximum(ls, lo)
-            count = hi + 1 - first
-            start = np.cumsum(count) - count
-            l_of = np.repeat(ls, count)
-            Np_of = np.arange(len(l_of)) + np.repeat(first - start, count)
-            ab = levels[Np_of - lo][None, :]
+            j0 = start[i]
+            block = labels[j0:]
+            diagonal = levels[block[:, 1] - lo]
             if rho2_coeff:
-                index = start[:, None] + shells - first[:, None]  # of (ls[i], shells[s])
-                has = ls[:, None] <= shells
-                same = has[:, :, None] & (shells[:, None] <= shells)
-                up = has[:-1, :, None] & has[1:, None, :]
-                c = _ladder(ls, m)
+                l, rows = block[:, 0], slice(reach[j0:].max() + 1)
+                c = _ladder(l, m)
                 # squares through pow, as Python's float ** does; c * c can differ in the last bit
-                sin2 = 1.0 - (np.float_power(c, 2) + np.float_power(_ladder(ls - 1, m), 2))
-                sin2_up = -(c[:-1] * _ladder(ls[:-1] + 1, m))
-                rows = np.concatenate([
-                    np.broadcast_to(index[:, None, :], same.shape)[same],
-                    np.broadcast_to(index[1:, None, :], up.shape)[up],
-                ])
-                cols = np.concatenate([
-                    np.broadcast_to(index[:, :, None], same.shape)[same],
-                    np.broadcast_to(index[:-1, :, None], up.shape)[up],
-                ])
-                vals = np.concatenate([
-                    (rad[0, ls] * sin2[:, None, None])[same],
-                    (rad[1, ls[:-1]] * sin2_up[:, None, None])[up],
-                ])
-                ab = np.concatenate([ab, np.zeros((int(np.max(rows - cols)), len(l_of)))])
-                ab[rows - cols, cols] += rho2_coeff * vals
-            bands[m, p] = (np.column_stack([l_of, Np_of]), ab)
+                sin2 = 1.0 - (np.float_power(c, 2) + np.float_power(_ladder(l - 1, m), 2))
+                sin2_up = -(c * _ladder(l + 1, m))
+                ab = rho2_coeff * (same[rows, j0:] * sin2 + up[rows, j0:] * sin2_up)
+                ab[0] += diagonal
+            else:
+                ab = diagonal[None, :]
+            bands[m, p] = (block, ab)
     return ShellMatrix(N=N, delta=delta, bands=bands)
 
 

@@ -80,7 +80,6 @@ class ClusterSpectrum:
     scaled_shifts: np.ndarray = field(repr=False)
     subcluster_m: np.ndarray = field(repr=False)
     diamagnetic_slack: float = 0.0
-    delta: int | None = None
 
     def __post_init__(self):
         d = (self.N + 1) ** 2
@@ -128,7 +127,8 @@ def cluster_eigenvalues(
     m-block, or ClusterSeparationError is raised.  Both modes solve one
     banded symmetric problem per (m, l parity) block; where the diamagnetic
     term is skipped the blocks are diagonal and the shifts are the exact
-    paramagnetic ladder.
+    paramagnetic ladder.  Scaled shifts beyond floating-point range raise
+    the schedule's out-of-range ValueError.
     """
     if N < 1:
         raise ValueError(f"cluster computations need N >= 1, got {N}")
@@ -150,23 +150,23 @@ def cluster_eigenvalues(
             raise ClusterSeparationError(N, found=len(inside), expected=expected_m)
         pieces.append((inside, np.full(len(inside), m)))
     shifts = np.concatenate([p[0] for p in pieces])
-    if len(shifts) != (N + 1) ** 2:
-        raise ClusterSeparationError(N, found=len(shifts), expected=(N + 1) ** 2)
     labels = np.concatenate([p[1] for p in pieces]).astype(int)
     order = np.lexsort((labels, shifts))
     shifts, labels = shifts[order], labels[order]
-    scale = schedule.shift_scale(N)
+    with np.errstate(over="ignore"):
+        scaled = shifts / schedule.shift_scale(N)
+    if not np.all(np.isfinite(scaled)):
+        raise schedule._out_of_range(N)
     return ClusterSpectrum(
         N=N,
         schedule=schedule,
         mode=mode,
         shifts=shifts,
-        scaled_shifts=shifts / scale,
+        scaled_shifts=scaled,
         subcluster_m=labels,
         diamagnetic_slack=schedule.diamagnetic_slack(N)
         if schedule.include_diamagnetic
         else 0.0,
-        delta=delta if mode == "multishell" else None,
     )
 
 

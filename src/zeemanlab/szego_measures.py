@@ -38,10 +38,9 @@ _MAX_MONOMIAL_DEGREE = 12
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Bounded test function: a monomial, a polynomial, or a tabulated curve.
+    """Test function: a monomial or a polynomial.
 
-    ``data`` holds the degree, the ascending-degree coefficient array, or
-    the (x, y) table for linear interpolation (constant beyond the table).
+    ``data`` holds the degree or the ascending-degree coefficient array.
     """
 
     kind: str
@@ -62,27 +61,14 @@ class TestFunction:
             raise ValueError("need at least one coefficient")
         return cls(kind="polynomial", data=coeffs)
 
-    @classmethod
-    def tabulated(cls, xs, ys) -> "TestFunction":
-        xs = tuple(float(v) for v in xs)
-        ys = tuple(float(v) for v in ys)
-        if len(xs) != len(ys) or len(xs) < 2:
-            raise ValueError("need matching tables with at least two points")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("abscissae must be strictly increasing")
-        return cls(kind="tabulated", data=(xs, ys))
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "monomial":
             return x ** self.data[0] if self.data[0] else np.ones_like(x)
-        if self.kind == "polynomial":
-            out = np.zeros_like(x)
-            for c in reversed(self.data):
-                out = out * x + c
-            return out
-        xs, ys = self.data
-        return np.interp(x, xs, ys)
+        out = np.zeros_like(x)
+        for c in reversed(self.data):
+            out = out * x + c
+        return out
 
 
 def _gauss_nodes(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

@@ -533,6 +533,7 @@ def test_library_value_error_is_one_line_usage_error(tmp_path, capsys, argv):
         ["--q", "-400"],  # h^q overflows
         ["--q", "1000"],  # h^q underflows to 0
         ["--q", "1000", "--no-diamagnetic"],
+        ["--B", "1e168"],  # the shifts are finite, the scaled shifts overflow
     ],
 )
 def test_schedule_out_of_float_range_is_one_line_usage_error(tmp_path, argv):
@@ -540,10 +541,20 @@ def test_schedule_out_of_float_range_is_one_line_usage_error(tmp_path, argv):
     proc = run_fresh(["-m", "zeemanlab.cli", *argv])
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
-    B, q = ("1e+300", "17.0") if argv[3] == "--B" else ("1.0", str(float(argv[4])))
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    B, q = (repr(float(argv[4])), "17.0") if argv[3] == "--B" else ("1.0", str(float(argv[4])))
     assert proc.stderr.startswith(f"error: B={B} and q={q} put the coupling schedule out of")
     assert proc.stderr.endswith("at N=5\n")
+
+
+def test_swamping_field_is_one_line_failed_check(tmp_path):
+    # scaled shifts of 2.4e305 are finite; the diamagnetic term swamps the ladder
+    argv = ["cluster", "--N", "5", "--B", "1e160", "--out", str(tmp_path)]
+    proc = run_fresh(["-m", "zeemanlab.cli", *argv])
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert proc.stderr.startswith("scientific check failed: scaled shift ")
 
 
 def test_abbreviated_flag_is_rejected_not_overridden(tmp_path, capsys):

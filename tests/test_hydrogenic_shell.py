@@ -616,3 +616,72 @@ def test_band_states_ordering():
     keys = [(s.m, s.N, s.l) for s in states]
     assert keys == sorted(keys)
     assert len(states) == sum((Np + 1) ** 2 for Np in (2, 3, 4))
+
+
+# ---------------------------------------------------------------------------
+# so(4) form of the shell diamagnetic block
+# ---------------------------------------------------------------------------
+
+
+def so4_rho2_block(n, m, ls):
+    """(n^2/2)[n^2 + 3 + m^2 + 4(n^2 - 1 - l(l+1)) - 5 A_z^2] over one l parity.
+
+    P (x1^2 + x2^2) P on shell n from the Runge-Lenz component A_z alone,
+    <l+1|A_z|l> = a_l: no radial integral and no angular ladder.  Returns
+    the diagonal over ``ls`` and the couplings between l and l+2.
+    """
+    def a(l):
+        l = np.asarray(l, dtype=float)
+        num = (n * n - (l + 1) ** 2) * ((l + 1) ** 2 - m * m)
+        return np.sqrt(num / ((2 * l + 1) * (2 * l + 3)))
+
+    ls = np.asarray(ls)
+    az2 = a(ls - 1) ** 2 + a(ls) ** 2  # a_{|m|-1} = 0
+    diag = (n * n / 2) * (n * n + 3 + m * m + 4 * (n * n - 1 - ls * (ls + 1)) - 5 * az2)
+    return diag, (n * n / 2) * (-5 * a(ls[:-1]) * a(ls[:-1] + 1))
+
+
+def same_shell_parts(bands, shells):
+    """(m, p, shell) -> (ls, diagonal, couplings l -> l+2) of each block on each shell."""
+    out = {}
+    for (m, p), (labels, ab) in bands.items():
+        for Np in shells:
+            pos = np.flatnonzero(labels[:, 1] == Np)
+            if not len(pos):
+                continue
+            diag = ab[0, pos]
+            # (l, Np) -> (l+2, Np) is pos[i+1] - pos[i] rows below the diagonal
+            off = ab[pos[1:] - pos[:-1], pos[:-1]]
+            out[m, p, Np] = (labels[pos, 0], diag, off)
+    return out
+
+
+@pytest.mark.parametrize("N", [*range(41), 60, 100, 200, 400])
+def test_rho2_matches_so4_form(N):
+    n = N + 1
+    parts = same_shell_parts(shell_matrix_rho2(N).bands, [N])
+    assert sum(len(ls) for ls, _, _ in parts.values()) == n * n
+    for (m, p, _), (ls, diag, off) in parts.items():
+        want_diag, want_off = so4_rho2_block(n, m, ls)
+        scale = max(np.abs(want_diag).max(), np.abs(want_off).max(initial=0.0))
+        assert np.abs(diag - want_diag).max() <= 1e-14 * scale, (m, p)
+        assert np.abs(off - want_off).max(initial=0.0) <= 1e-14 * scale, (m, p)
+
+
+@pytest.mark.parametrize("N", [10, 12])
+def test_multishell_same_shell_blocks_match_so4_form(N):
+    sched = ScalingSchedule(B=1.0, q=2.0)
+    level, coeff = schedule_levels(N, sched, shell_energy(N))
+    assert coeff
+    shells = range(N - 2, N + 3)
+    parts = same_shell_parts(_band_blocks(N, 2, sched).bands, shells)
+    assert sum(len(ls) for ls, _, _ in parts.values()) == sum((Np + 1) ** 2 for Np in shells)
+    for (m, p, Np), (ls, diag, off) in parts.items():
+        want_diag, want_off = so4_rho2_block(Np + 1, m, ls)
+        scale = max(np.abs(want_diag).max(), np.abs(want_off).max(initial=0.0))
+        lvl = level(Np, m)
+        # the level is added before the diagonal is stored: half an ulp of it
+        # is lost there, and recovering the diamagnetic part divides by coeff
+        lost = np.spacing(abs(lvl)) / coeff
+        assert np.abs((diag - lvl) / coeff - want_diag).max() <= 1e-14 * scale + lost, (m, p, Np)
+        assert np.abs(off / coeff - want_off).max(initial=0.0) <= 1e-14 * scale, (m, p, Np)

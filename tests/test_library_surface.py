@@ -1,12 +1,12 @@
 """The library holds what its results and checks reach, and the tracer finds it.
 
-A public function or class stays in src/zeemanlab only if the package
-itself, an acceptance criterion (tests/test_acceptance.py) or the
-benchmark tracer (perfbench/tracing.py) uses it; code that only unit tests
-need lives in tests/reference.py.  Uses are found with ``ast``: a name
-loaded or an attribute read counts, an import or an ``__all__`` entry does
-not, and neither does a use inside the definition itself.
-"""
+A public function or class, or a public method of a public class, stays in
+src/zeemanlab only if the package itself, an acceptance criterion
+(tests/test_acceptance.py) or the benchmark tracer (perfbench/tracing.py)
+uses it; code that only unit tests need lives in tests/reference.py.  Uses
+are found with ``ast``: a name loaded or an attribute read counts, an
+import or an ``__all__`` entry does not, and neither does a use inside the
+definition itself."""
 
 import ast
 import importlib
@@ -40,6 +40,19 @@ def _uses(node: ast.AST) -> Counter:
     return found
 
 
+def _public_definitions(tree: ast.Module):
+    """(node, qualified name) of each public function and class, and of
+    each public method of a public class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node, node.name
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield sub, f"{node.name}.{sub.name}"
+
+
 def _trees() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -69,10 +82,8 @@ def test_every_public_definition_is_used_by_the_package_the_acceptance_suite_or_
     outside.update(attr for _, attr in _tracer_targets())
     unused = []
     for stem, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
+        for node, qualname in _public_definitions(tree):
             elsewhere = package_uses[node.name] - _uses(node)[node.name]
             if not elsewhere and not outside[node.name]:
-                unused.append(f"{stem}.{node.name}")
+                unused.append(f"{stem}.{qualname}")
     assert not unused, f"only unit tests use these; move them to tests/reference.py: {unused}"

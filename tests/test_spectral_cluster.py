@@ -283,7 +283,7 @@ def _trace_average_by_point(N, B, rho):
 def test_trace_average_matches_per_point_loop(N, B):
     rhos = [TestFunction.monomial(k) for k in range(13)] + [
         TestFunction.polynomial([0.5, -1.0, 0.0, 2.5]),
-        TestFunction.tabulated([-1.0, 0.0, 0.3, 2.0], [0.2, 1.0, -0.4, 3.0]),
+        lambda x: np.interp(x, [-1.0, 0.0, 0.3, 2.0], [0.2, 1.0, -0.4, 3.0]),
         lambda x: 1.0,
     ]
     for rho in rhos:
