@@ -1,14 +1,17 @@
 """Batch command-line front end producing CSV/JSON experiment artifacts.
 
-Every command writes its results plus a manifest (configuration echo,
-package versions, wall time) into the output directory.  Results are
-deterministic for a fixed configuration and seed: dictionary field order
-is fixed, CSV floats have 17 significant digits and JSON floats are the
-shortest repr that round-trips, so reruns are byte-identical (the manifest
-records the wall time and is exempt).  The writers take whole columns and
-format each distinct bit pattern of a block of rows once, which makes a
-cluster spectrum (few distinct shifts, each many times over) cheap to
-write; tests pin their bytes to ``csv.writer`` and ``json.dump(indent=2)``.
+Every command computes all its results first and only then creates the
+output directory and writes them, plus a manifest (configuration echo,
+package versions, wall time); a command that fails writes nothing.
+Results are deterministic for a fixed configuration and seed: dictionary
+field order is fixed, CSV floats have 17 significant digits and JSON
+floats are the shortest repr that round-trips, so reruns are
+byte-identical (the manifest records the wall time and is exempt).  The
+CSV writer takes whole columns and formats each distinct bit pattern of a
+block of rows once, which makes a cluster spectrum (few distinct shifts,
+each many times over) cheap to write; a test pins its bytes to
+``csv.writer``.  JSON payloads are small summaries, written by
+``json.dump(indent=2)``.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 failed
 scientific check (cluster separation, sub-cluster overlap, lost orbit
@@ -109,54 +112,21 @@ def _csv_texts(values: np.ndarray) -> list[str]:
     return list(map(str, values.tolist()))
 
 
-def _json_texts(values: np.ndarray) -> list[str]:
-    if values.dtype.kind == "b":
-        return ["true" if v else "false" for v in values.tolist()]
-    texts = list(map(repr, values.tolist()))
-    if values.dtype.kind == "f":
-        # json spells the non-finite floats NaN, Infinity and -Infinity
-        for i in np.flatnonzero(~np.isfinite(values)):
-            texts[i] = json.dumps(values[i].item())
-    return texts
-
-
-def _formatted(column: np.ndarray, texts) -> list[str]:
-    """``texts`` of every value of a 1-d block, run once per distinct bit pattern.
+def _formatted(column: np.ndarray) -> list[str]:
+    """CSV text of every value of a 1-d block, formatted once per distinct bit pattern.
 
     Deduplicating by bits rather than by value keeps -0.0 apart from 0.0
     and NaN equal to itself.
     """
     column = np.ascontiguousarray(column)
     bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
-    return np.array(texts(bits.view(column.dtype)), dtype=object)[inverse].tolist()
-
-
-def _write_json_value(fh, obj, level: int) -> None:
-    """Write ``obj`` as ``json.dump(_normalize(obj), indent=2)`` would at ``level``."""
-    inner = "\n" + "  " * (level + 1)
-    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.size and obj.dtype.kind in "biuf":
-        sep = "[" + inner
-        for start in range(0, len(obj), _BLOCK_ROWS):
-            texts = _formatted(obj[start : start + _BLOCK_ROWS], _json_texts)
-            fh.write(sep + ("," + inner).join(texts))
-            sep = "," + inner
-        fh.write("\n" + "  " * level + "]")
-        return
-    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
-        sep = "{" + inner
-        for key, value in obj.items():
-            fh.write(f"{sep}{json.dumps(key)}: ")
-            _write_json_value(fh, value, level + 1)
-            sep = "," + inner
-        fh.write("\n" + "  " * level + "}")
-        return
-    fh.write(json.dumps(_normalize(obj), indent=2).replace("\n", "\n" + "  " * level))
+    return np.array(_csv_texts(bits.view(column.dtype)), dtype=object)[inverse].tolist()
 
 
 def write_json(path: Path, payload: dict) -> None:
-    """``payload`` as indented JSON; 1-d numeric arrays are formatted blockwise."""
+    """``payload`` as indented JSON, numpy values converted to Python ones."""
     with path.open("w") as fh:
-        _write_json_value(fh, payload, 0)
+        json.dump(_normalize(payload), fh, indent=2)
         fh.write("\n")
 
 
@@ -171,7 +141,7 @@ def write_csv(path: Path, header: list[str], columns) -> None:
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            texts = [_formatted(c[start : start + _BLOCK_ROWS], _csv_texts) for c in columns]
+            texts = [_formatted(c[start : start + _BLOCK_ROWS]) for c in columns]
             # numbers never need CSV quoting; the line ending is csv's
             fh.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
 
@@ -196,7 +166,10 @@ def _write_manifest(outdir: Path, command: str, config: dict, started: float) ->
 def _outdir(args) -> Path:
     base = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
     path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {str(path)!r}: {exc.strerror}") from exc
     return path
 
 
@@ -247,7 +220,6 @@ def _require_seed(args) -> np.random.Generator:
 def cmd_cluster(args) -> int:
     if args.N is None:
         raise ConfigError("cluster needs --N (flag or config file)")
-    outdir = _outdir(args)
     started = time.time()
     schedule = ScalingSchedule(
         B=args.B, q=args.q, include_diamagnetic=not args.no_diamagnetic
@@ -266,11 +238,6 @@ def cmd_cluster(args) -> int:
     # own left-limit evaluator
     cdf_left = (lambda x: (np.asarray(x, dtype=float) > 0).astype(float)) if args.B == 0 else None
     ks = ks_distance(measure, triangular_shift_cdf(args.B), cdf_left)
-    write_csv(
-        outdir / "cluster_spectrum.csv",
-        ["N", "m", "shift", "scaled_shift"],
-        [spec.N, spec.subcluster_m, spec.shifts, spec.scaled_shifts],
-    )
     summary = {
         "N": spec.N,
         "mode": spec.mode,
@@ -291,21 +258,18 @@ def cmd_cluster(args) -> int:
             for m, v in assignment.items()
             if len(v)
         )
+    outdir = _outdir(args)
+    write_csv(
+        outdir / "cluster_spectrum.csv",
+        ["N", "m", "shift", "scaled_shift"],
+        [spec.N, spec.subcluster_m, spec.shifts, spec.scaled_shifts],
+    )
     write_json(outdir / "cluster_summary.json", summary)
-    record = {
-        "N": spec.N,
-        "config": config,
-        "shifts": spec.shifts,
-        "scaled_shifts": spec.scaled_shifts,
-        "subcluster_m": spec.subcluster_m,
-    }
-    write_json(outdir / "cluster_spectrum.json", record)
     _write_manifest(outdir, "cluster", config, started)
     return 0
 
 
 def cmd_szego(args) -> int:
-    outdir = _outdir(args)
     started = time.time()
     rho = parse_rho(args.rho)
     n_list = _parse_n_list(args.N_list)
@@ -318,11 +282,6 @@ def cmd_szego(args) -> int:
         mc = limit_quadric_mc(rho, args.B, args.samples, rng)
     lhs = np.array([trace_average(N, args.B, rho) for N in n_list])
     gaps = np.abs(lhs - rhs_tri)
-    write_csv(
-        outdir / "szego_table.csv",
-        ["N", "trace_average", "limit_triangular", "gap"],
-        [n_list, lhs, rhs_tri, gaps],
-    )
     results = [
         {
             "rho": args.rho,
@@ -360,19 +319,25 @@ def cmd_szego(args) -> int:
         "triangular_vs_angle_gap": abs(rhs_tri - rhs_angle),
         "final_gap": gaps[-1],
     }
+    outdir = _outdir(args)
+    write_csv(
+        outdir / "szego_table.csv",
+        ["N", "trace_average", "limit_triangular", "gap"],
+        [n_list, lhs, rhs_tri, gaps],
+    )
     write_json(outdir / "szego_summary.json", summary)
     _write_manifest(outdir, "szego", config, started)
     return 0
 
 
 def cmd_coherent(args) -> int:
-    outdir = _outdir(args)
     started = time.time()
     rng = _require_seed(args)
     n_list = _parse_n_list(args.N_list)
     config = {"m": args.m, "B": args.B, "N_list": n_list, "seed": args.seed}
     index = sample_coherent_index(rng)
     table = moment_convergence_table(index, args.m, args.B, n_list)
+    outdir = _outdir(args)
     write_csv(
         outdir / "coherent_convergence.csv",
         ["N", "moment", "error", "slope"],
@@ -404,15 +369,15 @@ def cmd_kepler(args) -> int:
     pt0 = orbit_point_from_elements(elements)
     traj = integrate_kepler(pt0, args.s_max, tol=args.tol)
     period = measure_period(traj)
-    outdir = _outdir(args)
     energies = traj.energies()
     ell3 = traj.ell3()
+    energy0, ell_vec, rl_vec = kepler_constants(pt0)
+    outdir = _outdir(args)
     write_csv(
         outdir / "trajectory.csv",
         ["s", "x1", "x2", "x3", "p1", "p2", "p3", "energy", "ell3"],
         [traj.s, *traj.states.T, energies, ell3],
     )
-    energy0, ell_vec, rl_vec = kepler_constants(pt0)
     write_json(
         outdir / "kepler_summary.json",
         {
@@ -432,23 +397,23 @@ def cmd_kepler(args) -> int:
 
 
 def cmd_measures(args) -> int:
-    outdir = _outdir(args)
     started = time.time()
     rng = _require_seed(args)
     config = {"samples": args.samples, "seed": args.seed, "B": args.B}
     check = liouville_pushforward_check(
         args.samples, rng, keep_samples=min(args.samples, 20000)
     )
-    write_csv(
-        outdir / "ell3_samples.csv",
-        ["ell3_index", "ell3_phase"],
-        [check.sample_ell3_index, check.sample_ell3_phase],
-    )
     haar = haar_density_normalization(HaarGrid())
     haar_fine = haar_density_normalization(HaarGrid().doubled())
     beta_gap = beta_marginalization_gap()
     rho = TestFunction.monomial(2)
     mc = limit_quadric_mc(rho, args.B, args.samples, rng)
+    outdir = _outdir(args)
+    write_csv(
+        outdir / "ell3_samples.csv",
+        ["ell3_index", "ell3_phase"],
+        [check.sample_ell3_index, check.sample_ell3_phase],
+    )
     write_json(
         outdir / "measures_summary.json",
         {
@@ -491,11 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = {"out": (["--out"], {"default": None, "help": "output directory"})}
-
     def add_common(p, with_seed=False):
-        for flags, kw in common.values():
-            p.add_argument(*flags, **kw)
+        p.add_argument("--out", default=None, help="output directory")
         if with_seed:
             p.add_argument("--seed", type=int, default=None)
 

@@ -13,7 +13,6 @@ import pytest
 from zeemanlab.cli import (
     _BLOCK_ROWS,
     OUTPUT_DIR_ENV,
-    _normalize,
     main,
     parse_rho,
     write_csv,
@@ -69,14 +68,13 @@ def test_commands_leave_scipy_submodules_unloaded(argv, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# result writers against the retired row-by-row writers
+# result writers against the retired row-by-row CSV writer and json.dumps
 # ---------------------------------------------------------------------------
 
 
-def _oracle_write_json(path, payload):
-    with path.open("w") as fh:
-        json.dump(_normalize(payload), fh, indent=2)
-        fh.write("\n")
+def _oracle_json_text(payload):
+    # json's own hook for what it cannot encode; numpy floats are floats
+    return json.dumps(payload, indent=2, default=lambda v: v.tolist()) + "\n"
 
 
 def _oracle_write_csv(path, header, rows):
@@ -157,8 +155,7 @@ _JSON_CASES["structure"] = {
 def test_write_json_matches_json_dump(tmp_path, case):
     payload = _JSON_CASES[case]
     write_json(tmp_path / "new.json", payload)
-    _oracle_write_json(tmp_path / "old.json", payload)
-    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+    assert (tmp_path / "new.json").read_text() == _oracle_json_text(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +182,11 @@ def test_parse_rho_rejects_garbage():
 # ---------------------------------------------------------------------------
 
 
+def _spectrum_rows(out):
+    with (out / "cluster_spectrum.csv").open() as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_cluster_writes_artifacts(tmp_path):
     out = tmp_path / "run"
     code = run(["cluster", "--N", "6", "--B", "1", "--q", "17", "--out", str(out)])
@@ -204,8 +206,7 @@ def test_cluster_writes_artifacts(tmp_path):
 def test_cluster_zero_field_point_mass(tmp_path):
     out = tmp_path / "zero"
     assert run(["cluster", "--N", "4", "--B", "0", "--out", str(out)]) == 0
-    record = json.loads((out / "cluster_spectrum.json").read_text())
-    assert all(v == 0.0 for v in record["scaled_shifts"])
+    assert all(float(row["scaled_shift"]) == 0.0 for row in _spectrum_rows(out))
     summary = json.loads((out / "cluster_summary.json").read_text())
     assert summary["subclusters"] is None
     # the reference law degenerates to the point mass; the only residue is
@@ -230,8 +231,7 @@ def test_cluster_multishell_counts(tmp_path):
         ["cluster", "--N", "10", "--mode", "multishell", "--delta", "2", "--out", str(out)]
     )
     assert code == 0
-    record = json.loads((out / "cluster_spectrum.json").read_text())
-    assert len(record["shifts"]) == 121
+    assert len(_spectrum_rows(out)) == 121
 
 
 def test_cluster_separation_failure_exit_code(tmp_path):
@@ -256,16 +256,22 @@ def test_cluster_separation_failure_exit_code(tmp_path):
     assert code == 2
 
 
-def test_cluster_csv_round_trips_json_values(tmp_path):
+@pytest.mark.parametrize(
+    "N, q, mode",
+    [(7, 17.0, "first_order"), (12, 2.0, "first_order"), (6, 2.0, "multishell")],
+)
+def test_cluster_csv_holds_the_spectrum_bit_for_bit(tmp_path, N, q, mode):
     out = tmp_path / "rt"
-    assert run(["cluster", "--N", "7", "--out", str(out)]) == 0
-    record = json.loads((out / "cluster_spectrum.json").read_text())
-    with (out / "cluster_spectrum.csv").open() as fh:
-        rows = list(csv.DictReader(fh))
+    argv = ["cluster", "--N", str(N), "--q", str(q), "--mode", mode, "--out", str(out)]
+    assert run(argv) == 0
+    spec = cluster_eigenvalues(N, ScalingSchedule(B=1.0, q=q), mode=mode)
+    rows = _spectrum_rows(out)
+    assert [int(row["N"]) for row in rows] == [spec.N] * len(spec.shifts)
+    assert [int(row["m"]) for row in rows] == spec.subcluster_m.tolist()
     # 17 significant digits are lossless for doubles
-    for row, shift, scaled in zip(rows, record["shifts"], record["scaled_shifts"]):
-        assert float(row["shift"]) == shift
-        assert float(row["scaled_shift"]) == scaled
+    for name, values in [("shift", spec.shifts), ("scaled_shift", spec.scaled_shifts)]:
+        column = np.array([float(row[name]) for row in rows])
+        assert column.tobytes() == np.asarray(values, dtype=float).tobytes()
 
 
 def test_write_json_numpy_floats_match_python_floats(tmp_path):
@@ -288,8 +294,52 @@ def test_cluster_deterministic_output(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
         assert run(["cluster", "--N", "5", "--out", str(out)]) == 0
-    for name in ("cluster_spectrum.csv", "cluster_spectrum.json", "cluster_summary.json"):
+    for name in ("cluster_spectrum.csv", "cluster_summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["cluster", "--N", "4"], ["cluster_spectrum.csv", "cluster_summary.json"]),
+        (["szego", "--N-list", "5"], ["szego_table.csv", "szego_summary.json"]),
+        (
+            ["coherent", "--N-list", "4,8", "--seed", "1"],
+            ["coherent_convergence.csv", "coherent_summary.json"],
+        ),
+        (["kepler"], ["trajectory.csv", "kepler_summary.json"]),
+        (
+            ["measures", "--samples", "2000", "--seed", "1"],
+            ["ell3_samples.csv", "measures_summary.json"],
+        ),
+    ],
+)
+def test_command_writes_exactly_its_files(tmp_path, argv, files):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([*files, "manifest.json"])
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # sub-cluster overlap, found after the spectrum is computed
+        (["cluster", "--N", "5", "--B", "1e160"], 2),
+        (["cluster", "--N", "2", "--B", "50000", "--q", "0.1", "--mode", "multishell",
+          "--delta", "1"], 2),
+        (["szego", "--rho", "sin"], 1),
+        (["szego", "--samples", "1000"], 1),
+        (["coherent"], 1),
+        (["measures"], 1),
+        (["measures", "--samples", "0", "--seed", "1"], 1),
+    ],
+)
+def test_failed_command_creates_no_output_directory(tmp_path, argv, code):
+    out = tmp_path / "out"
+    proc = run_fresh(["-m", "zeemanlab.cli", *argv, "--out", str(out)])
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -514,16 +564,24 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
         # the seed is a 128-bit Philox key
         ["coherent", "--seed", "-1"],
         ["measures", "--seed", str(2**128)],
+        # an --out that names a file, or a path through one
+        ["cluster", "--N", "3", "--out", "{file}"],
+        ["cluster", "--N", "3", "--out", "{file}/sub"],
     ],
 )
 def test_library_value_error_is_one_line_usage_error(tmp_path, capsys, argv):
-    assert run(argv + ["--out", str(tmp_path / "x")]) == 1
+    (tmp_path / "file").write_text("")
+    argv = [a.format(file=tmp_path / "file") for a in argv]
+    out = ["--out", str(tmp_path / "x")] if "--out" not in argv else []
+    assert run(argv + out) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
     if argv[1] == "--seed":
         assert err == f"error: --seed must lie in [0, 2**128), got {argv[2]}\n"
+    if not out:
+        assert err.startswith(f"error: cannot create output directory {argv[-1]!r}: ")
 
 
 @pytest.mark.parametrize(
