@@ -233,11 +233,7 @@ def cmd_cluster(args) -> int:
         "diamagnetic": not args.no_diamagnetic,
     }
     spec = cluster_eigenvalues(args.N, schedule, mode=args.mode, delta=args.delta)
-    measure = scaled_shift_measure(spec)
-    # at B = 0 the reference degenerates to a point mass, which needs its
-    # own left-limit evaluator
-    cdf_left = (lambda x: (np.asarray(x, dtype=float) > 0).astype(float)) if args.B == 0 else None
-    ks = ks_distance(measure, triangular_shift_cdf(args.B), cdf_left)
+    ks = ks_distance(scaled_shift_measure(spec), triangular_shift_cdf(args.B))
     summary = {
         "N": spec.N,
         "mode": spec.mode,
@@ -516,16 +512,18 @@ def _merge_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
         if not isinstance(defaults, dict):
             raise ConfigError("config file must hold a JSON object")
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        options = {a.dest: a for a in sub.choices[args.command]._actions if a.dest != "help"}
-        # flags given explicitly on the command line win over the file
-        explicit = _explicit_keys(argv)
+        command = sub.choices[args.command]
+        options = {a.dest: a for a in command._actions if a.dest != "help"}
+        values = {}
         for key, value in defaults.items():
             attr = key.replace("-", "_")
             if attr not in options:
                 raise ConfigError(f"config key {key!r} is not an option of {args.command!r}")
-            value = _config_value(key, value, options[attr])
-            if attr not in explicit:
-                setattr(args, attr, value)
+            values[attr] = _config_value(key, value, options[attr])
+        # the file's values become the command's defaults, so flags given
+        # on the command line win over them
+        command.set_defaults(**values)
+        args = parser.parse_args(argv)
     # float() parses "nan" and "inf", and json.loads accepts NaN and Infinity
     for key, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -544,14 +542,6 @@ def _config_value(key: str, value, action: argparse.Action):
         expected = " or ".join(k.__name__ for k in kinds)
         raise ConfigError(f"config key {key!r} cannot take {value!r} (expected {expected})")
     return action.type(value) if action.type else value
-
-
-def _explicit_keys(argv: list[str]) -> set[str]:
-    keys = set()
-    for token in argv:
-        if token.startswith("--"):
-            keys.add(token[2:].split("=")[0].replace("-", "_"))
-    return keys
 
 
 def main(argv: list[str] | None = None) -> int:

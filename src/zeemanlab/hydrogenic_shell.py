@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -81,9 +82,17 @@ class ScalingSchedule:
             raise self._out_of_range(N) from None
 
     def lam(self, N: int) -> float:
-        """Effective field lambda = h^3 eps(h) B."""
+        """Effective field lambda = h^3 eps(h) B.
+
+        A positive field whose lambda underflows to zero or to a subnormal
+        would collapse the shifts to zero or round them coarsely, so it is
+        out of range.
+        """
         h = self.h(N)
-        return h**3 * self.epsilon(N) * self.B
+        lam = h**3 * self.epsilon(N) * self.B
+        if self.B > 0 and lam < sys.float_info.min:
+            raise self._out_of_range(N)
+        return lam
 
     def shift_scale(self, N: int) -> float:
         """h^2 eps(h), the scale on which cluster shifts are O(1).

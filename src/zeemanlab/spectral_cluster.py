@@ -6,7 +6,10 @@ shell) or from a band of shells, keeping the eigenvalues inside the
 separating circle around E_N.  Either way the operator splits into one
 banded block per (m, l parity) and each block is one banded solve.  Shifts
 are reported raw and rescaled by h^2 eps(h), the scale on which their
-empirical law has an N -> infinity limit.
+empirical law has an N -> infinity limit.  That law is the sorted array of
+scaled shifts itself, a sample with equal weights; its Kolmogorov-Smirnov
+distance to a reference law compares the exact step heights k/n of the
+empirical distribution function with the reference one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .hydrogenic_shell import (
 
 __all__ = [
     "ClusterSpectrum",
-    "EmpiricalMeasure",
     "ClusterSeparationError",
     "SubclusterOverlapError",
     "cluster_eigenvalues",
@@ -80,35 +82,6 @@ class ClusterSpectrum:
     scaled_shifts: np.ndarray = field(repr=False)
     subcluster_m: np.ndarray = field(repr=False)
     diamagnetic_slack: float = 0.0
-
-    def __post_init__(self):
-        d = (self.N + 1) ** 2
-        if len(self.shifts) != d:
-            raise ValueError(f"expected {d} shifts, got {len(self.shifts)}")
-
-
-@dataclass
-class EmpiricalMeasure:
-    """Weighted point measure on the real line with total mass one."""
-
-    values: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.values.shape != self.weights.shape:
-            raise ValueError("values and weights must have matching shapes")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be non-negative")
-        total = float(self.weights.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
-
-    def sorted_atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unique atoms in ascending order with their merged weights."""
-        uniq, inverse = np.unique(self.values, return_inverse=True)
-        return uniq, np.bincount(inverse, weights=self.weights, minlength=len(uniq))
 
 
 def cluster_eigenvalues(
@@ -170,12 +143,9 @@ def cluster_eigenvalues(
     )
 
 
-def scaled_shift_measure(spec: ClusterSpectrum) -> EmpiricalMeasure:
-    """Uniform weights 1/(N+1)^2 on the scaled shifts."""
-    d = (spec.N + 1) ** 2
-    return EmpiricalMeasure(
-        values=spec.scaled_shifts.copy(), weights=np.full(d, 1.0 / d)
-    )
+def scaled_shift_measure(spec: ClusterSpectrum) -> np.ndarray:
+    """The scaled shifts, sorted: an equal-weight sample of their empirical law."""
+    return spec.scaled_shifts
 
 
 def subcluster_assignment(spec: ClusterSpectrum) -> dict[int, np.ndarray]:
@@ -219,26 +189,27 @@ def trace_average(N: int, B: float, rho: Callable[[float], float]) -> float:
     return float(np.sum(mult * vals)) / (N + 1) ** 2
 
 
-def ks_distance(
-    emp: EmpiricalMeasure,
-    cdf: Callable[[np.ndarray], np.ndarray],
-    cdf_left: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> float:
-    """sup |F_emp - F_ref|, evaluated at the atoms and their left limits.
+def ks_distance(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """sup |F_n - F| between the equal-weight ``sample`` and the reference ``cdf``.
 
-    ``cdf`` must be the right-continuous reference distribution function;
-    for a reference with atoms of its own, pass its left-limit evaluator,
-    otherwise continuity makes the two coincide.
+    ``cdf`` is right-continuous.  At each distinct value x, held by entries
+    k..j-1 of the sorted sample, F_n steps from k/n to j/n, so the sup is
+    reached at x, against cdf(x), or just below x.  Just below x is the
+    previous float, where F_n equals k/n exactly; cdf there is the left
+    limit of a reference atom at x, and within about one ulp times the
+    density of a continuous reference.
     """
-    if cdf_left is None:
-        cdf_left = cdf
-    atoms, w = emp.sorted_atoms()
-    cum = np.cumsum(w)
-    before = np.concatenate([[0.0], cum[:-1]])
-    f_right = np.asarray(cdf(atoms), dtype=float)
-    f_left = np.asarray(cdf_left(atoms), dtype=float)
-    d = max(np.max(np.abs(cum - f_right)), np.max(np.abs(before - f_left)))
-    return float(min(max(d, 0.0), 1.0))
+    x = np.sort(np.asarray(sample, dtype=float))
+    n = len(x)
+    if n == 0:
+        raise ValueError("the KS distance needs a non-empty sample")
+    first = np.flatnonzero(np.concatenate([[True], x[1:] != x[:-1]]))
+    atoms = x[first]
+    upper = np.append(first[1:], n) / n
+    d_right = np.max(np.abs(upper - np.asarray(cdf(atoms), dtype=float)))
+    below = np.asarray(cdf(np.nextafter(atoms, -np.inf)), dtype=float)
+    d_left = np.max(np.abs(first / n - below))
+    return float(max(d_right, d_left))
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:

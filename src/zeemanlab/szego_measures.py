@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .classical_kepler import sample_index_batch
-from .spectral_cluster import ks_two_sample, ks_distance, EmpiricalMeasure, triangular_shift_cdf
+from .spectral_cluster import ks_two_sample, ks_distance, triangular_shift_cdf
 
 __all__ = [
     "TestFunction",
@@ -195,10 +195,7 @@ def liouville_pushforward_check(
     del a, b, one_minus, x1, x2
     gap = float(np.max(np.abs(ell3_phase - ell3_index))) if len(ell3_index) else 0.0
     ks_same = ks_two_sample(ell3_phase, ell3_index)
-    measure = EmpiricalMeasure(
-        values=ell3_phase, weights=np.full(len(ell3_phase), 1.0 / len(ell3_phase))
-    )
-    ks_tri = ks_distance(measure, triangular_shift_cdf(2.0))
+    ks_tri = ks_distance(ell3_phase, triangular_shift_cdf(2.0))
     keep = min(keep_samples, len(ell3_index))
     return PushforwardCheck(
         max_pointwise_gap=gap,

@@ -4,8 +4,8 @@ The library keeps what the command line, the acceptance criteria and the
 benchmark tracer reach.  The scalar and dense forms below pin its fast
 paths from outside: labelled shell states and full matrices, the scalar
 ladder and angular elements, orbit elements from their angles, coherent
-states sampled on a grid, and the distribution function of an empirical
-measure.
+states sampled on a grid, and the distribution function of an
+equal-weight sample.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 from zeemanlab.classical_kepler import CoherentIndex, OrbitElements
 from zeemanlab.coherent_states import SphereGrid, normalization_sq
 from zeemanlab.hydrogenic_shell import ShellMatrix
-from zeemanlab.spectral_cluster import EmpiricalMeasure
 
 
 class ShellState(NamedTuple):
@@ -112,9 +111,7 @@ def coherent_state_values(index: CoherentIndex, N: int, grid: SphereGrid) -> np.
     return np.sqrt(normalization_sq(N)) * u**N
 
 
-def empirical_cdf(emp: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
-    """Right-continuous distribution function of ``emp`` at ``x``."""
-    atoms, w = emp.sorted_atoms()
-    cum = np.cumsum(w)
-    idx = np.searchsorted(atoms, np.asarray(x, dtype=float), side="right")
-    return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
+def empirical_cdf(sample: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Right-continuous distribution function of the equal-weight ``sample`` at ``x``."""
+    atoms = np.sort(np.asarray(sample, dtype=float))
+    return np.searchsorted(atoms, np.asarray(x, dtype=float), side="right") / len(atoms)

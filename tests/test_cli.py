@@ -209,9 +209,18 @@ def test_cluster_zero_field_point_mass(tmp_path):
     assert all(float(row["scaled_shift"]) == 0.0 for row in _spectrum_rows(out))
     summary = json.loads((out / "cluster_summary.json").read_text())
     assert summary["subclusters"] is None
-    # the reference law degenerates to the point mass; the only residue is
-    # cumulative-weight rounding
-    assert summary["ks_vs_triangular"] <= 1e-12
+    # the reference law degenerates to the point mass, which the sample is
+    assert summary["ks_vs_triangular"] == 0.0
+
+
+def test_cluster_ladder_ks_is_half_over_N_plus_1(tmp_path):
+    # at q = 17 the diamagnetic term is negligible and the shifts are the
+    # paramagnetic ladder, whose KS distance to the triangular law is exactly
+    # 1/(2(N+1)) in rational arithmetic
+    out = tmp_path / "ladder"
+    assert run(["cluster", "--N", "25", "--B", "1", "--out", str(out)]) == 0
+    summary = json.loads((out / "cluster_summary.json").read_text())
+    assert summary["ks_vs_triangular"] == pytest.approx(1 / 52, rel=1e-13, abs=0)
 
 
 def test_cluster_large_shell_summary(tmp_path):
@@ -603,6 +612,36 @@ def test_schedule_out_of_float_range_is_one_line_usage_error(tmp_path, argv):
     B, q = (repr(float(argv[4])), "17.0") if argv[3] == "--B" else ("1.0", str(float(argv[4])))
     assert proc.stderr.startswith(f"error: B={B} and q={q} put the coupling schedule out of")
     assert proc.stderr.endswith("at N=5\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--B", "1e-310"],  # lambda underflows to 0 and every shift with it
+        ["--B", "1e-300"],  # lambda is subnormal, the shifts lose digits
+        ["--B", "1e-310", "--no-diamagnetic"],
+    ],
+)
+def test_tiny_positive_field_is_one_line_usage_error(tmp_path, argv):
+    out = tmp_path / "out"
+    proc = run_fresh(["-m", "zeemanlab.cli", "cluster", "--N", "5", *argv, "--out", str(out)])
+    assert proc.returncode == 1
+    # one line, no traceback and no warning
+    assert proc.stderr == (
+        f"error: B={float(argv[1])!r} and q=17.0 put the coupling schedule out of "
+        "floating-point range at N=5\n"
+    )
+    assert not out.exists()
+
+
+def test_small_field_with_normal_lambda_runs(tmp_path):
+    out = tmp_path / "out"
+    argv = ["cluster", "--N", "5", "--B", "1e-290", "--out", str(out)]
+    proc = run_fresh(["-m", "zeemanlab.cli", *argv])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    summary = json.loads((out / "cluster_summary.json").read_text())
+    assert summary["subclusters"] == {str(m): 6 - abs(m) for m in range(-5, 6)}
 
 
 def test_swamping_field_is_one_line_failed_check(tmp_path):

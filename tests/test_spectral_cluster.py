@@ -1,5 +1,7 @@
 """Cluster spectra, scaled-shift laws, trace averages, and KS machinery."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,6 @@ from zeemanlab.hydrogenic_shell import (
 )
 from zeemanlab.spectral_cluster import (
     ClusterSeparationError,
-    EmpiricalMeasure,
     SubclusterOverlapError,
     cluster_eigenvalues,
     ks_distance,
@@ -157,31 +158,27 @@ def test_unknown_mode_rejected():
 
 def test_scaled_measure_n1_atoms():
     spec = cluster_eigenvalues(1, _para_schedule(B=2.0))
-    measure = scaled_shift_measure(spec)
-    assert np.allclose(np.sort(measure.values), [-0.5, 0.0, 0.0, 0.5], atol=1e-15)
-    assert np.allclose(measure.weights, 0.25)
+    sample = scaled_shift_measure(spec)
+    assert np.allclose(sample, [-0.5, 0.0, 0.0, 0.5], atol=1e-15)
 
 
 def test_scaled_measure_zero_field_point_mass():
     spec = cluster_eigenvalues(3, ScalingSchedule(B=0.0))
-    measure = scaled_shift_measure(spec)
-    assert np.all(measure.values == 0.0)
-    assert measure.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    sample = scaled_shift_measure(spec)
+    assert len(sample) == 16
+    assert np.all(sample == 0.0)
 
 
 @given(st.integers(min_value=1, max_value=12))
 @settings(deadline=None, max_examples=8)
 def test_scaled_measure_normalized(N):
+    # equal weights: the law is normalized by the sample holding all
+    # (N+1)^2 scaled shifts, sorted and not copied
     spec = cluster_eigenvalues(N, _para_schedule(B=1.0))
-    measure = scaled_shift_measure(spec)
-    assert measure.weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_empirical_measure_validation():
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(values=np.array([0.0]), weights=np.array([0.5]))
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(values=np.array([0.0, 1.0]), weights=np.array([1.5, -0.5]))
+    sample = scaled_shift_measure(spec)
+    assert sample is spec.scaled_shifts
+    assert len(sample) == (N + 1) ** 2
+    assert np.all(sample[1:] >= sample[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -310,34 +307,71 @@ def test_trace_identity_against_matrix_functional_calculus():
 
 
 def test_ks_identical_discrete_measures_is_zero():
-    values = np.array([-0.5, 0.0, 0.25])
-    weights = np.array([0.25, 0.5, 0.25])
-    emp = EmpiricalMeasure(values=values, weights=weights)
+    sample = np.array([0.25, 0.0, -0.5, 0.0])
 
     def ref(x):
-        return empirical_cdf(emp, x)
+        return empirical_cdf(sample, x)
 
-    def ref_left(x):
-        return empirical_cdf(emp, np.asarray(x) - 1e-12)
-
-    assert ks_distance(emp, ref, ref_left) == 0.0
+    # the previous float stands in for the left limit of each atom of ref
+    assert ks_distance(sample, ref) == 0.0
 
 
 def test_ks_point_mass_vs_triangular_is_half():
-    emp = EmpiricalMeasure(values=np.array([0.0]), weights=np.array([1.0]))
-    assert ks_distance(emp, triangular_shift_cdf(1.0)) == pytest.approx(0.5, abs=1e-15)
+    assert ks_distance(np.array([0.0]), triangular_shift_cdf(1.0)) == pytest.approx(0.5, abs=1e-15)
 
 
-def test_ks_paramagnetic_law_close_to_triangular():
-    N = 200
-    spec = cluster_eigenvalues(N, _para_schedule(B=1.0))
-    d = ks_distance(scaled_shift_measure(spec), triangular_shift_cdf(1.0))
-    assert d <= 1.0 / (N + 1) + 1e-12
+def test_ks_zero_field_cluster_matches_its_point_mass():
+    # the B = 0 law is the point mass at zero; at the previous float its
+    # distribution function is its left limit, 0
+    spec = cluster_eigenvalues(4, ScalingSchedule(B=0.0))
+    assert ks_distance(scaled_shift_measure(spec), triangular_shift_cdf(0.0)) == 0.0
+
+
+def _ladder_ks_exact(N: int, B: Fraction) -> Fraction:
+    """KS distance of the paramagnetic ladder law to the triangular law, in
+    rational arithmetic: weight (N+1-|m|)/(N+1)^2 at -(B/2) m/(N+1)."""
+
+    def cdf(x):
+        t = max(min(2 * x / B, Fraction(1)), Fraction(-1))
+        return (1 + t) ** 2 / 2 if t <= 0 else 1 - (1 - t) ** 2 / 2
+
+    below, d = Fraction(0), Fraction(0)
+    for m in range(N, -N - 1, -1):
+        x = -(B / 2) * Fraction(m, N + 1)
+        above = below + Fraction(N + 1 - abs(m), (N + 1) ** 2)
+        # the triangular law has no atoms: its left limit is cdf(x)
+        d = max(d, abs(above - cdf(x)), abs(below - cdf(x)))
+        below = above
+    return d
+
+
+@pytest.mark.parametrize("B", [Fraction(1, 2), Fraction(1), Fraction(2)])
+def test_ladder_ks_is_half_over_N_plus_1_in_rational_arithmetic(B):
+    for N in range(1, 31):
+        assert _ladder_ks_exact(N, B) == Fraction(1, 2 * (N + 1))
+
+
+def test_ks_paramagnetic_ladder_is_half_over_N_plus_1():
+    # the rational value above, to 1e-13 relative: the step heights k/n
+    # are exact, so only the scaled shifts and the reference carry rounding
+    off = []
+    for B in (0.5, 1.0, 2.0):
+        cdf = triangular_shift_cdf(B)
+        for N in [*range(1, 61), 100, 200, 400, 800]:
+            d = ks_distance(scaled_shift_measure(cluster_eigenvalues(N, _para_schedule(B=B))), cdf)
+            exact = 1.0 / (2 * (N + 1))
+            if abs(d - exact) > 1e-13 * exact:
+                off.append((B, N, abs(d - exact) / exact))
+    assert not off
 
 
 def test_ks_bounds():
-    emp = EmpiricalMeasure(values=np.array([5.0]), weights=np.array([1.0]))
-    assert ks_distance(emp, triangular_shift_cdf(1.0)) == pytest.approx(1.0)
+    assert ks_distance(np.array([5.0]), triangular_shift_cdf(1.0)) == pytest.approx(1.0)
+
+
+def test_ks_of_empty_sample_is_value_error():
+    with pytest.raises(ValueError, match="non-empty"):
+        ks_distance(np.array([]), triangular_shift_cdf(1.0))
 
 
 @given(
@@ -345,10 +379,24 @@ def test_ks_bounds():
 )
 @settings(deadline=None, max_examples=25)
 def test_ks_in_unit_interval(xs):
-    n = len(xs)
-    emp = EmpiricalMeasure(values=np.array(xs), weights=np.full(n, 1.0 / n))
-    d = ks_distance(emp, triangular_shift_cdf(2.0))
+    d = ks_distance(np.array(xs), triangular_shift_cdf(2.0))
     assert 0.0 <= d <= 1.0
+
+
+@given(
+    st.lists(st.sampled_from([-0.75, -0.5, -0.1, 0.0, 0.3, 0.5, 2.0]), min_size=1, max_size=30),
+    st.sampled_from([0.0, 0.5, 2.0]),
+)
+@settings(deadline=None, max_examples=50)
+def test_ks_equals_searchsorted_oracle_on_tied_samples(xs, B):
+    # F_n by searchsorted at every atom and at its previous float, against
+    # the tie groups of ks_distance; both give the same step heights k/n
+    sample = np.array(xs)
+    cdf = triangular_shift_cdf(B)
+    atoms = np.unique(sample)
+    points = np.concatenate([atoms, np.nextafter(atoms, -np.inf)])
+    expected = np.max(np.abs(empirical_cdf(sample, points) - cdf(points)))
+    assert ks_distance(sample, cdf) == expected
 
 
 def test_ks_two_sample_identical_and_disjoint():

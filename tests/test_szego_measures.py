@@ -24,7 +24,6 @@ from zeemanlab.classical_kepler import (
     sample_index_batch,
 )
 from zeemanlab.spectral_cluster import (
-    EmpiricalMeasure,
     ks_distance,
     ks_two_sample,
     triangular_shift_cdf,
@@ -210,10 +209,7 @@ def _retired_pushforward_check(n_samples, rng, keep_samples=0):
     ell3_phase = x[:, 0] * p[:, 1] - x[:, 1] * p[:, 0]
     gap = float(np.max(np.abs(ell3_phase - ell3_index))) if len(a) else 0.0
     ks_same = ks_two_sample(ell3_phase, ell3_index)
-    measure = EmpiricalMeasure(
-        values=ell3_phase, weights=np.full(len(ell3_phase), 1.0 / len(ell3_phase))
-    )
-    ks_tri = ks_distance(measure, triangular_shift_cdf(2.0))
+    ks_tri = ks_distance(ell3_phase, triangular_shift_cdf(2.0))
     keep = min(keep_samples, len(a))
     return PushforwardCheck(
         max_pointwise_gap=gap,
