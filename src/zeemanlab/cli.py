@@ -1,8 +1,11 @@
 """Batch command-line front end producing CSV/JSON experiment artifacts.
 
-Every command computes all its results first and only then creates the
-output directory and writes them, plus a manifest (configuration echo,
-package versions, wall time); a command that fails writes nothing.
+Each command validates its input and computes its results, then returns
+its configuration and its files.  ``main`` alone creates the output
+directory and writes the files in order, then a manifest (configuration
+echo, package versions, wall time).  So a command that fails writes
+nothing.  A failed write exits 1 naming the file; the files written
+before it stay and no manifest is written.
 Results are deterministic for a fixed configuration and seed: dictionary
 field order is fixed, CSV floats have 17 significant digits and JSON
 floats are the shortest repr that round-trips, so reruns are
@@ -92,20 +95,6 @@ class _Parser(argparse.ArgumentParser):
 _BLOCK_ROWS = 1 << 14
 
 
-def _normalize(obj):
-    # json.dumps writes the shortest repr that round-trips, so Python floats
-    # already serialize deterministically; only numpy types need converting
-    if isinstance(obj, dict):
-        return {k: _normalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
-
-
 def _csv_texts(values: np.ndarray) -> list[str]:
     if values.dtype.kind == "f":
         return list(map("%.17g".__mod__, values.tolist()))
@@ -124,9 +113,9 @@ def _formatted(column: np.ndarray) -> list[str]:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    """``payload`` as indented JSON, numpy values converted to Python ones."""
+    """``payload`` as indented JSON; numpy values json cannot encode go through ``tolist``."""
     with path.open("w") as fh:
-        json.dump(_normalize(payload), fh, indent=2)
+        json.dump(payload, fh, indent=2, default=lambda v: v.tolist())
         fh.write("\n")
 
 
@@ -146,11 +135,36 @@ def write_csv(path: Path, header: list[str], columns) -> None:
             fh.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
 
 
-def _write_manifest(outdir: Path, command: str, config: dict, started: float) -> None:
+def _write_results(args, config: dict, files: dict, started: float) -> None:
+    """Create the output directory, write ``files`` in order, then the manifest.
+
+    ``files`` maps each file name to its content: ``(header, columns)``
+    for a ``.csv``, a JSON payload otherwise.  A failed write is a usage
+    error naming the file; the files written before it stay, and with no
+    manifest written the run reads as incomplete.
+    """
     import scipy
 
+    outdir = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or ".")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {str(outdir)!r}: {exc.strerror}") from exc
+
+    def write(name, content):
+        path = outdir / name
+        try:
+            if name.endswith(".csv"):
+                write_csv(path, *content)
+            else:
+                write_json(path, content)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror}") from exc
+
+    for name, content in files.items():
+        write(name, content)
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "versions": {
             "zeemanlab": __version__,
@@ -160,17 +174,7 @@ def _write_manifest(outdir: Path, command: str, config: dict, started: float) ->
         },
         "wall_time_s": time.time() - started,
     }
-    write_json(outdir / "manifest.json", manifest)
-
-
-def _outdir(args) -> Path:
-    base = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
-    path = Path(base)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {str(path)!r}: {exc.strerror}") from exc
-    return path
+    write("manifest.json", manifest)
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -217,10 +221,9 @@ def _require_seed(args) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args) -> tuple[dict, dict]:
     if args.N is None:
         raise ConfigError("cluster needs --N (flag or config file)")
-    started = time.time()
     schedule = ScalingSchedule(
         B=args.B, q=args.q, include_diamagnetic=not args.no_diamagnetic
     )
@@ -254,19 +257,16 @@ def cmd_cluster(args) -> int:
             for m, v in assignment.items()
             if len(v)
         )
-    outdir = _outdir(args)
-    write_csv(
-        outdir / "cluster_spectrum.csv",
-        ["N", "m", "shift", "scaled_shift"],
-        [spec.N, spec.subcluster_m, spec.shifts, spec.scaled_shifts],
-    )
-    write_json(outdir / "cluster_summary.json", summary)
-    _write_manifest(outdir, "cluster", config, started)
-    return 0
+    return config, {
+        "cluster_spectrum.csv": (
+            ["N", "m", "shift", "scaled_shift"],
+            [spec.N, spec.subcluster_m, spec.shifts, spec.scaled_shifts],
+        ),
+        "cluster_summary.json": summary,
+    }
 
 
-def cmd_szego(args) -> int:
-    started = time.time()
+def cmd_szego(args) -> tuple[dict, dict]:
     rho = parse_rho(args.rho)
     n_list = _parse_n_list(args.N_list)
     config = {"rho": args.rho, "B": args.B, "N_list": n_list, "samples": args.samples}
@@ -315,45 +315,36 @@ def cmd_szego(args) -> int:
         "triangular_vs_angle_gap": abs(rhs_tri - rhs_angle),
         "final_gap": gaps[-1],
     }
-    outdir = _outdir(args)
-    write_csv(
-        outdir / "szego_table.csv",
-        ["N", "trace_average", "limit_triangular", "gap"],
-        [n_list, lhs, rhs_tri, gaps],
-    )
-    write_json(outdir / "szego_summary.json", summary)
-    _write_manifest(outdir, "szego", config, started)
-    return 0
+    return config, {
+        "szego_table.csv": (
+            ["N", "trace_average", "limit_triangular", "gap"],
+            [n_list, lhs, rhs_tri, gaps],
+        ),
+        "szego_summary.json": summary,
+    }
 
 
-def cmd_coherent(args) -> int:
-    started = time.time()
+def cmd_coherent(args) -> tuple[dict, dict]:
     rng = _require_seed(args)
     n_list = _parse_n_list(args.N_list)
     config = {"m": args.m, "B": args.B, "N_list": n_list, "seed": args.seed}
     index = sample_coherent_index(rng)
     table = moment_convergence_table(index, args.m, args.B, n_list)
-    outdir = _outdir(args)
-    write_csv(
-        outdir / "coherent_convergence.csv",
-        ["N", "moment", "error", "slope"],
-        [table.N_values, table.moments, table.errors, table.slope],
-    )
-    write_json(
-        outdir / "coherent_summary.json",
-        {
+    return config, {
+        "coherent_convergence.csv": (
+            ["N", "moment", "error", "slope"],
+            [table.N_values, table.moments, table.errors, table.slope],
+        ),
+        "coherent_summary.json": {
             "config": config,
             "ell3": index.ell3,
             "target": table.target,
             "slope": table.slope,
         },
-    )
-    _write_manifest(outdir, "coherent", config, started)
-    return 0
+    }
 
 
-def cmd_kepler(args) -> int:
-    started = time.time()
+def cmd_kepler(args) -> tuple[dict, dict]:
     ell = args.ell
     if not 0.0 < ell <= 1.0:
         raise ConfigError("--ell must lie in (0, 1]")
@@ -368,15 +359,12 @@ def cmd_kepler(args) -> int:
     energies = traj.energies()
     ell3 = traj.ell3()
     energy0, ell_vec, rl_vec = kepler_constants(pt0)
-    outdir = _outdir(args)
-    write_csv(
-        outdir / "trajectory.csv",
-        ["s", "x1", "x2", "x3", "p1", "p2", "p3", "energy", "ell3"],
-        [traj.s, *traj.states.T, energies, ell3],
-    )
-    write_json(
-        outdir / "kepler_summary.json",
-        {
+    return config, {
+        "trajectory.csv": (
+            ["s", "x1", "x2", "x3", "p1", "p2", "p3", "energy", "ell3"],
+            [traj.s, *traj.states.T, energies, ell3],
+        ),
+        "kepler_summary.json": {
             "config": config,
             "initial_energy": energy0,
             "ell": ell_vec,
@@ -387,13 +375,10 @@ def cmd_kepler(args) -> int:
             "max_ell3_drift": float(np.max(np.abs(ell3 - ell3[0]))),
             "n_steps": len(traj.s) - 1,
         },
-    )
-    _write_manifest(outdir, "kepler", config, started)
-    return 0
+    }
 
 
-def cmd_measures(args) -> int:
-    started = time.time()
+def cmd_measures(args) -> tuple[dict, dict]:
     rng = _require_seed(args)
     config = {"samples": args.samples, "seed": args.seed, "B": args.B}
     check = liouville_pushforward_check(
@@ -404,15 +389,12 @@ def cmd_measures(args) -> int:
     beta_gap = beta_marginalization_gap()
     rho = TestFunction.monomial(2)
     mc = limit_quadric_mc(rho, args.B, args.samples, rng)
-    outdir = _outdir(args)
-    write_csv(
-        outdir / "ell3_samples.csv",
-        ["ell3_index", "ell3_phase"],
-        [check.sample_ell3_index, check.sample_ell3_phase],
-    )
-    write_json(
-        outdir / "measures_summary.json",
-        {
+    return config, {
+        "ell3_samples.csv": (
+            ["ell3_index", "ell3_phase"],
+            [check.sample_ell3_index, check.sample_ell3_phase],
+        ),
+        "measures_summary.json": {
             "config": config,
             "pushforward": {
                 "max_pointwise_gap": check.max_pointwise_gap,
@@ -430,9 +412,7 @@ def cmd_measures(args) -> int:
                 "std_error": mc.std_error,
             },
         },
-    )
-    _write_manifest(outdir, "measures", config, started)
-    return 0
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +529,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = _merge_config_file(parser, argv)
-        return args.func(args)
+        started = time.time()
+        config, files = args.func(args)
+        _write_results(args, config, files, started)
+        return 0
     except ValueError as exc:  # ConfigError and the library's input checks
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -88,7 +88,8 @@ class SphereGrid:
 
 
 @lru_cache(maxsize=32)
-def _grid_cached(n_chi: int, n_theta: int, n_phi: int) -> SphereGrid:
+def sphere_grid(spec: QuadratureSpec) -> SphereGrid:
+    n_chi, n_theta, n_phi = spec.n_chi, spec.n_theta, spec.n_phi
     # chi: Gauss-Chebyshev (second kind) in t = cos(chi), weight sqrt(1-t^2)
     k = np.arange(1, n_chi + 1)
     t = np.cos(k * np.pi / (n_chi + 1))
@@ -111,13 +112,7 @@ def _grid_cached(n_chi: int, n_theta: int, n_phi: int) -> SphereGrid:
         axis=-1,
     ).reshape(-1, 4)
     weights = (WT * WS * WP).ravel()
-    return SphereGrid(
-        spec=QuadratureSpec(n_chi, n_theta, n_phi), omega=omega, weights=weights
-    )
-
-
-def sphere_grid(spec: QuadratureSpec) -> SphereGrid:
-    return _grid_cached(spec.n_chi, spec.n_theta, spec.n_phi)
+    return SphereGrid(spec=spec, omega=omega, weights=weights)
 
 
 def s3_quadrature(f, spec: QuadratureSpec) -> complex:

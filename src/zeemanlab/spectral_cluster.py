@@ -35,7 +35,6 @@ __all__ = [
     "subcluster_assignment",
     "trace_average",
     "ks_distance",
-    "ks_two_sample",
     "triangular_shift_cdf",
 ]
 
@@ -210,16 +209,6 @@ def ks_distance(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> 
     below = np.asarray(cdf(np.nextafter(atoms, -np.inf)), dtype=float)
     d_left = np.max(np.abs(first / n - below))
     return float(max(d_right, d_left))
-
-
-def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov distance between equal-weight samples."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    pool = np.concatenate([a, b])
-    fa = np.searchsorted(a, pool, side="right") / len(a)
-    fb = np.searchsorted(b, pool, side="right") / len(b)
-    return float(np.max(np.abs(fa - fb)))
 
 
 def triangular_shift_cdf(B: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -4,8 +4,8 @@ The library keeps what the command line, the acceptance criteria and the
 benchmark tracer reach.  The scalar and dense forms below pin its fast
 paths from outside: labelled shell states and full matrices, the scalar
 ladder and angular elements, orbit elements from their angles, coherent
-states sampled on a grid, and the distribution function of an
-equal-weight sample.
+states sampled on a grid, the distribution function of an equal-weight
+sample, and the two-sample KS distance over the pooled sample.
 """
 
 from __future__ import annotations
@@ -115,3 +115,13 @@ def empirical_cdf(sample: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Right-continuous distribution function of the equal-weight ``sample`` at ``x``."""
     atoms = np.sort(np.asarray(sample, dtype=float))
     return np.searchsorted(atoms, np.asarray(x, dtype=float), side="right") / len(atoms)
+
+
+def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov distance, taken at every point of the pooled sample."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    pool = np.concatenate([a, b])
+    fa = np.searchsorted(a, pool, side="right") / len(a)
+    fb = np.searchsorted(b, pool, side="right") / len(b)
+    return float(np.max(np.abs(fa - fb)))

@@ -351,6 +351,26 @@ def test_failed_command_creates_no_output_directory(tmp_path, argv, code):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, blocked, written",
+    [
+        (["cluster", "--N", "2"], "cluster_summary.json", ["cluster_spectrum.csv"]),
+        (["kepler"], "manifest.json", ["kepler_summary.json", "trajectory.csv"]),
+    ],
+    ids=["cluster", "kepler"],
+)
+def test_write_error_is_one_line_usage_error(tmp_path, argv, blocked, written):
+    # a directory where a result file goes makes its write fail
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    proc = run_fresh(["-m", "zeemanlab.cli", *argv, "--out", str(out)])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: cannot write {str(out / blocked)!r}: Is a directory\n"
+    # the files before the failed one stay; no manifest marks the run incomplete
+    assert sorted(p.name for p in out.iterdir()) == sorted([blocked, *written])
+    assert not (out / "manifest.json").is_file()
+
+
 # ---------------------------------------------------------------------------
 # szego command
 # ---------------------------------------------------------------------------

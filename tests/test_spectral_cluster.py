@@ -18,7 +18,6 @@ from zeemanlab.spectral_cluster import (
     SubclusterOverlapError,
     cluster_eigenvalues,
     ks_distance,
-    ks_two_sample,
     scaled_shift_measure,
     subcluster_assignment,
     trace_average,
@@ -26,7 +25,13 @@ from zeemanlab.spectral_cluster import (
 )
 from zeemanlab.szego_measures import TestFunction
 
-from reference import empirical_cdf, enumerate_shell, multishell_states, to_dense
+from reference import (
+    empirical_cdf,
+    enumerate_shell,
+    ks_two_sample,
+    multishell_states,
+    to_dense,
+)
 
 
 def _para_schedule(B=1.0, q=17.0):
@@ -397,6 +402,28 @@ def test_ks_equals_searchsorted_oracle_on_tied_samples(xs, B):
     points = np.concatenate([atoms, np.nextafter(atoms, -np.inf)])
     expected = np.max(np.abs(empirical_cdf(sample, points) - cdf(points)))
     assert ks_distance(sample, cdf) == expected
+
+
+# ties, signed zeros and neighbouring floats, where a step of one sample
+# sits just below an atom of the other
+_TWO_SAMPLE_VALUES = [
+    -0.5, np.nextafter(-0.5, -np.inf), -0.0, 0.0, -5e-324, 5e-324,
+    0.3, np.nextafter(0.3, -np.inf), np.nextafter(0.3, np.inf), 1.0,
+]
+_two_sample = st.lists(
+    st.one_of(st.sampled_from(_TWO_SAMPLE_VALUES), st.floats(-1, 1)), min_size=1, max_size=40
+)
+
+
+@given(_two_sample, _two_sample)
+@settings(deadline=None, max_examples=200)
+def test_two_sample_ks_through_ks_distance_is_the_pooled_form(xs, ys):
+    # liouville_pushforward_check takes the distance between its two samples
+    # as ks_distance against the second one's distribution function
+    a, b = np.array(xs), np.array(ys)
+    ref = np.sort(b)
+    got = ks_distance(a, lambda x: np.searchsorted(ref, x, side="right") / len(ref))
+    assert got == ks_two_sample(a, b)
 
 
 def test_ks_two_sample_identical_and_disjoint():

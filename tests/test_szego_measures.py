@@ -23,13 +23,9 @@ from zeemanlab.classical_kepler import (
     orbit_point_from_elements,
     sample_index_batch,
 )
-from zeemanlab.spectral_cluster import (
-    ks_distance,
-    ks_two_sample,
-    triangular_shift_cdf,
-)
+from zeemanlab.spectral_cluster import ks_distance, triangular_shift_cdf
 
-from reference import elements_from_angles
+from reference import elements_from_angles, ks_two_sample
 
 
 def brute_force_triangular(rho, B, n=4000001):
