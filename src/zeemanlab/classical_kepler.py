@@ -494,14 +494,18 @@ def sample_index_batch(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np
     place; isotropy of the Gaussian makes the law rotation invariant.
     Degenerate draws (vanishing norms or numerically parallel pairs) are
     redrawn, in row order, by a recursive call on the same generator.
+    Row norms and dots are column expressions summed in the order numpy's
+    row reduction uses, ((c0 + c1) + c2) + c3, so they have its bits.
     """
     a = rng.standard_normal((n, 4))
     b = rng.standard_normal((n, 4))
+    a0, a1, a2, a3 = a.T
+    b0, b1, b2, b3 = b.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        n1 = np.linalg.norm(a, axis=1)
+        n1 = np.sqrt(((a0 * a0 + a1 * a1) + a2 * a2) + a3 * a3)
         a /= n1[:, None]
-        b -= np.sum(b * a, axis=1, keepdims=True) * a
-        n2 = np.linalg.norm(b, axis=1)
+        b -= (((b0 * a0 + b1 * a1) + b2 * a2) + b3 * a3)[:, None] * a
+        n2 = np.sqrt(((b0 * b0 + b1 * b1) + b2 * b2) + b3 * b3)
         b /= n2[:, None]
     redo = np.flatnonzero(~((n1 > 1e-12) & (n2 > 1e-12)))
     if len(redo):

@@ -17,13 +17,18 @@ radial factors <n l|r^2|n2 l2> are exact until one rounding of their
 square: cross-shell ones from integer arithmetic, same-shell ones from the
 Bethe-Salpeter closed forms, which round to the same bits.  A block whose
 band is its diagonal alone needs no eigensolver: its eigenvalues are the
-sorted diagonal.
+sorted diagonal.  Wider bands go to LAPACK dsbevd through scipy's wrapper,
+the call scipy.linalg.eigvals_banded makes, loaded without running
+scipy.linalg's package init.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import operator
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -252,6 +257,29 @@ def radial_integral_r2_cross(n: int, l: int, n2: int, l2: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _dsbevd():
+    """scipy's f2py wrapper of LAPACK dsbevd, the driver of eigvals_banded.
+
+    The extension module is loaded from its file without importing
+    scipy.linalg, whose package init clones the numpy namespace: about
+    0.3 s, several times the solves of a cluster run.  A scipy laid out
+    otherwise gets the same wrapper through scipy.linalg.lapack.
+    """
+    import scipy
+
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack", [os.path.join(p, "linalg") for p in scipy.__path__]
+    )
+    if spec is None:
+        from scipy.linalg.lapack import dsbevd
+
+        return dsbevd
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dsbevd
+
+
 @dataclass
 class ShellMatrix:
     """Real symmetric operator on shells N-delta..N+delta (one shell: delta = 0).
@@ -271,16 +299,25 @@ class ShellMatrix:
         """Eigenvalues of the m-block, one banded solve per l parity.
 
         A band of one row is a diagonal block, whose eigenvalues are its
-        sorted diagonal; only wider bands import and call the solver.
+        sorted diagonal.  Wider bands go to dsbevd with the call and the
+        checks of scipy.linalg.eigvals_banded(ab, lower=True), so they get
+        its bits and its errors: ValueError for a non-finite band or an
+        illegal argument, np.linalg.LinAlgError for a solve that does not
+        converge.
         """
         out = []
         for ab in (self.bands[m, p][1] for p in (0, 1) if (m, p) in self.bands):
             if len(ab) == 1:
                 out.append(np.sort(ab[0]))
-            else:
-                from scipy.linalg import eigvals_banded
-
-                out.append(eigvals_banded(ab, lower=True))
+                continue
+            if not np.isfinite(ab).all():
+                raise ValueError("array must not contain infs or NaNs")
+            w, _, info = _dsbevd()(ab, compute_v=0, lower=1, overwrite_ab=0)
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of internal dsbevd")
+            if info > 0:
+                raise np.linalg.LinAlgError(f"dsbevd did not converge (LAPACK info={info})")
+            out.append(w)
         return np.concatenate(out)
 
     def norm(self) -> float:

@@ -5,7 +5,8 @@ benchmark tracer reach.  The scalar and dense forms below pin its fast
 paths from outside: labelled shell states and full matrices, the scalar
 ladder and angular elements, orbit elements from their angles, coherent
 states sampled on a grid, the distribution function of an equal-weight
-sample, and the two-sample KS distance over the pooled sample.
+sample, the two-sample KS distance over the pooled sample, and the index
+sampler with numpy's row norms and dots.
 """
 
 from __future__ import annotations
@@ -125,3 +126,19 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     fa = np.searchsorted(a, pool, side="right") / len(a)
     fb = np.searchsorted(b, pool, side="right") / len(b)
     return float(np.max(np.abs(fa - fb)))
+
+
+def sample_index_batch(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index sampler with ``np.linalg.norm`` and ``np.sum`` over rows."""
+    a = rng.standard_normal((n, 4))
+    b = rng.standard_normal((n, 4))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n1 = np.linalg.norm(a, axis=1)
+        a /= n1[:, None]
+        b -= np.sum(b * a, axis=1, keepdims=True) * a
+        n2 = np.linalg.norm(b, axis=1)
+        b /= n2[:, None]
+    redo = np.flatnonzero(~((n1 > 1e-12) & (n2 > 1e-12)))
+    if len(redo):
+        a[redo], b[redo] = sample_index_batch(rng, len(redo))
+    return a, b

@@ -30,7 +30,7 @@ from zeemanlab.classical_kepler import (
 )
 from zeemanlab.spectral_cluster import ks_distance, triangular_shift_cdf
 
-from reference import elements_from_angles
+from reference import elements_from_angles, sample_index_batch as reference_sample_index_batch
 
 
 def _ell3(pt):
@@ -586,6 +586,17 @@ def test_sample_ell3_law_is_triangular():
     assert abs(ell3.mean()) <= 3.0 * sem
 
 
+@pytest.mark.parametrize("seed", [1, 7, 12345])
+@pytest.mark.parametrize("n", [1, 2, 5, 1000, 1000000])
+def test_sample_has_the_bits_of_numpy_row_reductions(n, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    a, b = sample_index_batch(rng, n)
+    expect_a, expect_b = reference_sample_index_batch(oracle_rng, n)
+    assert a.tobytes() == expect_a.tobytes()
+    assert b.tobytes() == expect_b.tobytes()
+    assert rng.random() == oracle_rng.random()
+
+
 class _ScriptedGenerator:
     """Hands out fixed standard-normal draws in order and records their shapes."""
 
@@ -619,6 +630,10 @@ def test_sample_redraws_degenerate_rows_in_order():
         warnings.simplefilter("error")
         a, b = sample_index_batch(gen, 5)
     assert gen.shapes == [(5, 4), (5, 4), (2, 4), (2, 4), (1, 4), (1, 4)]
+    oracle_a, oracle_b = reference_sample_index_batch(
+        _ScriptedGenerator([a0, b0, a1, b1, a2, b2]), 5
+    )
+    assert a.tobytes() == oracle_a.tobytes() and b.tobytes() == oracle_b.tobytes()
     expect_a, expect_b = np.empty((5, 4)), np.empty((5, 4))
     keep = [0, 2, 4]
     expect_a[keep], expect_b[keep] = _gram_schmidt(a0[keep], b0[keep])

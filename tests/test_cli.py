@@ -40,7 +40,8 @@ def run_fresh(args):
 def _scipy_submodules_loaded_after(statement):
     code = (
         f"import sys, zeemanlab.cli; {statement}; "
-        "print([m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])"
+        "print([m for m in ('scipy.special', 'scipy.linalg', 'scipy._lib._array_api') "
+        "if m in sys.modules])"
     )
     proc = run_fresh(["-c", code])
     assert proc.returncode == 0, proc.stderr
@@ -57,6 +58,9 @@ def test_importing_the_cli_leaves_scipy_submodules_unloaded():
     [
         # diagonal blocks need no banded solver
         ["cluster", "--N", "6", "--q", "17"],
+        # LAPACK's banded solver is loaded without scipy.linalg's package init
+        ["cluster", "--N", "6", "--q", "2"],
+        ["cluster", "--N", "4", "--q", "2", "--mode", "multishell", "--delta", "2"],
         # the L3 law is built without scipy.special
         ["coherent", "--m", "2", "--N-list", "8,16", "--seed", "1"],
     ],

@@ -9,8 +9,10 @@ from scipy.special import eval_genlaguerre, lpmv, roots_legendre
 
 from zeemanlab.hydrogenic_shell import (
     _band_blocks,
+    _dsbevd,
     _radial_integral,
     ScalingSchedule,
+    ShellMatrix,
     cluster_radius,
     radial_integral_r2,
     radial_integral_r2_cross,
@@ -353,15 +355,57 @@ def test_rho2_and_L3_match_retired_assembler_bit_for_bit(N):
     "N, delta, q", [(1, 0, 17.0), (40, 0, 17.0), (400, 0, 17.0), (400, 0, 40.0), (10, 2, 17.0)]
 )
 def test_diagonal_bands_sort_like_the_banded_solver(N, delta, q):
-    from scipy.linalg import eigvals_banded
-
     sched = ScalingSchedule(B=1.0, q=q)
     op = _band_blocks(N, delta, sched)
     for m in range(-(N + delta), N + delta + 1):
-        blocks = [op.bands[m, p][1] for p in (0, 1) if (m, p) in op.bands]
-        assert all(len(ab) == 1 for ab in blocks)
-        solved = np.concatenate([eigvals_banded(ab, lower=True) for ab in blocks])
-        assert op.eigenvalues(m).tobytes() == solved.tobytes()
+        assert all(len(op.bands[m, p][1]) == 1 for p in (0, 1) if (m, p) in op.bands)
+        assert op.eigenvalues(m).tobytes() == banded_solver_eigenvalues(op, m).tobytes()
+
+
+def banded_solver_eigenvalues(op, m):
+    """The m-block's eigenvalues from scipy.linalg.eigvals_banded, one call per parity."""
+    from scipy.linalg import eigvals_banded
+
+    bands = (op.bands[m, p][1] for p in (0, 1) if (m, p) in op.bands)
+    return np.concatenate([eigvals_banded(ab, lower=True) for ab in bands])
+
+
+@pytest.mark.parametrize(
+    "N, delta", [*((N, 0) for N in range(1, 13)), (80, 0), (10, 1), (12, 2), (32, 2), (8, 4)]
+)
+def test_wide_bands_have_the_bits_of_the_banded_solver(N, delta):
+    op = _band_blocks(N, delta, ScalingSchedule(B=1.0, q=2.0))
+    # shell N = 1 has one l per parity, so only its bands are diagonal
+    assert any(len(ab) > 1 for _, ab in op.bands.values()) == ((N, delta) != (1, 0))
+    for m in range(-(N + delta), N + delta + 1):
+        assert op.eigenvalues(m).tobytes() == banded_solver_eigenvalues(op, m).tobytes()
+
+
+def test_dsbevd_from_scipy_linalg_when_its_file_is_not_found(monkeypatch, request):
+    import importlib.machinery
+
+    from scipy.linalg import lapack
+
+    op = _band_blocks(12, 2, ScalingSchedule(B=1.0, q=2.0))
+    direct = [op.eigenvalues(m).tobytes() for m in range(-14, 15)]
+    find_spec = importlib.machinery.PathFinder.find_spec
+
+    def without_flapack(name, path=None, target=None):
+        return None if name == "scipy.linalg._flapack" else find_spec(name, path, target)
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", without_flapack)
+    request.addfinalizer(_dsbevd.cache_clear)
+    _dsbevd.cache_clear()
+    assert _dsbevd() is lapack.dsbevd
+    assert [op.eigenvalues(m).tobytes() for m in range(-14, 15)] == direct
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_band_is_value_error(bad):
+    ab = np.array([[1.0, 2.0], [bad, 0.0]])
+    op = ShellMatrix(N=1, delta=0, bands={(0, 1): (np.array([[1, 0], [1, 1]]), ab)})
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        op.eigenvalues(0)
 
 
 @pytest.mark.parametrize("N", range(1, 13))
