@@ -14,8 +14,9 @@ shells; ShellMatrix stores exactly these bands and no full matrix is ever
 built.  Each block is a trailing slice of one band per l parity, whose
 labels and radial factors are built once and shared by every m.  The
 radial factors <n l|r^2|n2 l2> are exact until one rounding of their
-square: cross-shell ones from integer arithmetic, same-shell ones from the
-Bethe-Salpeter closed forms, which round to the same bits.  A block whose
+square: cross-shell ones from one integer recurrence in l per shell pair,
+seeded at the top l, same-shell ones from the Bethe-Salpeter closed forms;
+both have the bits of the integrated polynomial.  A block whose
 band is its diagonal alone needs no eigensolver: its eigenvalues are the
 sorted diagonal.  Wider bands go to LAPACK dsbevd through scipy's wrapper,
 the call scipy.linalg.eigvals_banded makes, loaded without running
@@ -157,56 +158,87 @@ def cluster_radius(N: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _radial_coeffs(n: int, l: int, n2: int) -> list[int]:
-    """Integer coefficients of R_{n,l} in powers of r/(n n2), times k!/C_{n,l}.
-
-    R_{n,l} = C_{n,l} e^{-r/n} sum_i (-1)^i binom(n+l, k-i)/i! (2r/n)^{l+i}
-    with k = n-l-1; rescaling by k! and writing 2/n = 2 n2/(n n2) leaves
-    integers.
-    """
-    k = n - l - 1
-    return [
-        (-1) ** i * math.comb(n + l, k - i) * math.perm(k, k - i) * (2 * n2) ** (l + i)
-        for i in range(k + 1)
-    ]
-
-
 @lru_cache(maxsize=None)
-def _radial_integral(n: int, l: int, n2: int, l2: int) -> float:
-    """integral of R_{n,l}(r) r^2 R_{n2,l2}(r) r^2 dr, exact until one rounding.
+def _cross_shell_r2(n: int, n2: int) -> tuple[tuple[float, ...], ...]:
+    """Every cross-shell r^2 element of shells n < n2, from one recurrence in l.
 
-    The integrand is a polynomial in r/(n n2) times e^{-g r/(n n2)},
-    g = n + n2, so the integral is a finite sum of factorials.  With
-    C_{n,l}^2 = 4 (n-l-1)!/(n^4 (n+l)!) its square is a ratio of integers,
-    rounded once by true division; only the square root rounds again.
+    Returns ``(same, up, down)`` with ``same[l] = <n l|r^2|n2 l>``,
+    ``up[l] = <n l|r^2|n2 l+2>`` and ``down[l] = <n l+2|r^2|n2 l>``.
+    With M_k(l) = integral R_{n,l} R_{n2,l} r^(k+2) dr, L = l+1,
+    sigma = 1/L^2 - (1/n^2 + 1/n2^2)/2, Delta = E_n - E_{n2} and
+    c_L^2 = (1/L^2 - 1/n^2)(1/L^2 - 1/n2^2), the ladder operators in l give
+
+        c_L M_2(l+1) = sigma M_2(l) - (2/L) M_1(l)
+        c_L M_1(l+1) = sigma M_1(l) - (L Delta^2/2) M_2(l),
+
+    whose determinant sigma^2 - Delta^2 is c_L^2 > 0 for L < n.  So the
+    pair runs down from l = n-1, where R_{n,n-1} is one monomial and M_k
+    an (n2-n+1)-term sum.  Raising l2 by two on one shell gives the l2 = l+2
+    elements as combinations of M_1(l), M_2(l) and M_3(l) over that shell's
+    ladder factors, and the off-diagonal Kramers relation
+    Delta^2 M_3 = -6 (E_n + E_{n2}) M_1 - (3/2) l(l+1) Delta^2 M_2 removes M_3.
+
+    The state is exact: M_1 = rho x1/(2 H D) and M_2 = rho x2/D with
+    integers x1, x2, H = 2 n^2 n2^2, and rho^2/D^2 = num/den an integer
+    ratio.  Each element's square is a ratio of integers equal to the
+    integrated polynomial's, rounded once by true division; only the square
+    root rounds again.
     """
-    # numpy integers would overflow in the exact arithmetic below
-    n, l, n2, l2 = map(operator.index, (n, l, n2, l2))
-    U = _radial_coeffs(n, l, n2)
-    V = _radial_coeffs(n2, l2, n)
-    W = [0] * (len(U) + len(V) - 1)
-    for i, u in enumerate(U):
-        for j, v in enumerate(V):
-            W[i + j] += u * v
-    t0 = l + l2
-    T = t0 + len(W) - 1
-    g = n + n2
-    # S = sum_t W_t (t0+t+4)! g^(T-t0-t), by Horner
-    S = 0
-    fact = math.factorial(t0 + 4)
-    for t, w in enumerate(W):
-        S = S * g + w * fact
-        fact *= t0 + t + 5
-    num = 16 * (n * n2) ** 6 * S * S
+    P, Q = n * n, n2 * n2
+    H = 2 * P * Q
+    K, G = n2 - n, n + n2
+    # seed at l = n-1: S_k = sum_j w_j (2n)^j (2n+j+k)! G^(K-j), with w_j the
+    # K!-scaled Laguerre coefficients of R_{n2,n-1}, by Horner in G
+    S1 = S2 = 0
+    fact = math.factorial(2 * n + 1)
+    for j in range(K + 1):
+        w = (-1) ** j * math.comb(G - 1, K - j) * math.perm(K, K - j) * (2 * n) ** j
+        S1 = S1 * G + w * fact
+        fact *= 2 * n + j + 2
+        S2 = S2 * G + w * fact
+    # M_1 = rho S_1 and M_2 = rho n n2 S_2 / G, so D = G
+    x1, x2 = 2 * H * G * S1, n * n2 * S2
+    num = 2 ** (4 * n) * (n * n2) ** (2 * n + 2)
     den = (
-        math.factorial(n + l)
-        * math.factorial(n2 + l2)
-        * math.factorial(n - l - 1)
-        * math.factorial(n2 - l2 - 1)
-        * g ** (2 * T + 10)
+        math.factorial(K)
+        * math.factorial(2 * n - 1)
+        * math.factorial(G - 1)
+        * G ** (4 * n + 2 * K + 6)
     )
-    value = math.sqrt(num / den)
-    return -value if S < 0 else value
+
+    def signed_sqrt(y: int, scale: int) -> float:
+        value = math.sqrt(num * y * y / (den * scale))
+        return -value if y < 0 else value
+
+    def raised(l: int, A: int, B: int) -> float:
+        # <a l|r^2|b l+2> for the shells of squares A = a^2, B = b^2 is, with d = E_a - E_b,
+        # Sigma = E_a + E_b and c' = sqrt((1/(l+1)^2 - 1/B)(1/(l+2)^2 - 1/B)),
+        #   [(2(2l+3)/(l+1))(Sigma/(d(l+2)) - 1) M_1
+        #    + (1/((l+1)(l+2)) - 2E_b + (2l+3)(l+1)d/(l+2)) M_2] / c'
+        # = rho y / (D (l+1)(l+2) H (B-A) c')
+        y = (2 * l + 3) * (A + B - (l + 2) * (B - A)) * x1 + (B - A) * (
+            H + 2 * A * (l + 1) * (l + 2) - (2 * l + 3) * (l + 1) ** 2 * (B - A)
+        ) * x2
+        scale = 4 * A * A * (B - A) ** 2 * (B - (l + 1) ** 2) * (B - (l + 2) ** 2)
+        return signed_sqrt(y if B > A else -y, scale)
+
+    same, up, down = [0.0] * n, [0.0] * min(n, n2 - 2), [0.0] * max(n - 2, 0)
+    for l in range(n - 1, -1, -1):
+        if l < n - 1:
+            # from l+1 down to l: sigma = t/(L^2 H), D takes a factor L^2 H and rho 1/c_L,
+            # so num/den takes 1/(2H (P - L^2)(Q - L^2)); num = 2^(4n) (n n2)^(2n+2)
+            # divides by 2H = 4 n^2 n2^2 at each of the n-1 steps
+            L = l + 1
+            t = H - L * L * (P + Q)
+            x1, x2 = L**3 * (P - Q) ** 2 * x2 + t * x1, t * x2 + L * x1
+            num //= 2 * H
+            den *= (P - L * L) * (Q - L * L)
+        same[l] = signed_sqrt(x2, 1)
+        if l < len(up):
+            up[l] = raised(l, P, Q)
+        if l < len(down):
+            down[l] = raised(l, Q, P)
+    return tuple(same), tuple(up), tuple(down)
 
 
 def _same_shell_r2(n: int, l: int, l2: int) -> float:
@@ -214,8 +246,8 @@ def _same_shell_r2(n: int, l: int, l2: int) -> float:
 
     (n^2/2)(5n^2 + 1 - 3l(l+1)) and (5/2) n^2 sqrt((n^2-(l+1)^2)(n^2-(l+2)^2)),
     both positive.  Each square is an exact integer over 4, rounded once by
-    true division like the ratio in _radial_integral, so the two paths
-    return the same bits.
+    true division like the cross-shell ratios, so they have the bits of the
+    integrated polynomial.
     """
     n, l = operator.index(n), operator.index(l)
     if l2 == l:
@@ -239,6 +271,8 @@ def radial_integral_r2(n: int, l: int, l2: int) -> float:
 
 def radial_integral_r2_cross(n: int, l: int, n2: int, l2: int) -> float:
     """Radial element of r^2 between (n,l) and (n2,l2), on one shell or two."""
+    # numpy integers would wrap in the checks and in the exact arithmetic of both paths
+    n, l, n2, l2 = map(operator.index, (n, l, n2, l2))
     if not (0 <= l <= n - 1 and 0 <= l2 <= n2 - 1):
         raise ValueError(
             f"need 0 <= l <= n-1 and 0 <= l2 <= n2-1, got n={n}, l={l}, n2={n2}, l2={l2}"
@@ -249,7 +283,8 @@ def radial_integral_r2_cross(n: int, l: int, n2: int, l2: int) -> float:
         n, l, n2, l2 = n2, l2, n, l
     if n == n2:
         return _same_shell_r2(n, l, l2)
-    return _radial_integral(n, l, n2, l2)
+    same, up, down = _cross_shell_r2(n, n2)
+    return same[l] if l2 == l else up[l] if l2 > l else down[l2]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The library keeps what the command line, the acceptance criteria and the
 benchmark tracer reach.  The scalar and dense forms below pin its fast
 paths from outside: labelled shell states and full matrices, the scalar
 ladder and angular elements, orbit elements from their angles, coherent
-states sampled on a grid, the distribution function of an equal-weight
+states sampled on a grid, the hydrogenic r^2 radial element as one integrated
+polynomial, the distribution function of an equal-weight
 sample, the two-sample KS distance over the pooled sample, and the index
 sampler with numpy's row norms and dots.
 """
@@ -12,6 +13,8 @@ sampler with numpy's row norms and dots.
 from __future__ import annotations
 
 import math
+import operator
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -84,6 +87,58 @@ def angular_sin2_element(l: int, l2: int, m: int) -> float:
     """<l2, m| sin^2(theta) |l, m> = delta_{l,l2} - <l2, m| cos^2(theta) |l, m>."""
     base = 1.0 if l == l2 else 0.0
     return base - angular_cos2_element(l, l2, m)
+
+
+def _radial_coeffs(n: int, l: int, n2: int) -> list[int]:
+    """Integer coefficients of R_{n,l} in powers of r/(n n2), times k!/C_{n,l}.
+
+    R_{n,l} = C_{n,l} e^{-r/n} sum_i (-1)^i binom(n+l, k-i)/i! (2r/n)^{l+i}
+    with k = n-l-1; rescaling by k! and writing 2/n = 2 n2/(n n2) leaves
+    integers.
+    """
+    k = n - l - 1
+    return [
+        (-1) ** i * math.comb(n + l, k - i) * math.perm(k, k - i) * (2 * n2) ** (l + i)
+        for i in range(k + 1)
+    ]
+
+
+@lru_cache(maxsize=None)
+def radial_integral(n: int, l: int, n2: int, l2: int) -> float:
+    """integral of R_{n,l}(r) r^2 R_{n2,l2}(r) r^2 dr, exact until one rounding.
+
+    The integrand is a polynomial in r/(n n2) times e^{-g r/(n n2)},
+    g = n + n2, so the integral is a finite sum of factorials.  With
+    C_{n,l}^2 = 4 (n-l-1)!/(n^4 (n+l)!) its square is a ratio of integers,
+    rounded once by true division; only the square root rounds again.
+    """
+    # numpy integers would overflow in the exact arithmetic below
+    n, l, n2, l2 = map(operator.index, (n, l, n2, l2))
+    U = _radial_coeffs(n, l, n2)
+    V = _radial_coeffs(n2, l2, n)
+    W = [0] * (len(U) + len(V) - 1)
+    for i, u in enumerate(U):
+        for j, v in enumerate(V):
+            W[i + j] += u * v
+    t0 = l + l2
+    T = t0 + len(W) - 1
+    g = n + n2
+    # S = sum_t W_t (t0+t+4)! g^(T-t0-t), by Horner
+    S = 0
+    fact = math.factorial(t0 + 4)
+    for t, w in enumerate(W):
+        S = S * g + w * fact
+        fact *= t0 + t + 5
+    num = 16 * (n * n2) ** 6 * S * S
+    den = (
+        math.factorial(n + l)
+        * math.factorial(n2 + l2)
+        * math.factorial(n - l - 1)
+        * math.factorial(n2 - l2 - 1)
+        * g ** (2 * T + 10)
+    )
+    value = math.sqrt(num / den)
+    return -value if S < 0 else value
 
 
 def elements_from_angles(

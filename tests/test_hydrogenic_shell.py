@@ -9,8 +9,8 @@ from scipy.special import eval_genlaguerre, lpmv, roots_legendre
 
 from zeemanlab.hydrogenic_shell import (
     _band_blocks,
+    _cross_shell_r2,
     _dsbevd,
-    _radial_integral,
     ScalingSchedule,
     ShellMatrix,
     cluster_radius,
@@ -29,6 +29,7 @@ from reference import (
     enumerate_shell,
     ladder_coefficient,
     multishell_states,
+    radial_integral,
     to_dense,
 )
 
@@ -163,12 +164,12 @@ def test_radial_diagonal_matches_oracle_and_closed_form(n, l):
         # confirm the closed form against the independent quadrature first
         assert oracle_radial_integral(n, l, l) == pytest.approx(closed, rel=1e-10)
     # the exact integer sum, rounded once, and the production path agree bit for bit
-    assert _radial_integral(n, l, n, l) == closed
+    assert radial_integral(n, l, n, l) == closed
     assert radial_integral_r2(n, l, l) == closed
     assert radial_integral_r2_cross(n, l, n, l) == closed
     if l + 2 < n:
         up = 2.5 * n * n * math.sqrt((n * n - (l + 1) ** 2) * (n * n - (l + 2) ** 2))
-        exact = _radial_integral(n, l, n, l + 2)
+        exact = radial_integral(n, l, n, l + 2)
         assert exact == pytest.approx(up, rel=1e-15)
         assert radial_integral_r2(n, l, l + 2) == exact
         assert radial_integral_r2(n, l + 2, l) == exact
@@ -199,6 +200,46 @@ def test_radial_cross_shell_large_quantum_numbers_match_oracle():
 
 def test_radial_cross_shell_symmetric_in_arguments():
     assert radial_integral_r2_cross(9, 2, 11, 4) == radial_integral_r2_cross(11, 4, 9, 2)
+
+
+def cross_shell_labels(n, n2):
+    """Every (n, l, n2, l2) with l2 - l in {-2, 0, 2}."""
+    return [(n, l, n2, l2) for l in range(n) for l2 in (l - 2, l, l + 2) if 0 <= l2 < n2]
+
+
+def assert_cross_shell_bits(labels):
+    for args in labels:
+        assert radial_integral_r2_cross(*args).hex() == radial_integral(*args).hex(), args
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_cross_shell_elements_have_the_bits_of_the_integrated_polynomial(n):
+    # every element of the shells n < n2 <= n + 4, both orders of l: 9484 over all n
+    assert_cross_shell_bits(a for n2 in range(n + 1, n + 5) for a in cross_shell_labels(n, n2))
+
+
+@pytest.mark.parametrize("n, n2", [(64, 65), (64, 68), (81, 82), (81, 85)])
+def test_cross_shell_elements_at_large_n_have_the_bits_of_the_integrated_polynomial(n, n2):
+    assert_cross_shell_bits(cross_shell_labels(n, n2))
+
+
+@pytest.mark.parametrize("n2", [129, 130, 132])
+def test_cross_shell_elements_at_n_128_have_the_bits_of_the_integrated_polynomial(n2):
+    sampled = {0, 1, 2, 41, 64, 97, 125, 126, 127}
+    assert_cross_shell_bits(a for a in cross_shell_labels(128, n2) if a[1] in sampled)
+
+
+def test_cross_shell_numpy_integer_arguments_give_the_same_bits(request):
+    # the recurrence's integers reach thousands of bits; int64 would wrap silently
+    labels = [(3, 2, 5, 0), (32, 16, 35, 18), (64, 0, 66, 0), (81, 80, 85, 82), (128, 5, 130, 3)]
+    want = [radial_integral(*args).hex() for args in labels]
+    request.addfinalizer(_cross_shell_r2.cache_clear)
+    for kind in (np.int64, np.int32, np.uint16):
+        _cross_shell_r2.cache_clear()
+        got = [radial_integral_r2_cross(*map(kind, args)).hex() for args in labels]
+        assert got == want, kind
+        # and the table the numpy call cached serves Python ints with the same bits
+        assert [radial_integral_r2_cross(*args).hex() for args in labels] == want
 
 
 @pytest.mark.parametrize("n,l,l2", [(2, 0, 1), (3, 2, 3), (1, 0, 2)])
@@ -276,7 +317,7 @@ def oracle_all_pairs(N, delta, schedule, e_center):
     return out
 
 
-def oracle_assemble(N, delta, level, rho2_coeff, radial=_radial_integral):
+def oracle_assemble(N, delta, level, rho2_coeff, radial=radial_integral):
     """The retired per-element band assembler, by default on the exact integer radial path.
 
     ``radial`` receives its arguments in canonical order.  Returns the
@@ -333,7 +374,7 @@ def test_W_bands_match_retired_assembler_bit_for_bit(N):
     assert_same_bands(shell_matrix_W(N, sched).bands, oracle_assemble(N, 0, level, coeff))
 
 
-@pytest.mark.parametrize("N, delta", [(10, 1), (12, 2), (32, 2)])
+@pytest.mark.parametrize("N, delta", [(10, 1), (12, 2), (32, 2), (48, 3)])
 def test_band_matches_retired_assembler_bit_for_bit(N, delta):
     sched = ScalingSchedule(B=1.0, q=2.0)
     level, coeff = schedule_levels(N, sched, shell_energy(N))
@@ -345,10 +386,23 @@ def test_band_matches_retired_assembler_bit_for_bit(N, delta):
 def test_rho2_and_L3_match_retired_assembler_bit_for_bit(N):
     # Radial values are pinned to the integer path elsewhere; the shells past
     # N = 80 reach the (l, m) where ladder c * c and c ** 2 differ in the last bit.
-    radial = _radial_integral if N <= 20 else radial_integral_r2_cross
+    radial = radial_integral if N <= 20 else radial_integral_r2_cross
     rho2 = oracle_assemble(N, 0, lambda Np, m: 0.0, 1.0, radial)
     assert_same_bands(shell_matrix_rho2(N).bands, rho2)
     assert_same_bands(shell_matrix_L3(N).bands, oracle_assemble(N, 0, lambda Np, m: float(m), 0.0))
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 7, 40, 200])
+def test_rho2_trace_is_the_shell_sum_of_r2_and_sin2(N):
+    # sum over l, m of <n l|r^2|n l> <l m|sin^2|l m> = n^4 (7 n^2 + 5)/6 in closed form, an
+    # oracle with no radial element that pins the same-shell forms and the angular factors together
+    n = N + 1
+    trace = n**4 * (7 * n * n + 5) / 6
+    op = shell_matrix_rho2(N)
+    diagonal = math.fsum(x for _, ab in op.bands.values() for x in ab[0].tolist())
+    eigenvalues = math.fsum(np.concatenate([op.eigenvalues(m) for m in range(-N, N + 1)]).tolist())
+    assert diagonal == pytest.approx(trace, rel=1e-14, abs=0)
+    assert eigenvalues == pytest.approx(trace, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize(
