@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +48,8 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-12
+# rows per block of sample_index_batch
+_SAMPLE_BLOCK = 1 << 14
 
 
 class SingularityError(ValueError):
@@ -487,30 +490,63 @@ def orbit_point_from_elements(el: OrbitElements) -> PhasePoint:
 # ---------------------------------------------------------------------------
 
 
-def sample_index_batch(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _orthonormalize(v: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
+    """Normalize the rows of v in place, after removing their part along the
+    unit rows a; True where the norm is above 1e-12."""
+    v0, v1, v2, v3 = v.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if a is not None:
+            a0, a1, a2, a3 = a.T
+            v -= (((v0 * a0 + v1 * a1) + v2 * a2) + v3 * a3)[:, None] * a
+        norm = np.sqrt(((v0 * v0 + v1 * v1) + v2 * v2) + v3 * v3)
+        v /= norm[:, None]
+    return norm > 1e-12
+
+
+def sample_index_batch(
+    rng: np.random.Generator,
+    n: int,
+    columns: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]] | None = None,
+) -> tuple[np.ndarray, ...]:
     """n orthonormal pairs drawn from the rotation-invariant measure.
 
     Two independent standard Gaussian 4-vectors are orthonormalized in
     place; isotropy of the Gaussian makes the law rotation invariant.
-    Degenerate draws (vanishing norms or numerically parallel pairs) are
-    redrawn, in row order, by a recursive call on the same generator.
+    All n first vectors are drawn, then all n second ones, each in blocks
+    of _SAMPLE_BLOCK rows, which is the stream of one (n, 4) draw apiece.
     Row norms and dots are column expressions summed in the order numpy's
     row reduction uses, ((c0 + c1) + c2) + c3, so they have its bits.
+    Degenerate draws (vanishing norms or numerically parallel pairs) are
+    redrawn at the end, in row order, by a recursive call on the same
+    generator.
+
+    Without ``columns`` the result is the pair ``(a, b)`` of (n, 4) arrays.
+    With it, ``columns(a_blk, b_blk)`` maps each block of orthonormal rows
+    to a tuple of per-row arrays, and the result is those arrays over all
+    n rows; then only ``a`` (32 bytes a row) and the outputs stay resident.
     """
-    a = rng.standard_normal((n, 4))
-    b = rng.standard_normal((n, 4))
-    a0, a1, a2, a3 = a.T
-    b0, b1, b2, b3 = b.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n1 = np.sqrt(((a0 * a0 + a1 * a1) + a2 * a2) + a3 * a3)
-        a /= n1[:, None]
-        b -= (((b0 * a0 + b1 * a1) + b2 * a2) + b3 * a3)[:, None] * a
-        n2 = np.sqrt(((b0 * b0 + b1 * b1) + b2 * b2) + b3 * b3)
-        b /= n2[:, None]
-    redo = np.flatnonzero(~((n1 > 1e-12) & (n2 > 1e-12)))
+    a = np.empty((n, 4))
+    ok = np.empty(n, dtype=bool)
+    blocks = [slice(i, min(i + _SAMPLE_BLOCK, n)) for i in range(0, max(n, 1), _SAMPLE_BLOCK)]
+    for blk in blocks:
+        a[blk] = rng.standard_normal((blk.stop - blk.start, 4))
+        ok[blk] = _orthonormalize(a[blk])
+    outs = None
+    for blk in blocks:
+        b_blk = rng.standard_normal((blk.stop - blk.start, 4))
+        ok[blk] &= _orthonormalize(b_blk, a[blk])
+        got = (b_blk,) if columns is None else columns(a[blk], b_blk)
+        if outs is None:
+            outs = tuple(np.empty((n, *c.shape[1:]), c.dtype) for c in got)
+        for out, c in zip(outs, got):
+            out[blk] = c
+    if columns is None:
+        outs = (a, *outs)
+    redo = np.flatnonzero(~ok)
     if len(redo):
-        a[redo], b[redo] = sample_index_batch(rng, len(redo))
-    return a, b
+        for out, patch in zip(outs, sample_index_batch(rng, len(redo), columns)):
+            out[redo] = patch
+    return outs
 
 
 def sample_coherent_index(rng: np.random.Generator) -> CoherentIndex:

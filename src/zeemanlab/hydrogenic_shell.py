@@ -262,6 +262,8 @@ def radial_integral_r2(n: int, l: int, l2: int) -> float:
     Only the couplings the perturbation produces are allowed:
     |l - l2| in {0, 2}.
     """
+    # numpy integers would wrap in the checks and in the exact arithmetic
+    n, l, l2 = map(operator.index, (n, l, l2))
     if not (0 <= l <= n - 1 and 0 <= l2 <= n - 1):
         raise ValueError(f"need 0 <= l, l2 <= n-1, got l={l}, l2={l2}, n={n}")
     if abs(l - l2) not in (0, 2):

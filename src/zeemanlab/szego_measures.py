@@ -137,6 +137,23 @@ class McEstimate:
     n_samples: int
 
 
+def _ell3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ell3 of index rows (a, b): the (1, 2) component of a wedge b."""
+    return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+
+
+def _pushforward_columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per index row: off the pole, ell3 of the index, ell3 of its inverse lift."""
+    one_minus = 1.0 - a[:, 3]
+    # the x1, x2, p1, p2 columns of the inverse lift, as _inverse_arrays
+    # computes them; pole rows divide by zero here and are dropped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x1 = -(one_minus * b[:, 0] + b[:, 3] * a[:, 0])
+        x2 = -(one_minus * b[:, 1] + b[:, 3] * a[:, 1])
+        ell3_phase = x1 * (a[:, 1] / one_minus) - x2 * (a[:, 0] / one_minus)
+    return one_minus > 1e-12, _ell3(a, b), ell3_phase
+
+
 def limit_quadric_mc(
     rho: Callable[[np.ndarray], np.ndarray],
     B: float,
@@ -146,8 +163,7 @@ def limit_quadric_mc(
     """Monte-Carlo average of rho(-(B/2) ell3) over the index measure."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    a, b = sample_index_batch(rng, n_samples)
-    ell3 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    (ell3,) = sample_index_batch(rng, n_samples, lambda a, b: (_ell3(a, b),))
     vals = np.asarray(rho(-(B / 2.0) * ell3), dtype=float)
     mean = float(vals.mean())
     sem = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
@@ -179,20 +195,11 @@ def liouville_pushforward_check(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    a, b = sample_index_batch(rng, n_samples)
-    keep = (1.0 - a[:, 3]) > 1e-12
+    keep, ell3_index, ell3_phase = sample_index_batch(rng, n_samples, _pushforward_columns)
     skipped = int(n_samples - keep.sum())
     if skipped:
-        a, b = a[keep], b[keep]
+        ell3_index, ell3_phase = ell3_index[keep], ell3_phase[keep]
     del keep
-    ell3_index = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    # the x1, x2, p1, p2 columns of the inverse lift, as _inverse_arrays
-    # computes them
-    one_minus = 1.0 - a[:, 3]
-    x1 = -(one_minus * b[:, 0] + b[:, 3] * a[:, 0])
-    x2 = -(one_minus * b[:, 1] + b[:, 3] * a[:, 1])
-    ell3_phase = x1 * (a[:, 1] / one_minus) - x2 * (a[:, 0] / one_minus)
-    del a, b, one_minus, x1, x2
     gap = float(np.max(np.abs(ell3_phase - ell3_index))) if len(ell3_index) else 0.0
     # two-sample KS: between atoms of ell3_phase its law is flat and the
     # index law monotone, so the sup lies where ks_distance looks

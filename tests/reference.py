@@ -6,8 +6,10 @@ paths from outside: labelled shell states and full matrices, the scalar
 ladder and angular elements, orbit elements from their angles, coherent
 states sampled on a grid, the hydrogenic r^2 radial element as one integrated
 polynomial, the distribution function of an equal-weight
-sample, the two-sample KS distance over the pooled sample, and the index
-sampler with numpy's row norms and dots.
+sample, the KS distance over all distinct values at once, the two-sample
+KS distance over the pooled sample, and the index sampler with numpy's row
+norms and dots in one (n, 4) draw, with a seeded generator that plants
+rows into its stream.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -173,6 +175,21 @@ def empirical_cdf(sample: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.searchsorted(atoms, np.asarray(x, dtype=float), side="right") / len(atoms)
 
 
+def ks_distance(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """sup |F_n - F| with every distinct value of ``sample`` and ``cdf`` call in one array."""
+    x = np.sort(np.asarray(sample, dtype=float))
+    n = len(x)
+    if n == 0:
+        raise ValueError("the KS distance needs a non-empty sample")
+    first = np.flatnonzero(np.concatenate([[True], x[1:] != x[:-1]]))
+    atoms = x[first]
+    upper = np.append(first[1:], n) / n
+    d_right = np.max(np.abs(upper - np.asarray(cdf(atoms), dtype=float)))
+    below = np.asarray(cdf(np.nextafter(atoms, -np.inf)), dtype=float)
+    d_left = np.max(np.abs(first / n - below))
+    return float(max(d_right, d_left))
+
+
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov distance, taken at every point of the pooled sample."""
     a = np.sort(np.asarray(a, dtype=float))
@@ -197,3 +214,27 @@ def sample_index_batch(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np
     if len(redo):
         a[redo], b[redo] = sample_index_batch(rng, len(redo))
     return a, b
+
+
+class StreamPlantingGenerator:
+    """A seeded generator whose standard-normal draws, counted as rows of
+    one stream across calls, have the rows ``k`` in ``plants`` replaced by
+    ``plants[k](earlier)``, where ``earlier`` holds stream rows 0..k-1.
+
+    Only the stream matters, not how it is cut into calls, so one blocked
+    and one unblocked sampler see the same planted rows.
+    """
+
+    def __init__(self, seed: int, plants: dict[int, Callable[[np.ndarray], np.ndarray]]):
+        self.rng = np.random.default_rng(seed)
+        self.plants = plants
+        self.rows = np.empty((0, 4))
+
+    def standard_normal(self, shape):
+        out = self.rng.standard_normal(shape)
+        start = len(self.rows)
+        for k in sorted(self.plants):
+            if start <= k < start + len(out):
+                out[k - start] = self.plants[k](np.concatenate([self.rows, out[: k - start]]))
+        self.rows = np.concatenate([self.rows, out])
+        return out

@@ -16,6 +16,7 @@ from zeemanlab.classical_kepler import (
     SingularityError,
     SpherePoint,
     Trajectory,
+    _SAMPLE_BLOCK,
     _forward_arrays,
     integrate_kepler,
     kepler_constants,
@@ -30,7 +31,11 @@ from zeemanlab.classical_kepler import (
 )
 from zeemanlab.spectral_cluster import ks_distance, triangular_shift_cdf
 
-from reference import elements_from_angles, sample_index_batch as reference_sample_index_batch
+from reference import (
+    StreamPlantingGenerator,
+    elements_from_angles,
+    sample_index_batch as reference_sample_index_batch,
+)
 
 
 def _ell3(pt):
@@ -587,7 +592,12 @@ def test_sample_ell3_law_is_triangular():
 
 
 @pytest.mark.parametrize("seed", [1, 7, 12345])
-@pytest.mark.parametrize("n", [1, 2, 5, 1000, 1000000])
+@pytest.mark.parametrize(
+    "n",
+    [1, 2, 5, 1000, 1000000]
+    # around the sampler's block edges
+    + [_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK + 7],
+)
 def test_sample_has_the_bits_of_numpy_row_reductions(n, seed):
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     a, b = sample_index_batch(rng, n)
@@ -641,6 +651,54 @@ def test_sample_redraws_degenerate_rows_in_order():
     expect_a[1], expect_b[1] = (v[0] for v in _gram_schmidt(a2, b2))
     np.testing.assert_allclose(a, expect_a, rtol=0, atol=1e-15)
     np.testing.assert_allclose(b, expect_b, rtol=0, atol=1e-15)
+
+
+def _degenerate_plants(n):
+    """Stream rows that make rows block+3, 2*block+1 and 3*block+2 of an
+    n-row draw degenerate: rows 0..n-1 of the stream are the first vectors,
+    n..2n-1 the second ones, and the redraws follow from row 2n on."""
+    blk = _SAMPLE_BLOCK
+    return {
+        blk + 3: lambda rows: np.zeros(4),  # vanishing first vector
+        n + 2 * blk + 1: lambda rows: 3.0 * rows[2 * blk + 1],  # parallel pair
+        n + 3 * blk + 2: lambda rows: np.zeros(4),  # vanishing second vector
+        2 * n: lambda rows: np.zeros(4),  # the redraw of row blk + 3 degenerates again
+    }
+
+
+def test_sample_redraws_degenerate_rows_beyond_the_first_block():
+    n = 3 * _SAMPLE_BLOCK + 7
+    gen = StreamPlantingGenerator(5, _degenerate_plants(n))
+    a, b = sample_index_batch(gen, n)
+    oracle_gen = StreamPlantingGenerator(5, _degenerate_plants(n))
+    expect_a, expect_b = reference_sample_index_batch(oracle_gen, n)
+    assert a.tobytes() == expect_a.tobytes() and b.tobytes() == expect_b.tobytes()
+    # three rows redrawn (3 + 3 stream rows), one of them twice (1 + 1)
+    assert len(gen.rows) == len(oracle_gen.rows) == 2 * n + 8
+    assert np.max(np.abs(np.sum(a * a, axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(np.sum(b * b, axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(np.sum(a * b, axis=1))) <= 1e-12
+
+
+def _columns(a, b):
+    # one float, one bool and one two-column output per row
+    return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], a[:, 3] > b[:, 3], np.stack([a[:, 2], b[:, 0]], 1)
+
+
+@pytest.mark.parametrize(
+    "n, planted",
+    [(1, False), (_SAMPLE_BLOCK + 1, False)]
+    + [(3 * _SAMPLE_BLOCK + 7, False), (3 * _SAMPLE_BLOCK + 7, True)],
+)
+def test_sample_columns_are_the_expressions_on_the_full_pairs(n, planted):
+    plants = _degenerate_plants(n) if planted else {}
+    gen, pair_gen = StreamPlantingGenerator(9, plants), StreamPlantingGenerator(9, plants)
+    got = sample_index_batch(gen, n, _columns)
+    want = _columns(*sample_index_batch(pair_gen, n))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+    assert len(gen.rows) == len(pair_gen.rows)
 
 
 def test_single_sample_constructor():

@@ -242,6 +242,18 @@ def test_cross_shell_numpy_integer_arguments_give_the_same_bits(request):
         assert [radial_integral_r2_cross(*args).hex() for args in labels] == want
 
 
+def test_same_shell_numpy_integer_arguments_give_the_same_bits():
+    # unsigned numpy integers would wrap in the checks' l - l2
+    labels = [(5, 0, 2), (5, 2, 0), (40, 17, 17), (400, 397, 399)]
+    want = [radial_integral_r2(*args).hex() for args in labels]
+    for kind in (np.int64, np.int32, np.uint16):
+        assert [radial_integral_r2(*map(kind, args)).hex() for args in labels] == want, kind
+    with pytest.raises(ValueError, match=r"\|l-l2\|=3"):
+        radial_integral_r2(np.uint16(5), np.uint16(0), np.uint16(3))
+    with pytest.raises(TypeError):
+        radial_integral_r2(5.0, 0, 2)
+
+
 @pytest.mark.parametrize("n,l,l2", [(2, 0, 1), (3, 2, 3), (1, 0, 2)])
 def test_radial_integral_rejects_bad_pairs(n, l, l2):
     with pytest.raises(ValueError):

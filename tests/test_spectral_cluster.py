@@ -13,6 +13,7 @@ from zeemanlab.hydrogenic_shell import (
     shell_matrix_L3,
     shell_matrix_W,
 )
+from zeemanlab import spectral_cluster
 from zeemanlab.spectral_cluster import (
     ClusterSeparationError,
     SubclusterOverlapError,
@@ -28,6 +29,7 @@ from zeemanlab.szego_measures import TestFunction
 from reference import (
     empirical_cdf,
     enumerate_shell,
+    ks_distance as reference_ks_distance,
     ks_two_sample,
     multishell_states,
     to_dense,
@@ -424,6 +426,78 @@ def test_two_sample_ks_through_ks_distance_is_the_pooled_form(xs, ys):
     ref = np.sort(b)
     got = ks_distance(a, lambda x: np.searchsorted(ref, x, side="right") / len(ref))
     assert got == ks_two_sample(a, b)
+
+
+def _assert_ks_bits(sample, *cdfs):
+    for cdf in cdfs:
+        assert ks_distance(sample, cdf).hex() == reference_ks_distance(sample, cdf).hex()
+
+
+def _sample_cdf(sample):
+    ref = np.sort(sample)
+    return lambda x: np.searchsorted(ref, x, side="right") / len(ref)
+
+
+def test_blocked_ks_over_several_blocks_is_the_one_array_form():
+    rng = np.random.default_rng(17)
+    n = 3 * spectral_cluster._KS_BLOCK + 5
+    sample = rng.triangular(-1.0, 0.0, 1.0, n)
+    assert len(np.unique(sample)) == n
+    other = _sample_cdf(rng.triangular(-1.0, 0.0, 1.0, 1000))
+    _assert_ks_bits(sample, triangular_shift_cdf(2.0), triangular_shift_cdf(0.0), other)
+
+
+@pytest.mark.parametrize("block", [1, 3, 8, spectral_cluster._KS_BLOCK])
+def test_blocked_ks_with_ties_at_block_edges_is_the_one_array_form(block, monkeypatch):
+    monkeypatch.setattr(spectral_cluster, "_KS_BLOCK", block)
+    atoms = np.linspace(-1.0, 1.0, 2 * block + 3)
+    counts = np.ones(len(atoms), dtype=int)
+    for edge in (block, 2 * block):
+        # tie runs on both atoms next to each block edge
+        counts[edge - 1], counts[edge] = 4, 3
+    sample = np.random.default_rng(block).permutation(np.repeat(atoms, counts))
+    _assert_ks_bits(
+        sample, triangular_shift_cdf(2.0), triangular_shift_cdf(0.0), _sample_cdf(atoms[::2])
+    )
+
+
+@pytest.mark.parametrize("block", [1, 2, spectral_cluster._KS_BLOCK])
+@pytest.mark.parametrize("sample", [np.full(1000, 0.25), np.array([0.3]), np.array([-0.0])])
+def test_blocked_ks_all_tied_and_single_entry_is_the_one_array_form(sample, block, monkeypatch):
+    monkeypatch.setattr(spectral_cluster, "_KS_BLOCK", block)
+    _assert_ks_bits(sample, triangular_shift_cdf(1.0), triangular_shift_cdf(0.0))
+
+
+@pytest.mark.parametrize("block", [64, 800, 801, spectral_cluster._KS_BLOCK])
+def test_blocked_ks_of_the_ladder_is_the_one_array_form(block, monkeypatch):
+    # N = 400: 801 atoms with N + 1 - |m| ties each
+    sample = scaled_shift_measure(cluster_eigenvalues(400, _para_schedule(B=1.0)))
+    assert len(np.unique(sample)) == 801
+    monkeypatch.setattr(spectral_cluster, "_KS_BLOCK", block)
+    _assert_ks_bits(sample, triangular_shift_cdf(1.0), triangular_shift_cdf(2.0))
+
+
+@pytest.mark.parametrize("block", [16, spectral_cluster._KS_BLOCK])
+def test_blocked_ks_keeps_a_nan_from_cdf(block, monkeypatch):
+    monkeypatch.setattr(spectral_cluster, "_KS_BLOCK", block)
+    sample = np.linspace(-1.0, 1.0, 100)
+    tri = triangular_shift_cdf(2.0)
+
+    def nan_at(bad):
+        def cdf(x):
+            out = np.array(tri(x))
+            out[np.isin(x, bad)] = np.nan
+            return out
+
+        return cdf
+
+    # a NaN at an atom, in the first block, in a later one or in all later ones
+    for bad in ([sample[3]], [sample[90]], sample[40:]):
+        cdf = nan_at(bad)
+        assert np.isnan(ks_distance(sample, cdf))
+        _assert_ks_bits(sample, cdf)
+    # a NaN only just below an atom: the one-array form reports the sup at the atoms
+    _assert_ks_bits(sample, nan_at([np.nextafter(sample[70], -np.inf)]))
 
 
 def test_ks_two_sample_identical_and_disjoint():

@@ -1,6 +1,7 @@
 """Agreement of the three limit-functional representations."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from zeemanlab.szego_measures import (
     liouville_pushforward_check,
 )
 from zeemanlab.classical_kepler import (
+    _SAMPLE_BLOCK,
     _inverse_arrays,
     kepler_constants,
     orbit_point_from_elements,
@@ -25,7 +27,12 @@ from zeemanlab.classical_kepler import (
 )
 from zeemanlab.spectral_cluster import ks_distance, triangular_shift_cdf
 
-from reference import elements_from_angles, ks_two_sample
+from reference import (
+    StreamPlantingGenerator,
+    elements_from_angles,
+    ks_two_sample,
+    sample_index_batch as reference_sample_index_batch,
+)
 
 
 def brute_force_triangular(rho, B, n=4000001):
@@ -242,7 +249,9 @@ def _field_bytes(check):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 11])
-@pytest.mark.parametrize("n, keep_samples", [(1, 1), (5000, 0), (200000, 20000)])
+@pytest.mark.parametrize(
+    "n, keep_samples", [(1, 1), (5000, 0), (200000, 20000), (3 * _SAMPLE_BLOCK + 5, 20000)]
+)
 def test_pushforward_is_the_retired_check(seed, n, keep_samples):
     got = liouville_pushforward_check(n, np.random.default_rng(seed), keep_samples)
     want = _retired_pushforward_check(n, np.random.default_rng(seed), keep_samples)
@@ -255,6 +264,67 @@ def test_pushforward_with_pole_rows_is_the_retired_check(rows):
     want = _retired_pushforward_check(5000, _PolePlantingGenerator(4, rows), 3000)
     assert got.skipped_fraction == len(rows) / 5000
     assert _field_bytes(got) == _field_bytes(want)
+
+
+def test_pushforward_with_pole_and_degenerate_rows_beyond_the_first_block_is_the_retired_check():
+    blk = _SAMPLE_BLOCK
+    n = 3 * blk + 5
+    # stream rows 0..n-1 are the first vectors of the index rows, n..2n-1 the second ones
+    poles = [blk, blk + 1, 2 * blk + 7, n - 1]
+    plants = {
+        row: (lambda rows, i=i: np.array([1e-7 * (i % 2), 0.0, 0.0, 2.0 + i]))
+        for i, row in enumerate(poles)
+    }
+    plants[2 * blk + 3] = lambda rows: np.zeros(4)
+    plants[n + 3 * blk] = lambda rows: 3.0 * rows[3 * blk]
+    gen, retired_gen = StreamPlantingGenerator(4, plants), StreamPlantingGenerator(4, plants)
+    got = liouville_pushforward_check(n, gen, n)
+    want = _retired_pushforward_check(n, retired_gen, n)
+    # two rows redrawn
+    assert len(gen.rows) == len(retired_gen.rows) == 2 * n + 4
+    assert got.skipped_fraction == len(poles) / n
+    assert _field_bytes(got) == _field_bytes(want)
+
+
+def test_mc_over_several_sampler_blocks_has_the_bits_of_the_full_pairs():
+    n = 3 * _SAMPLE_BLOCK + 5
+    rho = TestFunction.polynomial([0.5, -1.0, 3.0])
+    got = limit_quadric_mc(rho, 1.5, n, np.random.default_rng(8))
+    a, b = reference_sample_index_batch(np.random.default_rng(8), n)
+    vals = rho(-(1.5 / 2.0) * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]))
+    assert got.value == float(vals.mean())
+    assert got.std_error == float(vals.std(ddof=1) / np.sqrt(n))
+
+
+def _traced_peak_mib(run) -> float:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+# The sampler keeps the normalized first vectors (32 bytes a row) and the
+# per-row outputs, and the pairs (a, b) alone are 61 MiB; one full-size
+# (n, 4) temporary, or ks_distance's cdf on all 10^6 atoms at once, would
+# cross these bounds.
+@pytest.mark.parametrize(
+    "name, bound_mib", [("pushforward", 56), ("mc", 48), ("sample", 72), ("ks", 32)]
+)
+def test_peak_memory_at_a_million_samples(name, bound_mib):
+    n = 1000000
+    rng = np.random.default_rng(3)
+    if name == "ks":
+        sample = rng.random(n)
+        assert len(np.unique(sample)) == n
+    runs = {
+        "pushforward": lambda: liouville_pushforward_check(n, rng),
+        "mc": lambda: limit_quadric_mc(TestFunction.monomial(2), 2.0, n, rng),
+        "sample": lambda: sample_index_batch(rng, n),
+        "ks": lambda: ks_distance(sample, triangular_shift_cdf(2.0)),
+    }
+    assert _traced_peak_mib(runs[name]) <= bound_mib
 
 
 def test_haar_normalization_default_grid():
