@@ -100,6 +100,18 @@ class SpherePoint:
             raise ValueError(f"omega . xi must vanish, got {float(omega @ xi)!r}")
 
 
+def _wedge(a: np.ndarray, b: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Component w_ij of w = a ^ b for index rows a, b (axes 0-based).
+
+    The Kepler constants of the index are ell = (w_12, w_20, w_01), the
+    angular momentum, and A = (w_03, w_13, w_23), the Runge-Lenz vector of
+    its inverse Moser lift.  Then u = ell + A and v = ell - A are unit
+    vectors: the directions of the two spin-N/2 coherent states whose
+    product is the state of the index under SU(2) x SU(2).
+    """
+    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+
+
 @dataclass(frozen=True)
 class CoherentIndex:
     """Orthonormal real/imaginary 4-vector pair indexing a unit covector."""
@@ -125,8 +137,7 @@ class CoherentIndex:
     @property
     def ell3(self) -> float:
         """Angular momentum along the field axis read off the index."""
-        a, b = self.a_vec, self.b_vec
-        return float(a[0] * b[1] - a[1] * b[0])
+        return float(_wedge(self.a_vec, self.b_vec, 0, 1))
 
 
 @dataclass(frozen=True)

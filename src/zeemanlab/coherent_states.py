@@ -1,30 +1,28 @@
 """Coherent states on the 3-sphere and their angular-momentum moments.
 
 A state of shell index N is the normalized N-th power of the linear form
-alpha . omega, with alpha = a + ib an orthonormal index pair.  Its moments
-of the axial angular momentum come from the exact law of L3: degree-N
-harmonics split as V_{N/2} x V_{N/2} under SU(2) x SU(2), the state is a
-product of two spin coherent states, and L3 + N is the sum of two
-independent binomials (a convolution of their pmfs).  The product
-quadrature on S^3 below serves normalization, the harmonic basis and the
-completeness checks.
+alpha . omega, with alpha = a + ib an orthonormal index pair.  Degree-N
+harmonics split as V_{N/2} x V_{N/2} under SU(2) x SU(2), and the state
+is, up to a phase, the product |u> x |v> of two spin-N/2 coherent states
+along u = ell + A and v = ell - A, read off a ^ b.  So L3 + N is the sum of
+two independent binomials (its law a convolution of their pmfs), and the
+completeness check runs in the (N+1)^2-dimensional product basis.  The
+product quadrature on S^3 below serves the normalization checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .classical_kepler import CoherentIndex
+from .classical_kepler import CoherentIndex, _wedge, sample_index_batch
 
 __all__ = [
     "QuadratureSpec",
     "SphereGrid",
-    "QuadratureAccuracyError",
-    "BasisConstructionError",
     "IdentityCheckResult",
     "ConvergenceTable",
     "normalization_sq",
@@ -32,19 +30,10 @@ __all__ = [
     "sphere_grid",
     "expectation_L3_power",
     "moment_convergence_table",
-    "harmonic_basis",
     "resolution_of_identity_check",
 ]
 
 SPHERE_AREA = 2.0 * np.pi**2
-
-
-class QuadratureAccuracyError(ValueError):
-    """Requested integrand degree exceeds the exactness of the grid."""
-
-
-class BasisConstructionError(RuntimeError):
-    """Gram matrix of the orthonormalized harmonic basis is off identity."""
 
 
 @dataclass(frozen=True)
@@ -52,9 +41,9 @@ class QuadratureSpec:
     """Node counts for the product rule in hyperspherical angles (chi, theta, phi).
 
     Gauss rules with the correct weights act in cos(chi) and cos(theta),
-    the periodic trapezoid rule in phi.  ``exactness_degree`` is the
-    largest total polynomial degree in the ambient coordinates integrated
-    to machine precision.
+    the periodic trapezoid rule in phi, so polynomials in the ambient
+    coordinates of total degree up to min(2 n_chi - 1, 2 n_theta - 1,
+    n_phi - 1) are integrated to machine precision.
     """
 
     n_chi: int
@@ -64,10 +53,6 @@ class QuadratureSpec:
     def __post_init__(self):
         if min(self.n_chi, self.n_theta, self.n_phi) < 1:
             raise ValueError("node counts must be positive")
-
-    @property
-    def exactness_degree(self) -> int:
-        return min(2 * self.n_chi - 1, 2 * self.n_theta - 1, self.n_phi - 1)
 
     @classmethod
     def for_state(cls, N: int) -> "QuadratureSpec":
@@ -158,16 +143,15 @@ def _binomial_pmf(N: int, p: float) -> np.ndarray:
 def _l3_law(index: CoherentIndex, N: int) -> np.ndarray:
     """Law of L3 on -N..N in the state of shell index N (entry j is L3 = j - N).
 
-    Degree-N harmonics split as V_{N/2} x V_{N/2} and the state is a product
-    of two spin coherent states, so L3 + N = X1 + X2 with independent
-    X_{1,2} ~ Bin(N, (1 + c_{1,2})/2), c_{1,2} = w12 +- w34 and w = a ^ b.
+    The state is the product |u> x |v> of two spin coherent states, so
+    L3 + N = X1 + X2 with independent X1 ~ Bin(N, (1 + u3)/2) and
+    X2 ~ Bin(N, (1 + v3)/2), where u3, v3 = ell3 +- A3.
     """
     a, b = index.a_vec, index.b_vec
-    w12 = a[0] * b[1] - a[1] * b[0]
-    w34 = a[2] * b[3] - a[3] * b[2]
+    ell3, rl3 = _wedge(a, b, 0, 1), _wedge(a, b, 2, 3)
     return np.convolve(
-        _binomial_pmf(N, 0.5 * (1.0 + w12 + w34)),
-        _binomial_pmf(N, 0.5 * (1.0 + w12 - w34)),
+        _binomial_pmf(N, 0.5 * (1.0 + ell3 + rl3)),
+        _binomial_pmf(N, 0.5 * (1.0 + ell3 - rl3)),
     )
 
 
@@ -203,6 +187,13 @@ def moment_convergence_table(
     N_values = np.asarray(sorted(N_list), dtype=int)
     if len(N_values) < 2 or np.any(np.diff(N_values) <= 0):
         raise ValueError("N_list must contain at least two strictly increasing values")
+    if power < 0:
+        raise ValueError("power must be >= 0")
+    # (|B|/2)^power bounds every moment and the target, twice it every error
+    with np.errstate(over="ignore"):
+        bound = 2.0 * np.float64(abs(B) / 2.0) ** power
+    if not np.isfinite(bound):
+        raise ValueError(f"B={B!r} puts the power-{power} moments out of float range")
     target = ((-B / 2.0) * index.ell3) ** power
     moments = np.array([expectation_L3_power(index, int(n), power, B) for n in N_values])
     errors = np.abs(moments - target)
@@ -216,66 +207,40 @@ def moment_convergence_table(
 
 
 # ---------------------------------------------------------------------------
-# harmonic basis and resolution of the identity
+# resolution of the identity
 # ---------------------------------------------------------------------------
 
 
-def _monomial_values(degree: int, omega: np.ndarray) -> np.ndarray:
-    rows = []
-    for combo in combinations_with_replacement(range(4), degree):
-        v = np.ones(omega.shape[0])
-        for i in combo:
-            v = v * omega[:, i]
-        rows.append(v)
-    if not rows:
-        rows = [np.ones(omega.shape[0])]
-    return np.asarray(rows)
+def _spin_states(w: np.ndarray, N: int) -> np.ndarray:
+    """Spin-N/2 coherent states along the unit rows of w: entry k of a row is
+    sqrt(C(N, k)) c^(N-k) (s e^(i phi))^k, with c = sqrt((1 + w3)/2),
+    s = sqrt((1 - w3)/2) and phi = atan2(w2, w1)."""
+    k = np.arange(N + 1)
+    w3 = np.clip(w[:, 2:], -1.0, 1.0)
+    binom = np.array([math.comb(N, j) for j in k], dtype=float)
+    amp = np.sqrt(binom * (0.5 * (1.0 + w3)) ** (N - k) * (0.5 * (1.0 - w3)) ** k)
+    return amp * np.exp(1j * k * np.arctan2(w[:, 1:2], w[:, :1]))
 
 
-def _orthonormalize(rows: np.ndarray, weights: np.ndarray, against: list, tol: float):
-    out: list[np.ndarray] = []
-    for row in rows:
-        v = row.copy()
-        for _ in range(2):  # twice is enough for Gram-Schmidt in floats
-            for y in against:
-                v -= np.sum(weights * y * v) * y
-            for y in out:
-                v -= np.sum(weights * y * v) * y
-        norm = np.sqrt(np.sum(weights * v * v))
-        if norm > tol:
-            out.append(v / norm)
-    return out
+def _product_states(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
+    """The states |u> x |v> of the index rows (a, b), one per row."""
+    ell = np.stack([_wedge(a, b, 1, 2), _wedge(a, b, 2, 0), _wedge(a, b, 0, 1)], axis=-1)
+    rl = np.stack([_wedge(a, b, i, 3) for i in range(3)], axis=-1)
+    su, sv = _spin_states(ell + rl, N), _spin_states(ell - rl, N)
+    return (su[:, :, None] * sv[:, None, :]).reshape(len(a), -1)
 
 
-def harmonic_basis(N: int, grid: SphereGrid) -> np.ndarray:
-    """Orthonormal basis of the degree-N harmonic space, sampled on the grid.
-
-    Restricted monomials of degree N span all harmonic degrees of the same
-    parity up to N; projecting out the span of degree N-2 leaves exactly
-    the (N+1)^2 dimensional top component.  Raises if the resulting Gram
-    matrix is off identity by more than 1e-8.
-    """
-    if grid.spec.exactness_degree < 2 * N:
-        raise QuadratureAccuracyError("grid too coarse for the harmonic Gram matrix")
-    # restricted monomials of degree N-2 already span every lower level of
-    # the same parity (multiplying by |omega|^2 = 1 embeds them upward)
-    lower: list[np.ndarray] = []
-    if N >= 2:
-        lower = _orthonormalize(
-            _monomial_values(N - 2, grid.omega), grid.weights, [], 1e-8
-        )
-    basis = _orthonormalize(_monomial_values(N, grid.omega), grid.weights, lower, 1e-8)
-    basis_arr = np.asarray(basis)
-    expected = (N + 1) ** 2
-    if len(basis) != expected:
-        raise BasisConstructionError(
-            f"harmonic basis has {len(basis)} elements, expected {expected}"
-        )
-    gram = (basis_arr * grid.weights) @ basis_arr.T
-    dev = float(np.max(np.abs(gram - np.eye(expected))))
-    if dev > 1e-8:
-        raise BasisConstructionError(f"basis Gram deviates from identity by {dev:.3e}")
-    return basis_arr
+def _identity_estimate(N: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """dim * mean of |state><state| over n_samples indices, drawn in batches of 20000."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
+    if N < 0:
+        raise ValueError("shell index must be non-negative")
+    acc = np.zeros(((N + 1) ** 2,) * 2, dtype=complex)
+    for done in range(0, n_samples, 20000):
+        states = _product_states(*sample_index_batch(rng, min(20000, n_samples - done)), N)
+        acc += states.T @ states.conj()
+    return (N + 1) ** 2 * acc / n_samples
 
 
 @dataclass
@@ -293,35 +258,14 @@ def resolution_of_identity_check(
 ) -> IdentityCheckResult:
     """Monte-Carlo check that dim * E[ |state><state| ] is the identity.
 
-    Estimates d_N * integral of <Y_i, state> <state, Y_j> over the index
-    measure on an orthonormal harmonic basis Y and reports the worst entry
-    deviation from the identity together with the trace.  Indices are drawn
-    in batches of 20000.
-    """
-    from .classical_kepler import sample_index_batch
-
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    grid = sphere_grid(QuadratureSpec.for_state(N))
-    basis = harmonic_basis(N, grid)
+    The estimate is formed in the (N+1)^2 product basis of the states
+    |u> x |v>; the worst entry deviation from the identity is reported
+    together with the trace."""
+    estimate = _identity_estimate(N, n_samples, rng)
     dim = (N + 1) ** 2
-    weighted = basis * grid.weights
-    scale = np.sqrt(normalization_sq(N))
-    acc = np.zeros((dim, dim), dtype=complex)
-    done = 0
-    while done < n_samples:
-        take = min(20000, n_samples - done)
-        a, b = sample_index_batch(rng, take)
-        u = grid.omega @ (a + 1j * b).T
-        states = scale * u**N
-        coeff = weighted @ states  # <Y_i, state> per column
-        acc += coeff @ coeff.conj().T
-        done += take
-    estimate = dim * acc / n_samples
     return IdentityCheckResult(
         max_deviation=float(np.max(np.abs(estimate - np.eye(dim)))),
         trace=float(estimate.trace().real),
         dim=dim,
         n_samples=n_samples,
     )
-

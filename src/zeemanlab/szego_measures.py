@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .classical_kepler import sample_index_batch
+from .classical_kepler import _wedge, sample_index_batch
 from .spectral_cluster import ks_distance, triangular_shift_cdf
 
 __all__ = [
@@ -137,11 +137,6 @@ class McEstimate:
     n_samples: int
 
 
-def _ell3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ell3 of index rows (a, b): the (1, 2) component of a wedge b."""
-    return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-
-
 def _pushforward_columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per index row: off the pole, ell3 of the index, ell3 of its inverse lift."""
     one_minus = 1.0 - a[:, 3]
@@ -151,7 +146,7 @@ def _pushforward_columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]
         x1 = -(one_minus * b[:, 0] + b[:, 3] * a[:, 0])
         x2 = -(one_minus * b[:, 1] + b[:, 3] * a[:, 1])
         ell3_phase = x1 * (a[:, 1] / one_minus) - x2 * (a[:, 0] / one_minus)
-    return one_minus > 1e-12, _ell3(a, b), ell3_phase
+    return one_minus > 1e-12, _wedge(a, b, 0, 1), ell3_phase
 
 
 def limit_quadric_mc(
@@ -163,7 +158,7 @@ def limit_quadric_mc(
     """Monte-Carlo average of rho(-(B/2) ell3) over the index measure."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    (ell3,) = sample_index_batch(rng, n_samples, lambda a, b: (_ell3(a, b),))
+    (ell3,) = sample_index_batch(rng, n_samples, lambda a, b: (_wedge(a, b, 0, 1),))
     vals = np.asarray(rho(-(B / 2.0) * ell3), dtype=float)
     mean = float(vals.mean())
     sem = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0

@@ -4,8 +4,10 @@ The library keeps what the command line, the acceptance criteria and the
 benchmark tracer reach.  The scalar and dense forms below pin its fast
 paths from outside: labelled shell states and full matrices, the scalar
 ladder and angular elements, orbit elements from their angles, coherent
-states sampled on a grid, the hydrogenic r^2 radial element as one integrated
-polynomial, the distribution function of an equal-weight
+states sampled on a grid, an orthonormal harmonic basis built on the grid
+by Gram-Schmidt and the completeness estimate taken in it (the generic form
+of the product-basis check, for small N), the hydrogenic r^2 radial element
+as one integrated polynomial, the distribution function of an equal-weight
 sample, the KS distance over all distinct values at once, the two-sample
 KS distance over the pooled sample, and the index sampler with numpy's row
 norms and dots in one (n, 4) draw, with a seeded generator that plants
@@ -17,12 +19,18 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from zeemanlab.classical_kepler import CoherentIndex, OrbitElements
-from zeemanlab.coherent_states import SphereGrid, normalization_sq
+from zeemanlab.classical_kepler import CoherentIndex, OrbitElements, _wedge
+from zeemanlab.coherent_states import (
+    QuadratureSpec,
+    SphereGrid,
+    normalization_sq,
+    sphere_grid,
+)
 from zeemanlab.hydrogenic_shell import ShellMatrix
 
 
@@ -163,10 +171,111 @@ def elements_from_angles(
     return OrbitElements(ell=ell, rl=rl, beta=beta)
 
 
+def index_kepler_vectors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ell, A) of index rows, in the layout of ``_wedge``: ell = (w12, w20, w01)
+    and A = (w03, w13, w23) of w = a ^ b."""
+    ell = np.stack([_wedge(a, b, 1, 2), _wedge(a, b, 2, 0), _wedge(a, b, 0, 1)], axis=-1)
+    return ell, np.stack([_wedge(a, b, i, 3) for i in range(3)], axis=-1)
+
+
 def coherent_state_values(index: CoherentIndex, N: int, grid: SphereGrid) -> np.ndarray:
     """Normalized state a(N) (alpha . omega)^N at the grid nodes."""
     u = grid.omega @ index.alpha
     return np.sqrt(normalization_sq(N)) * u**N
+
+
+class QuadratureAccuracyError(ValueError):
+    """Requested integrand degree exceeds the exactness of the grid."""
+
+
+class BasisConstructionError(RuntimeError):
+    """Gram matrix of the orthonormalized harmonic basis is off identity."""
+
+
+def exactness_degree(spec: QuadratureSpec) -> int:
+    """Largest total degree in the ambient coordinates that the rule of
+    ``spec`` integrates to machine precision."""
+    return min(2 * spec.n_chi - 1, 2 * spec.n_theta - 1, spec.n_phi - 1)
+
+
+def _monomial_values(degree: int, omega: np.ndarray) -> np.ndarray:
+    rows = []
+    for combo in combinations_with_replacement(range(4), degree):
+        v = np.ones(omega.shape[0])
+        for i in combo:
+            v = v * omega[:, i]
+        rows.append(v)
+    if not rows:
+        rows = [np.ones(omega.shape[0])]
+    return np.asarray(rows)
+
+
+def _orthonormalize(rows: np.ndarray, weights: np.ndarray, against: list, tol: float):
+    out: list[np.ndarray] = []
+    for row in rows:
+        v = row.copy()
+        for _ in range(2):  # twice is enough for Gram-Schmidt in floats
+            for y in against:
+                v -= np.sum(weights * y * v) * y
+            for y in out:
+                v -= np.sum(weights * y * v) * y
+        norm = np.sqrt(np.sum(weights * v * v))
+        if norm > tol:
+            out.append(v / norm)
+    return out
+
+
+def harmonic_basis(N: int, grid: SphereGrid) -> np.ndarray:
+    """Orthonormal basis of the degree-N harmonic space, sampled on the grid.
+
+    Restricted monomials of degree N span all harmonic degrees of the same
+    parity up to N; projecting out the span of degree N-2 leaves exactly
+    the (N+1)^2 dimensional top component.  Raises if the resulting Gram
+    matrix is off identity by more than 1e-8.
+    """
+    if exactness_degree(grid.spec) < 2 * N:
+        raise QuadratureAccuracyError("grid too coarse for the harmonic Gram matrix")
+    # restricted monomials of degree N-2 already span every lower level of
+    # the same parity (multiplying by |omega|^2 = 1 embeds them upward)
+    lower: list[np.ndarray] = []
+    if N >= 2:
+        lower = _orthonormalize(
+            _monomial_values(N - 2, grid.omega), grid.weights, [], 1e-8
+        )
+    basis = _orthonormalize(_monomial_values(N, grid.omega), grid.weights, lower, 1e-8)
+    basis_arr = np.asarray(basis)
+    expected = (N + 1) ** 2
+    if len(basis) != expected:
+        raise BasisConstructionError(
+            f"harmonic basis has {len(basis)} elements, expected {expected}"
+        )
+    gram = (basis_arr * grid.weights) @ basis_arr.T
+    dev = float(np.max(np.abs(gram - np.eye(expected))))
+    if dev > 1e-8:
+        raise BasisConstructionError(f"basis Gram deviates from identity by {dev:.3e}")
+    return basis_arr
+
+
+def grid_identity_estimate(N: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """dim * E[|state><state|] on the grid's harmonic basis.
+
+    Indices come from this module's :func:`sample_index_batch`, in batches
+    of 20000 as the product-basis estimate draws them, so both see the same
+    indices; the grid products run over 2000 indices at a time to keep the
+    (nodes, indices) arrays small.
+    """
+    grid = sphere_grid(QuadratureSpec.for_state(N))
+    weighted = harmonic_basis(N, grid) * grid.weights
+    scale = np.sqrt(normalization_sq(N))
+    dim = (N + 1) ** 2
+    acc = np.zeros((dim, dim), dtype=complex)
+    for done in range(0, n_samples, 20000):
+        a, b = sample_index_batch(rng, min(20000, n_samples - done))
+        for i in range(0, len(a), 2000):
+            alpha = a[i : i + 2000] + 1j * b[i : i + 2000]
+            coeff = weighted @ (scale * (grid.omega @ alpha.T) ** N)  # <Y_i, state>
+            acc += coeff @ coeff.conj().T
+    return dim * acc / n_samples
 
 
 def empirical_cdf(sample: np.ndarray, x: np.ndarray) -> np.ndarray:

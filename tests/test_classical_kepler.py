@@ -34,6 +34,7 @@ from zeemanlab.spectral_cluster import ks_distance, triangular_shift_cdf
 from reference import (
     StreamPlantingGenerator,
     elements_from_angles,
+    index_kepler_vectors,
     sample_index_batch as reference_sample_index_batch,
 )
 
@@ -162,6 +163,32 @@ def test_index_ell3_sign_identification():
             continue
         pt = moser_inverse(sphere_point_of_index(index))
         assert _ell3(pt) == pytest.approx(index.ell3, abs=1e-9)
+
+
+def test_wedge_gives_the_kepler_constants_of_the_inverse_lift():
+    """ell and A read off a ^ b are those of the index's phase point, which
+    pins the signs of the layout; rows near the pole lose a few digits to
+    the 1/(1 - a4) of the lift."""
+    a, b = sample_index_batch(np.random.default_rng(17), 2000)
+    ell, rl = index_kepler_vectors(a, b)
+    assert np.array_equal(ell[:, 2], [CoherentIndex(*row).ell3 for row in zip(a, b)])
+    worst = 0.0
+    for k in range(len(a)):
+        index = CoherentIndex(a_vec=a[k], b_vec=b[k])
+        _, ell_k, rl_k = kepler_constants(moser_inverse(sphere_point_of_index(index)))
+        worst = max(worst, np.max(np.abs(ell_k - ell[k])), np.max(np.abs(rl_k - rl[k])))
+    assert worst <= 1e-12
+
+
+def test_wedge_vectors_lie_on_the_energy_shell():
+    """u = ell + A and v = ell - A are unit vectors: ell . A = 0 and
+    |ell|^2 + |A|^2 = 1."""
+    a, b = sample_index_batch(np.random.default_rng(18), 100000)
+    ell, rl = index_kepler_vectors(a, b)
+    for w in (ell + rl, ell - rl):
+        assert np.max(np.abs(np.sum(w * w, axis=1) - 1.0)) <= 1e-14
+    assert np.max(np.abs(np.sum(ell * rl, axis=1))) <= 1e-14
+    assert np.max(np.abs(np.sum(ell * ell + rl * rl, axis=1) - 1.0)) <= 1e-14
 
 
 def test_unit_covector_on_shell_has_unit_fiber():

@@ -594,6 +594,9 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
         ["kepler", "--tol", "0"],
         ["cluster", "--N", "3", "--B", "-1"],
         ["coherent", "--m", "-1", "--N-list", "4,8", "--seed", "1"],
+        # 2 (|B|/2)^m, which bounds every moment and error, overflows
+        ["coherent", "--m", "2", "--B", "1e160", "--seed", "1"],
+        ["coherent", "--m", "3", "--B", "1e120", "--seed", "1"],
         # the seed is a 128-bit Philox key
         ["coherent", "--seed", "-1"],
         ["measures", "--seed", str(2**128)],

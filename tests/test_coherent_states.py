@@ -7,16 +7,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zeemanlab.classical_kepler import CoherentIndex, sample_coherent_index
+from zeemanlab.classical_kepler import (
+    CoherentIndex,
+    _wedge,
+    sample_coherent_index,
+    sample_index_batch,
+)
 from zeemanlab.coherent_states import (
-    BasisConstructionError,
-    QuadratureAccuracyError,
     QuadratureSpec,
     SPHERE_AREA,
     _binomial_pmf,
+    _identity_estimate,
     _l3_law,
+    _product_states,
     expectation_L3_power,
-    harmonic_basis,
     moment_convergence_table,
     normalization_sq,
     resolution_of_identity_check,
@@ -24,7 +28,15 @@ from zeemanlab.coherent_states import (
     sphere_grid,
 )
 
-from reference import coherent_state_values
+from reference import (
+    BasisConstructionError,
+    QuadratureAccuracyError,
+    coherent_state_values,
+    exactness_degree,
+    grid_identity_estimate,
+    harmonic_basis,
+    index_kepler_vectors,
+)
 
 AXIS_INDEX = CoherentIndex(a_vec=[1.0, 0, 0, 0], b_vec=[0, 1.0, 0, 0])
 # eigenstate of the axial angular momentum with eigenvalue -N
@@ -71,7 +83,7 @@ def test_quadrature_power_closed_form():
 
 def test_quadrature_exactness_reported():
     spec = QuadratureSpec(6, 6, 14)
-    assert spec.exactness_degree == min(11, 11, 13)
+    assert exactness_degree(spec) == min(11, 11, 13)
 
 
 def test_quadrature_exact_up_to_reported_degree():
@@ -80,7 +92,7 @@ def test_quadrature_exact_up_to_reported_degree():
     rng = np.random.default_rng(77)
     for _ in range(5):
         exps = rng.integers(0, 3, size=4)
-        while exps.sum() > spec.exactness_degree:
+        while exps.sum() > exactness_degree(spec):
             exps = rng.integers(0, 3, size=4)
 
         def mono(om, e=exps):
@@ -195,10 +207,9 @@ def test_l3_law_large_shell_has_no_overflow():
     assert np.all(np.isfinite(law))
     assert law.sum() == pytest.approx(1.0, abs=1e-13)
     assert law @ np.arange(-N, N + 1) == pytest.approx(N * index.ell3, abs=1e-9)
-    # second moment from the binomial variances, c_{1,2} = w12 +- w34
-    a, b = index.a_vec, index.b_vec
-    w34 = a[2] * b[3] - a[3] * b[2]
-    var = sum(N * (1 - c * c) / 4.0 for c in (index.ell3 + w34, index.ell3 - w34))
+    # second moment from the binomial variances, u3, v3 = ell3 +- A3
+    rl3 = _wedge(index.a_vec, index.b_vec, 2, 3)
+    var = sum(N * (1 - c * c) / 4.0 for c in (index.ell3 + rl3, index.ell3 - rl3))
     expected = (0.5 / (N + 1)) ** 2 * (var + (N * index.ell3) ** 2)
     assert expectation_L3_power(index, N, 2, 1.0) == pytest.approx(expected, rel=1e-12, abs=0)
 
@@ -228,9 +239,8 @@ def test_l3_law_matches_rotation_characteristic_function(N):
 def _index_probabilities(index):
     """The two binomial parameters of the law, by the same float operations."""
     a, b = index.a_vec, index.b_vec
-    w12 = a[0] * b[1] - a[1] * b[0]
-    w34 = a[2] * b[3] - a[3] * b[2]
-    return 0.5 * (1.0 + w12 + w34), 0.5 * (1.0 + w12 - w34)
+    ell3, rl3 = _wedge(a, b, 0, 1), _wedge(a, b, 2, 3)
+    return 0.5 * (1.0 + ell3 + rl3), 0.5 * (1.0 + ell3 - rl3)
 
 
 def _exact_moment(index, N, power, B):
@@ -343,6 +353,24 @@ def test_convergence_requires_increasing_list():
         moment_convergence_table(HALF_INDEX, 1, 1.0, [8, 8])
 
 
+@pytest.mark.parametrize("power, B", [(2, 1e160), (3, 1e120), (2, -1e160)])
+def test_convergence_table_rejects_moments_out_of_float_range(power, B):
+    with pytest.raises(ValueError, match="out of float range"):
+        moment_convergence_table(HALF_INDEX, power, B, [8, 16])
+
+
+@pytest.mark.parametrize("power", [2, 3, 7])
+def test_convergence_table_at_the_edge_of_float_range(power):
+    # 2 (|B|/2)^power just below the largest float: every value is finite,
+    # with warnings as errors; just above it the table is refused
+    edge = 2.0 * (np.finfo(float).max / 2.0) ** (1.0 / power)
+    table = moment_convergence_table(HALF_INDEX, power, edge * (1 - 1e-12), [8, 16, 32])
+    assert np.all(np.isfinite(table.moments)) and np.all(np.isfinite(table.errors))
+    assert np.isfinite(table.target) and np.isfinite(table.slope)
+    with pytest.raises(ValueError, match="out of float range"):
+        moment_convergence_table(HALF_INDEX, power, edge * (1 + 1e-12), [8, 16, 32])
+
+
 # ---------------------------------------------------------------------------
 # completeness
 # ---------------------------------------------------------------------------
@@ -380,3 +408,52 @@ def test_resolution_of_identity_shell_two():
     assert result.max_deviation <= 0.05
     assert result.trace == pytest.approx(9.0, rel=0.02)
 
+
+def test_resolution_of_identity_rejects_negative_shell():
+    with pytest.raises(ValueError, match="shell index must be non-negative"):
+        resolution_of_identity_check(-1, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+def test_product_estimate_is_the_grid_estimate(N):
+    """The product basis and the grid's harmonic basis differ by a unitary,
+    so at the same indices the two estimates share eigenvalues and trace;
+    25000 samples take a full and a partial batch."""
+    got = _identity_estimate(N, 25000, np.random.default_rng(60 + N))
+    want = grid_identity_estimate(N, 25000, np.random.default_rng(60 + N))
+    assert np.max(np.abs(np.linalg.eigvalsh(got) - np.linalg.eigvalsh(want))) <= 1e-13
+    assert abs(got.trace() - want.trace()) <= 1e-13
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
+def test_grid_overlaps_are_product_state_overlaps(N):
+    """Psi_alpha is |u> x |v> up to a phase: the phase-free |<1|2>|^2 and
+    Bargmann triple product <1|2><2|3><3|1> on the S^3 grid equal those of
+    the product amplitudes, and |<1|2>|^2 has the closed form
+    [((1 + u.u')/2)((1 + v.v')/2)]^N."""
+    rng = np.random.default_rng(40 + N)
+    spec = QuadratureSpec.for_state(N)
+    for _ in range(10):
+        a, b = sample_index_batch(rng, 3)
+        alpha = a + 1j * b
+        states = _product_states(a, b, N)
+        grid, prod = {}, {}
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            grid[i, j] = normalization_sq(N) * s3_quadrature(
+                lambda om: np.conj(om @ alpha[i]) ** N * (om @ alpha[j]) ** N, spec
+            )
+            prod[i, j] = np.vdot(states[i], states[j])
+        ell, rl = index_kepler_vectors(a, b)
+        u, v = ell + rl, ell - rl
+        closed = (0.5 * (1 + u[0] @ u[1]) * 0.5 * (1 + v[0] @ v[1])) ** N
+        assert abs(abs(prod[0, 1]) ** 2 - closed) <= 1e-14
+        assert abs(abs(grid[0, 1]) ** 2 - closed) <= 1e-14
+        assert abs(math.prod(grid.values()) - math.prod(prod.values())) <= 1e-14
+
+
+def test_product_states_are_unit_vectors():
+    a, b = sample_index_batch(np.random.default_rng(41), 1000)
+    for N in (0, 1, 5, 40):
+        states = _product_states(a, b, N)
+        assert states.shape == (1000, (N + 1) ** 2)
+        assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-13
