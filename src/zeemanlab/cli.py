@@ -57,7 +57,6 @@ from .spectral_cluster import (
     triangular_shift_cdf,
 )
 from .szego_measures import (
-    HaarGrid,
     TestFunction,
     beta_marginalization_gap,
     haar_density_normalization,
@@ -190,21 +189,32 @@ def _parse_n_list(text: str) -> list[int]:
 def parse_rho(text: str) -> TestFunction:
     """Accepts '1', 'x', 'x^k', or comma-separated polynomial coefficients."""
     text = text.strip()
-    if text == "1":
-        return TestFunction.monomial(0)
-    if text == "x":
-        return TestFunction.monomial(1)
-    if text.startswith("x^"):
-        try:
+    try:
+        if text in ("1", "x"):
+            return TestFunction.monomial(0 if text == "1" else 1)
+        if text.startswith("x^"):
             return TestFunction.monomial(int(text[2:]))
-        except ValueError as exc:
-            raise ConfigError(f"bad test function {text!r}") from exc
-    if "," in text:
-        try:
+        if "," in text:
             return TestFunction.polynomial([float(v) for v in text.split(",")])
-        except ValueError as exc:
-            raise ConfigError(f"bad test function {text!r}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad test function {text!r}: {exc}") from exc
     raise ConfigError(f"bad test function {text!r}")
+
+
+def _require_in_float_range(rho: TestFunction, B: float, samples: int) -> None:
+    """Refuse B < 0, and a B at which rho(-(B/2) x), |x| <= 1, may leave the float range.
+
+    2 sum |c_k| (B/2)^k bounds every value, limit and gap; the Monte-Carlo
+    variance sums ``samples`` squared deviations, each below its square.
+    """
+    if B < 0:
+        raise ConfigError(f"--B must be >= 0, got {B!r}")
+    try:
+        bound = 2.0 * sum(abs(c) * (B / 2.0) ** k for k, c in enumerate(rho.coefficients) if c)
+    except OverflowError:  # a power beyond the float range
+        bound = math.inf
+    if not math.isfinite(max(samples, 1) * bound * bound):
+        raise ConfigError(f"the test function at B={B!r} leaves the float range")
 
 
 def _require_seed(args) -> np.random.Generator:
@@ -270,46 +280,21 @@ def cmd_szego(args) -> tuple[dict, dict]:
     rho = parse_rho(args.rho)
     n_list = _parse_n_list(args.N_list)
     config = {"rho": args.rho, "B": args.B, "N_list": n_list, "samples": args.samples}
+    _require_in_float_range(rho, args.B, args.samples)
     rhs_tri = limit_triangular(rho, args.B)
     rhs_angle = limit_angle_density(rho, args.B)
-    mc = None
+    rows = [("triangular", rhs_tri, None, None), ("angle_density", rhs_angle, None, None)]
     if args.samples:
-        rng = _require_seed(args)
-        mc = limit_quadric_mc(rho, args.B, args.samples, rng)
+        mc = limit_quadric_mc(rho, args.B, args.samples, _require_seed(args))
+        rows.append(("quadric_mc", mc.value, mc.std_error, mc.n_samples))
     lhs = np.array([trace_average(N, args.B, rho) for N in n_list])
     gaps = np.abs(lhs - rhs_tri)
-    results = [
-        {
-            "rho": args.rho,
-            "B": args.B,
-            "representation": "triangular",
-            "value": rhs_tri,
-            "std_error": None,
-            "n": None,
-        },
-        {
-            "rho": args.rho,
-            "B": args.B,
-            "representation": "angle_density",
-            "value": rhs_angle,
-            "std_error": None,
-            "n": None,
-        },
-    ]
-    if mc is not None:
-        results.append(
-            {
-                "rho": args.rho,
-                "B": args.B,
-                "representation": "quadric_mc",
-                "value": mc.value,
-                "std_error": mc.std_error,
-                "n": mc.n_samples,
-            }
-        )
     summary = {
         "config": config,
-        "results": results,
+        "results": [
+            {"rho": args.rho, "B": args.B, "representation": r, "value": v, "std_error": e, "n": n}
+            for r, v, e, n in rows
+        ],
         "limit_triangular": rhs_tri,
         "limit_angle_density": rhs_angle,
         "triangular_vs_angle_gap": abs(rhs_tri - rhs_angle),
@@ -381,13 +366,9 @@ def cmd_kepler(args) -> tuple[dict, dict]:
 def cmd_measures(args) -> tuple[dict, dict]:
     rng = _require_seed(args)
     config = {"samples": args.samples, "seed": args.seed, "B": args.B}
-    check = liouville_pushforward_check(
-        args.samples, rng, keep_samples=min(args.samples, 20000)
-    )
-    haar = haar_density_normalization(HaarGrid())
-    haar_fine = haar_density_normalization(HaarGrid().doubled())
-    beta_gap = beta_marginalization_gap()
     rho = TestFunction.monomial(2)
+    _require_in_float_range(rho, args.B, args.samples)
+    check = liouville_pushforward_check(args.samples, rng)
     mc = limit_quadric_mc(rho, args.B, args.samples, rng)
     return config, {
         "ell3_samples.csv": (
@@ -402,9 +383,9 @@ def cmd_measures(args) -> tuple[dict, dict]:
                 "ks_vs_triangular": check.ks_vs_triangular,
                 "skipped_fraction": check.skipped_fraction,
             },
-            "haar_normalization": haar,
-            "haar_normalization_refined": haar_fine,
-            "beta_marginalization_gap": beta_gap,
+            "haar_normalization": haar_density_normalization(1),
+            "haar_normalization_refined": haar_density_normalization(2),
+            "beta_marginalization_gap": beta_marginalization_gap(),
             "quadratic_moment": {
                 "triangular": limit_triangular(rho, args.B),
                 "angle_density": limit_angle_density(rho, args.B),

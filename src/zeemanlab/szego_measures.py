@@ -1,13 +1,13 @@
 """Three equivalent representations of the cluster limit functional.
 
 For a continuous test function rho the limit of the scaled-shift averages
-can be written as (i) an explicit one-dimensional integral against the
-triangular density (1-|u|) du on [-1, 1], (ii) a Monte-Carlo average of
-rho(-(B/2) ell3) over the rotation-invariant measure on the unit-covector
-index set, and (iii) a two-angle integral against the reduced geodesic
-density cos(psi) sin(psi) sin(theta).  This module evaluates all three and
-the consistency checks that tie them to the Liouville measure of the
-regularized Kepler flow.
+is (i) an integral against the triangular density (1-|u|) du on [-1, 1],
+(ii) a Monte-Carlo average of rho(-(B/2) ell3) over the rotation-invariant
+measure on the unit-covector index set, and (iii) a two-angle integral
+against the reduced geodesic density cos(psi) sin(psi) sin(theta).  Every
+TestFunction is a polynomial, so one fixed Gauss rule gives (i) and (iii)
+exactly.  The module also holds the checks that tie them to the Liouville
+measure of the regularized Kepler flow.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .spectral_cluster import ks_distance, triangular_shift_cdf
 
 __all__ = [
     "TestFunction",
-    "HaarGrid",
     "McEstimate",
     "PushforwardCheck",
     "limit_triangular",
@@ -34,6 +33,10 @@ __all__ = [
 ]
 
 _MAX_MONOMIAL_DEGREE = 12
+# Gauss nodes of both limit quadratures, exact up to degree 2 _RULE_NODES - 2
+_RULE_NODES = 32
+_MAX_COEFFICIENTS = 2 * _RULE_NODES - 1
+_KEPT_SAMPLES = 20000  # pushforward rows returned as samples
 
 
 @dataclass(frozen=True)
@@ -57,9 +60,16 @@ class TestFunction:
     @classmethod
     def polynomial(cls, coefficients) -> "TestFunction":
         coeffs = tuple(float(c) for c in coefficients)
-        if not coeffs:
-            raise ValueError("need at least one coefficient")
+        if not 1 <= len(coeffs) <= _MAX_COEFFICIENTS:
+            raise ValueError(f"need 1 to {_MAX_COEFFICIENTS} coefficients, got {len(coeffs)}")
         return cls(kind="polynomial", data=coeffs)
+
+    @property
+    def coefficients(self) -> tuple:
+        """Ascending-degree coefficients."""
+        if self.kind == "monomial":
+            return (0.0,) * self.data[0] + (1.0,)
+        return self.data
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -76,37 +86,19 @@ def _gauss_nodes(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (b - a) * t + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _doubled_until_stable(value: Callable[[int], float], tol: float) -> float:
-    """value(n) for n = 16, 32, ... up to 4096, stopping once two successive
-    values agree to ``tol`` absolutely."""
-    n = 16
-    prev = value(n)
-    for _ in range(8):
-        n *= 2
-        cur = value(n)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    return prev
-
-
 def limit_triangular(rho: Callable[[np.ndarray], np.ndarray], B: float) -> float:
     """integral of rho(-(B/2) u) (1 - |u|) du over [-1, 1].
 
-    Gauss panels split at the kink u = 0, node counts doubled until the
-    value is stable to 1e-12 absolutely.
+    One _RULE_NODES-point Gauss panel on each side of the kink u = 0, so a
+    polynomial rho of degree up to 2 _RULE_NODES - 2 is integrated exactly.
     """
     if B < 0:
         raise ValueError("B must be >= 0")
-
-    def value(n: int) -> float:
-        total = 0.0
-        for a, b in ((-1.0, 0.0), (0.0, 1.0)):
-            u, w = _gauss_nodes(n, a, b)
-            total += float(np.sum(w * np.asarray(rho(-(B / 2.0) * u)) * (1.0 - np.abs(u))))
-        return total
-
-    return _doubled_until_stable(value, 1e-12)
+    total = 0.0
+    for a, b in ((-1.0, 0.0), (0.0, 1.0)):
+        u, w = _gauss_nodes(_RULE_NODES, a, b)
+        total += float(np.sum(w * np.asarray(rho(-(B / 2.0) * u)) * (1.0 - np.abs(u))))
+    return total
 
 
 def limit_angle_density(rho: Callable[[np.ndarray], np.ndarray], B: float) -> float:
@@ -114,20 +106,16 @@ def limit_angle_density(rho: Callable[[np.ndarray], np.ndarray], B: float) -> fl
     cos(psi) sin(psi) sin(theta) d psi d theta on (0, pi/2) x (0, pi).
 
     Evaluated in the variables c = cos(psi), s = cos(theta), where the
-    density becomes c dc ds and polynomial test functions are integrated
-    exactly; node counts double until the value is stable to 1e-10
-    absolutely.
+    density becomes c dc ds, on the _RULE_NODES x _RULE_NODES Gauss tensor
+    rule, which integrates a polynomial rho of degree up to
+    2 _RULE_NODES - 2 exactly.
     """
     if B < 0:
         raise ValueError("B must be >= 0")
-
-    def value(n: int) -> float:
-        c, wc = _gauss_nodes(n, 0.0, 1.0)
-        s, ws = np.polynomial.legendre.leggauss(n)
-        vals = np.asarray(rho(-(B / 2.0) * np.outer(c, s)))
-        return float((wc * c) @ vals @ ws)
-
-    return _doubled_until_stable(value, 1e-10)
+    c, wc = _gauss_nodes(_RULE_NODES, 0.0, 1.0)
+    s, ws = np.polynomial.legendre.leggauss(_RULE_NODES)
+    vals = np.asarray(rho(-(B / 2.0) * np.outer(c, s)))
+    return float((wc * c) @ vals @ ws)
 
 
 @dataclass
@@ -172,13 +160,11 @@ class PushforwardCheck:
     ks_vs_triangular: float
     skipped_fraction: float
     n_samples: int
-    sample_ell3_index: np.ndarray | None = None
-    sample_ell3_phase: np.ndarray | None = None
+    sample_ell3_index: np.ndarray
+    sample_ell3_phase: np.ndarray
 
 
-def liouville_pushforward_check(
-    n_samples: int, rng: np.random.Generator, keep_samples: int = 0
-) -> PushforwardCheck:
+def liouville_pushforward_check(n_samples: int, rng: np.random.Generator) -> PushforwardCheck:
     """Compare ell3 on the energy shell with ell3 read off the index.
 
     Indices are mapped to phase points through the inverse Moser lift of
@@ -186,7 +172,8 @@ def liouville_pushforward_check(
     the north pole are skipped and counted.  The pointwise gap must vanish
     (the two quantities agree exactly off the exclusion set), hence the
     sample-law distance is zero and only the distance to the triangular
-    limit law carries statistical error.
+    limit law carries statistical error.  The first _KEPT_SAMPLES rows of
+    both ell3 columns off the exclusion set are returned as samples.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
@@ -202,29 +189,15 @@ def liouville_pushforward_check(
     ks_same = ks_distance(ell3_phase, lambda x: np.searchsorted(ref, x, side="right") / len(ref))
     del ref
     ks_tri = ks_distance(ell3_phase, triangular_shift_cdf(2.0))
-    keep = min(keep_samples, len(ell3_index))
     return PushforwardCheck(
         max_pointwise_gap=gap,
         ks_vs_index_law=ks_same,
         ks_vs_triangular=ks_tri,
         skipped_fraction=skipped / n_samples,
         n_samples=n_samples,
-        sample_ell3_index=ell3_index[:keep].copy() if keep else None,
-        sample_ell3_phase=ell3_phase[:keep].copy() if keep else None,
+        sample_ell3_index=ell3_index[:_KEPT_SAMPLES].copy(),
+        sample_ell3_phase=ell3_phase[:_KEPT_SAMPLES].copy(),
     )
-
-
-@dataclass(frozen=True)
-class HaarGrid:
-    """Node counts in the angles psi, theta, beta of the group density; it
-    is uniform in phi, gamma, delta, which need no nodes."""
-
-    n_psi: int = 48
-    n_theta: int = 48
-    n_beta: int = 512
-
-    def doubled(self) -> "HaarGrid":
-        return HaarGrid(2 * self.n_psi, 2 * self.n_theta, 2 * self.n_beta)
 
 
 def _beta_trapezoid(sin_psi: float, n_beta_min: int) -> float:
@@ -240,21 +213,22 @@ def _beta_trapezoid(sin_psi: float, n_beta_min: int) -> float:
     return float(np.sum(1.0 / (1.0 + sin_psi * np.cos(beta)))) * (2.0 * np.pi / n)
 
 
-def haar_density_normalization(grid: HaarGrid = HaarGrid()) -> float:
+def haar_density_normalization(refine: int = 1) -> float:
     """Total mass of the six-angle group density; must come out 1.
 
     The density (1/(2 pi)^4) cos^2(psi) sin(psi) sin(theta) /
     (1 + sin(psi) cos(beta)) is independent of phi, gamma, delta, so the
     full tensor-product quadrature factorizes exactly into a (psi, beta)
     sum times the remaining one-dimensional sums; that factored evaluation
-    is what is computed.  ``n_beta`` is treated as a minimum: polar nodes
+    is what is computed.  It takes 48 * refine Gauss nodes in psi and in
+    theta, and at least 512 * refine trapezoid nodes in beta: polar nodes
     approaching psi = pi/2 push the beta integrand's poles toward the real
     axis and get proportionally more azimuthal nodes.
     """
-    psi, w_psi = _gauss_nodes(grid.n_psi, 0.0, np.pi / 2.0)
-    theta, w_theta = _gauss_nodes(grid.n_theta, 0.0, np.pi)
+    psi, w_psi = _gauss_nodes(48 * refine, 0.0, np.pi / 2.0)
+    theta, w_theta = _gauss_nodes(48 * refine, 0.0, np.pi)
     sin_psi = np.sin(psi)
-    beta_vals = np.array([_beta_trapezoid(s, grid.n_beta) for s in sin_psi])
+    beta_vals = np.array([_beta_trapezoid(s, 512 * refine) for s in sin_psi])
     joint = float(np.sum(w_psi * np.cos(psi) ** 2 * sin_psi * beta_vals))
     theta_part = float(np.sum(w_theta * np.sin(theta)))
     # phi, gamma, delta are uniform factors of length 2 pi each

@@ -28,10 +28,11 @@ def run(args):
     return main(args)
 
 
-def run_fresh(args):
-    """``python args`` in a fresh interpreter that imports this checkout's package."""
+def run_fresh(args, **env):
+    """``python args`` in a fresh interpreter that imports this checkout's package,
+    with ``env`` added to the environment."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, **env, "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
@@ -179,6 +180,15 @@ def test_parse_rho_rejects_garbage():
 
     with pytest.raises(ConfigError):
         parse_rho("sin(x)")
+
+
+def test_szego_rho_with_64_coefficients_is_one_line_usage_error(tmp_path, capsys):
+    rho = ",".join(["1"] * 64)
+    assert run(["szego", "--rho", rho, "--N-list", "4", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: bad test function {rho!r}: need 1 to 63 coefficients, got 64\n"
+    )
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +649,67 @@ def test_schedule_out_of_float_range_is_one_line_usage_error(tmp_path, argv):
     B, q = (repr(float(argv[4])), "17.0") if argv[3] == "--B" else ("1.0", str(float(argv[4])))
     assert proc.stderr.startswith(f"error: B={B} and q={q} put the coupling schedule out of")
     assert proc.stderr.endswith("at N=5\n")
+
+
+# Largest B accepted: 2 sum |c_k| (B/2)^k bounds every value of rho, and
+# --samples times its square the sum behind the Monte-Carlo variance.
+_FIELD_EDGES = [
+    (["szego", "--samples", "1000", "--seed", "1"], "2.912016877e+76", "2.912016879e+76"),
+    (["measures", "--samples", "1000", "--seed", "1"], "2.912016877e+76", "2.912016879e+76"),
+    (["szego", "--rho", "x^12"], "13179248424039", "13179248424040"),
+    (
+        ["szego", "--rho", "0.3,-0.2,1.0,0.5", "--samples", "1000", "--seed", "1"],
+        "1.502504987e+51",
+        "1.502504989e+51",
+    ),
+]
+
+
+def _run_warnings_as_errors(argv, out):
+    return run_fresh(["-m", "zeemanlab.cli", *argv, "--out", str(out)], PYTHONWARNINGS="error")
+
+
+@pytest.mark.parametrize(
+    "argv, below",
+    [(a, below) for a, below, _ in _FIELD_EDGES]
+    # zero coefficients do not count, however large their power
+    + [(["szego", "--rho", "1" + ",0" * 62], "1e300")],
+)
+def test_field_just_below_the_float_range_edge_writes_finite_results(tmp_path, argv, below):
+    proc = _run_warnings_as_errors([*argv, "--B", below], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    for path in tmp_path.iterdir():
+        if path.suffix == ".json":
+            # json reads Infinity and NaN through parse_constant
+            json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{path}: {c}"))
+        else:
+            with path.open() as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert np.all(np.isfinite(np.array(rows, dtype=float))), path.name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*a, "--B", above] for a, _, above in _FIELD_EDGES]
+    + [
+        ["szego", "--B", "1e300", "--samples", "1000", "--seed", "1"],
+        ["measures", "--samples", "1000", "--B", "1e300", "--seed", "1"],
+        # the values are finite, the Monte-Carlo variance is not
+        ["szego", "--B", "1e100", "--rho", "x^2", "--samples", "1000", "--seed", "1"],
+        ["szego", "--B", "-1"],
+        ["measures", "--B", "-1", "--seed", "1"],
+    ],
+)
+def test_field_beyond_the_float_range_is_one_line_usage_error(tmp_path, argv):
+    out = tmp_path / "out"
+    proc = _run_warnings_as_errors(argv, out)
+    assert proc.returncode == 1
+    B = float(argv[argv.index("--B") + 1])
+    want = f"--B must be >= 0, got {B!r}" if B < 0 else f"the test function at B={B!r} leaves"
+    assert proc.stderr.startswith(f"error: {want}"), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,14 @@
 
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zeemanlab import szego_measures
 from zeemanlab.szego_measures import (
-    HaarGrid,
     TestFunction,
     beta_marginalization_gap,
     haar_density_normalization,
@@ -57,6 +58,19 @@ def test_testfunction_validation():
         TestFunction.monomial(13)
     with pytest.raises(ValueError):
         TestFunction.polynomial([])
+
+
+def test_polynomial_takes_at_most_63_coefficients():
+    # the 32-node rules integrate degree 62 exactly, not degree 63
+    assert TestFunction.polynomial(np.ones(63))(np.array([1.0]))[0] == 63.0
+    with pytest.raises(ValueError, match="need 1 to 63 coefficients, got 64"):
+        TestFunction.polynomial(np.ones(64))
+
+
+def test_coefficients_are_ascending():
+    assert TestFunction.monomial(0).coefficients == (1.0,)
+    assert TestFunction.monomial(3).coefficients == (0.0, 0.0, 0.0, 1.0)
+    assert TestFunction.polynomial([1, -2]).coefficients == (1.0, -2.0)
 
 
 def test_angle_state_validation_and_ell3():
@@ -112,6 +126,58 @@ def test_all_representations_vanish_outside_support():
     assert limit_angle_density(bump, B) == pytest.approx(0.0, abs=1e-10)
     mc = limit_quadric_mc(bump, B, 50000, np.random.default_rng(1))
     assert mc.value == 0.0 and mc.std_error == 0.0
+
+
+# ---------------------------------------------------------------------------
+# exactness of the fixed Gauss rules
+# ---------------------------------------------------------------------------
+
+
+def _triangular_moments(B, degree):
+    """Exact integral of |(B/2) u|^k (1 - |u|) du over [-1, 1], k = 0..degree."""
+    r = Fraction(B) / 2
+    return [2 * r**k / ((k + 1) * (k + 2)) for k in range(degree + 1)]
+
+
+@pytest.mark.parametrize("B", [0.5, 2.0, 20.0, 100.0])
+@pytest.mark.parametrize("limit, rtol", [(limit_triangular, 1e-14), (limit_angle_density, 5e-14)])
+def test_limits_are_exact_for_monomials(limit, rtol, B):
+    for k, moment in enumerate(_triangular_moments(B, 12)):
+        got = limit(TestFunction.monomial(k), B)
+        # odd monomials integrate to 0, up to rounding of terms of the size of |x|^k
+        want = float(moment) if k % 2 == 0 else 0.0
+        assert abs(got - want) <= rtol * float(moment), (k, got, want)
+        if limit is limit_triangular and k % 2:
+            assert abs(got) <= 1e-13
+
+
+@pytest.mark.parametrize("B", [2.0, 20.0])
+@pytest.mark.parametrize("limit, rtol", [(limit_triangular, 1e-14), (limit_angle_density, 5e-14)])
+def test_limits_are_exact_at_degree_62(limit, rtol, B):
+    rng = np.random.default_rng(5)
+    for coeffs in (np.eye(63)[62], rng.standard_normal(63)):
+        moments = _triangular_moments(B, 62)
+        want = sum(Fraction(c) * m for k, (c, m) in enumerate(zip(coeffs, moments)) if k % 2 == 0)
+        size = sum(abs(Fraction(c)) * m for c, m in zip(coeffs, moments))
+        got = limit(TestFunction.polynomial(coeffs), B)
+        assert abs(Fraction(got) - want) <= Fraction(rtol) * size
+
+
+@pytest.mark.parametrize("B", [2.0, 20.0])
+@pytest.mark.parametrize("limit", [limit_triangular, limit_angle_density])
+def test_limits_ask_for_32_gauss_nodes_only(monkeypatch, limit, B):
+    asked = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def recording(n):
+        asked.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", recording)
+    # at B = 20 rounding kept a node-doubling loop from settling on x^6
+    got = limit(TestFunction.monomial(6), B)
+    assert asked == [32, 32]
+    assert got == pytest.approx(2.0 * (B / 2.0) ** 6 / 56.0, rel=5e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +266,7 @@ def test_liouville_pushforward():
     assert check.skipped_fraction <= 1e-6
 
 
-def _retired_pushforward_check(n_samples, rng, keep_samples=0):
+def _retired_pushforward_check(n_samples, rng, keep_samples=20000):
     """liouville_pushforward_check as it was before it kept only the
     columns of the inverse lift that ell3 needs."""
     a, b = sample_index_batch(rng, n_samples)
@@ -220,8 +286,8 @@ def _retired_pushforward_check(n_samples, rng, keep_samples=0):
         ks_vs_triangular=ks_tri,
         skipped_fraction=skipped / n_samples,
         n_samples=n_samples,
-        sample_ell3_index=ell3_index[:keep].copy() if keep else None,
-        sample_ell3_phase=ell3_phase[:keep].copy() if keep else None,
+        sample_ell3_index=ell3_index[:keep].copy(),
+        sample_ell3_phase=ell3_phase[:keep].copy(),
     )
 
 
@@ -245,30 +311,37 @@ class _PolePlantingGenerator:
 
 def _field_bytes(check):
     values = {f.name: getattr(check, f.name) for f in dataclasses.fields(check)}
-    return {k: None if v is None else np.asarray(v).tobytes() for k, v in values.items()}
+    return {k: np.asarray(v).tobytes() for k, v in values.items()}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 11])
 @pytest.mark.parametrize(
-    "n, keep_samples", [(1, 1), (5000, 0), (200000, 20000), (3 * _SAMPLE_BLOCK + 5, 20000)]
+    "n, kept", [(1, 1), (5000, 0), (200000, 20000), (3 * _SAMPLE_BLOCK + 5, 20000)]
 )
-def test_pushforward_is_the_retired_check(seed, n, keep_samples):
-    got = liouville_pushforward_check(n, np.random.default_rng(seed), keep_samples)
-    want = _retired_pushforward_check(n, np.random.default_rng(seed), keep_samples)
+def test_pushforward_is_the_retired_check(monkeypatch, seed, n, kept):
+    # kept = 0 and 1 reach the edges of the returned sample columns
+    monkeypatch.setattr(szego_measures, "_KEPT_SAMPLES", kept)
+    got = liouville_pushforward_check(n, np.random.default_rng(seed))
+    want = _retired_pushforward_check(n, np.random.default_rng(seed), kept)
+    assert len(got.sample_ell3_index) == len(got.sample_ell3_phase) == kept
     assert _field_bytes(got) == _field_bytes(want)
 
 
 @pytest.mark.parametrize("rows", [[0], [3, 17, 4999], list(range(0, 5000, 7))])
 def test_pushforward_with_pole_rows_is_the_retired_check(rows):
-    got = liouville_pushforward_check(5000, _PolePlantingGenerator(4, rows), 3000)
-    want = _retired_pushforward_check(5000, _PolePlantingGenerator(4, rows), 3000)
+    got = liouville_pushforward_check(5000, _PolePlantingGenerator(4, rows))
+    want = _retired_pushforward_check(5000, _PolePlantingGenerator(4, rows))
     assert got.skipped_fraction == len(rows) / 5000
     assert _field_bytes(got) == _field_bytes(want)
 
 
-def test_pushforward_with_pole_and_degenerate_rows_beyond_the_first_block_is_the_retired_check():
+def test_pushforward_with_pole_and_degenerate_rows_beyond_the_first_block_is_the_retired_check(
+    monkeypatch,
+):
     blk = _SAMPLE_BLOCK
     n = 3 * blk + 5
+    # every kept row is compared
+    monkeypatch.setattr(szego_measures, "_KEPT_SAMPLES", n)
     # stream rows 0..n-1 are the first vectors of the index rows, n..2n-1 the second ones
     poles = [blk, blk + 1, 2 * blk + 7, n - 1]
     plants = {
@@ -278,7 +351,7 @@ def test_pushforward_with_pole_and_degenerate_rows_beyond_the_first_block_is_the
     plants[2 * blk + 3] = lambda rows: np.zeros(4)
     plants[n + 3 * blk] = lambda rows: 3.0 * rows[3 * blk]
     gen, retired_gen = StreamPlantingGenerator(4, plants), StreamPlantingGenerator(4, plants)
-    got = liouville_pushforward_check(n, gen, n)
+    got = liouville_pushforward_check(n, gen)
     want = _retired_pushforward_check(n, retired_gen, n)
     # two rows redrawn
     assert len(gen.rows) == len(retired_gen.rows) == 2 * n + 4
@@ -332,8 +405,8 @@ def test_haar_normalization_default_grid():
 
 
 def test_haar_normalization_stable_under_refinement():
-    coarse = haar_density_normalization(HaarGrid())
-    fine = haar_density_normalization(HaarGrid().doubled())
+    coarse = haar_density_normalization()
+    fine = haar_density_normalization(2)
     assert abs(coarse - fine) <= 1e-6
 
 
