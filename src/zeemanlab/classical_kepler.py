@@ -18,6 +18,7 @@ operation order, so no BLAS kernel runs inside a step.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -523,36 +524,36 @@ def sample_index_batch(
 
     Two independent standard Gaussian 4-vectors are orthonormalized in
     place; isotropy of the Gaussian makes the law rotation invariant.
-    All n first vectors are drawn, then all n second ones, each in blocks
-    of _SAMPLE_BLOCK rows, which is the stream of one (n, 4) draw apiece.
+    The stream is that of one (n, 4) draw of all first vectors followed by
+    one of all second vectors.  A copy of ``rng`` re-reads the first
+    vectors in blocks of _SAMPLE_BLOCK rows while ``rng``, having drawn
+    and dropped them, draws the second ones alongside, so no first vector
+    outlives its block and ``rng`` ends where the two draws leave it.
     Row norms and dots are column expressions summed in the order numpy's
     row reduction uses, ((c0 + c1) + c2) + c3, so they have its bits.
     Degenerate draws (vanishing norms or numerically parallel pairs) are
-    redrawn at the end, in row order, by a recursive call on the same
-    generator.
+    redrawn at the end, in row order, by a recursive call on ``rng``.
 
     Without ``columns`` the result is the pair ``(a, b)`` of (n, 4) arrays.
     With it, ``columns(a_blk, b_blk)`` maps each block of orthonormal rows
     to a tuple of per-row arrays, and the result is those arrays over all
-    n rows; then only ``a`` (32 bytes a row) and the outputs stay resident.
+    n rows; then only the outputs stay resident.
     """
-    a = np.empty((n, 4))
     ok = np.empty(n, dtype=bool)
     blocks = [slice(i, min(i + _SAMPLE_BLOCK, n)) for i in range(0, max(n, 1), _SAMPLE_BLOCK)]
+    first = copy.deepcopy(rng)
     for blk in blocks:
-        a[blk] = rng.standard_normal((blk.stop - blk.start, 4))
-        ok[blk] = _orthonormalize(a[blk])
+        rng.standard_normal((blk.stop - blk.start, 4))
     outs = None
     for blk in blocks:
+        a_blk = first.standard_normal((blk.stop - blk.start, 4))
         b_blk = rng.standard_normal((blk.stop - blk.start, 4))
-        ok[blk] &= _orthonormalize(b_blk, a[blk])
-        got = (b_blk,) if columns is None else columns(a[blk], b_blk)
+        ok[blk] = _orthonormalize(a_blk) & _orthonormalize(b_blk, a_blk)
+        got = (a_blk, b_blk) if columns is None else columns(a_blk, b_blk)
         if outs is None:
             outs = tuple(np.empty((n, *c.shape[1:]), c.dtype) for c in got)
         for out, c in zip(outs, got):
             out[blk] = c
-    if columns is None:
-        outs = (a, *outs)
     redo = np.flatnonzero(~ok)
     if len(redo):
         for out, patch in zip(outs, sample_index_batch(rng, len(redo), columns)):

@@ -3,18 +3,18 @@
 Each command validates its input and computes its results, then returns
 its configuration and its files.  ``main`` alone creates the output
 directory and writes the files in order, then a manifest (configuration
-echo, package versions, wall time).  So a command that fails writes
-nothing.  A failed write exits 1 naming the file; the files written
-before it stay and no manifest is written.
+echo, package versions, wall time, peak RSS).  So a command that fails
+writes nothing.  A failed write exits 1 naming the file; the files
+written before it stay and no manifest is written.
 Results are deterministic for a fixed configuration and seed: dictionary
 field order is fixed, CSV floats have 17 significant digits and JSON
 floats are the shortest repr that round-trips, so reruns are
-byte-identical (the manifest records the wall time and is exempt).  The
-CSV writer takes whole columns and formats each distinct bit pattern of a
-block of rows once, which makes a cluster spectrum (few distinct shifts,
-each many times over) cheap to write; a test pins its bytes to
-``csv.writer``.  JSON payloads are small summaries, written by
-``json.dump(indent=2)``.
+byte-identical (the manifest records the wall time and the peak RSS and
+is exempt).  The CSV writer takes whole columns and formats each
+distinct bit pattern of a block of rows once, which makes a cluster
+spectrum (few distinct shifts, each many times over) cheap to write; a
+test pins its bytes to ``csv.writer``.  JSON payloads are small
+summaries, written by ``json.dump(indent=2)``.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 failed
 scientific check (cluster separation, sub-cluster overlap, lost orbit
@@ -28,6 +28,7 @@ import csv
 import json
 import math
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -172,6 +173,8 @@ def _write_results(args, config: dict, files: dict, started: float) -> None:
             "python": sys.version.split()[0],
         },
         "wall_time_s": time.time() - started,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     write("manifest.json", manifest)
 
@@ -368,8 +371,8 @@ def cmd_measures(args) -> tuple[dict, dict]:
     config = {"samples": args.samples, "seed": args.seed, "B": args.B}
     rho = TestFunction.monomial(2)
     _require_in_float_range(rho, args.B, args.samples)
-    check = liouville_pushforward_check(args.samples, rng)
-    mc = limit_quadric_mc(rho, args.B, args.samples, rng)
+    check = liouville_pushforward_check(args.samples, rng, rho, args.B)
+    mc = check.moment
     return config, {
         "ell3_samples.csv": (
             ["ell3_index", "ell3_phase"],

@@ -38,7 +38,7 @@ __all__ = [
     "triangular_shift_cdf",
 ]
 
-# distinct sample values per block of ks_distance
+# sorted sample entries per block of ks_distance
 _KS_BLOCK = 1 << 16
 
 
@@ -191,36 +191,46 @@ def trace_average(N: int, B: float, rho: Callable[[float], float]) -> float:
     return float(np.sum(mult * vals)) / (N + 1) ** 2
 
 
-def ks_distance(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+def ks_distance(
+    sample: np.ndarray,
+    cdf: Callable[[np.ndarray], np.ndarray],
+    below: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> float:
     """sup |F_n - F| between the equal-weight ``sample`` and the reference ``cdf``.
 
     ``cdf`` is right-continuous.  At each distinct value x, held by entries
     k..j-1 of the sorted sample, F_n steps from k/n to j/n, so the sup is
-    reached at x, against cdf(x), or just below x.  Just below x is the
-    previous float, where F_n equals k/n exactly; cdf there is the left
-    limit of a reference atom at x, and within about one ulp times the
-    density of a continuous reference.
+    reached at x, against cdf(x), or just below x, against ``below(x)``,
+    the left limit of cdf.  Without ``below`` that is cdf at the previous
+    float, where F_n equals k/n exactly: the left limit of a reference
+    atom at x, and within about one ulp times the density of a continuous
+    reference.
 
-    The distinct values are walked in blocks of _KS_BLOCK, ``cdf`` is
-    called on each block, and the block maxima are folded with
-    ``np.maximum``: the sup is exact in any order, and a NaN from ``cdf``
-    comes out as it does from one ``np.max``.
+    The sorted sample is walked in blocks of _KS_BLOCK entries, ``cdf`` is
+    called on the distinct values that end in each block, and the block
+    maxima are folded with ``np.maximum``: the sup is exact in any order,
+    and a NaN from ``cdf`` comes out as it does from one ``np.max``.
     """
     x = np.sort(np.asarray(sample, dtype=float))
     n = len(x)
     if n == 0:
         raise ValueError("the KS distance needs a non-empty sample")
-    # entries starts[i]..ends[i]-1 of x hold the i-th distinct value
-    edges = np.flatnonzero(np.concatenate([[True], x[1:] != x[:-1], [True]]))
-    starts, ends = edges[:-1], edges[1:]
     d_right = d_left = -np.inf
-    for i in range(0, len(starts), _KS_BLOCK):
-        first, upper = starts[i : i + _KS_BLOCK], ends[i : i + _KS_BLOCK]
+    start = 0  # first entry of the value that has not ended yet
+    for i in range(1, n + 1, _KS_BLOCK):
+        # entries first[k]..upper[k]-1 of x hold the k-th value ending in
+        # this block; the last block also ends the last value, at n
+        seg = x[i - 1 : i + _KS_BLOCK]
+        upper = i + np.flatnonzero(np.append(seg[1:] != seg[:-1], i + _KS_BLOCK > n))
+        if not len(upper):
+            continue
+        first = np.concatenate([[start], upper[:-1]])
+        start = upper[-1]
         atoms = x[first]
         at = np.asarray(cdf(atoms), dtype=float)
         d_right = np.maximum(d_right, np.max(np.abs(upper / n - at)))
-        below = np.asarray(cdf(np.nextafter(atoms, -np.inf)), dtype=float)
-        d_left = np.maximum(d_left, np.max(np.abs(first / n - below)))
+        left = below(atoms) if below else cdf(np.nextafter(atoms, -np.inf))
+        d_left = np.maximum(d_left, np.max(np.abs(first / n - np.asarray(left, dtype=float))))
     return float(max(d_right, d_left))
 
 

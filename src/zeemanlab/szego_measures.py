@@ -62,6 +62,9 @@ class TestFunction:
         coeffs = tuple(float(c) for c in coefficients)
         if not 1 <= len(coeffs) <= _MAX_COEFFICIENTS:
             raise ValueError(f"need 1 to {_MAX_COEFFICIENTS} coefficients, got {len(coeffs)}")
+        for k, c in enumerate(coeffs):
+            if not np.isfinite(c):
+                raise ValueError(f"coefficient {k} is {c!r}, not a finite number")
         return cls(kind="polynomial", data=coeffs)
 
     @property
@@ -137,6 +140,15 @@ def _pushforward_columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]
     return one_minus > 1e-12, _wedge(a, b, 0, 1), ell3_phase
 
 
+def _average(rho: Callable[[np.ndarray], np.ndarray], B: float, ell3: np.ndarray) -> McEstimate:
+    """Mean of rho(-(B/2) ell3) over the sample ``ell3`` and its standard error."""
+    n = len(ell3)
+    vals = np.asarray(rho(-(B / 2.0) * ell3), dtype=float)
+    mean = float(vals.mean())
+    sem = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return McEstimate(value=mean, std_error=sem, n_samples=n)
+
+
 def limit_quadric_mc(
     rho: Callable[[np.ndarray], np.ndarray],
     B: float,
@@ -147,10 +159,7 @@ def limit_quadric_mc(
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     (ell3,) = sample_index_batch(rng, n_samples, lambda a, b: (_wedge(a, b, 0, 1),))
-    vals = np.asarray(rho(-(B / 2.0) * ell3), dtype=float)
-    mean = float(vals.mean())
-    sem = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return McEstimate(value=mean, std_error=sem, n_samples=n_samples)
+    return _average(rho, B, ell3)
 
 
 @dataclass
@@ -162,9 +171,12 @@ class PushforwardCheck:
     n_samples: int
     sample_ell3_index: np.ndarray
     sample_ell3_phase: np.ndarray
+    moment: McEstimate | None = None
 
 
-def liouville_pushforward_check(n_samples: int, rng: np.random.Generator) -> PushforwardCheck:
+def liouville_pushforward_check(
+    n_samples: int, rng: np.random.Generator, rho: Callable | None = None, B: float = 2.0
+) -> PushforwardCheck:
     """Compare ell3 on the energy shell with ell3 read off the index.
 
     Indices are mapped to phase points through the inverse Moser lift of
@@ -173,21 +185,31 @@ def liouville_pushforward_check(n_samples: int, rng: np.random.Generator) -> Pus
     (the two quantities agree exactly off the exclusion set), hence the
     sample-law distance is zero and only the distance to the triangular
     limit law carries statistical error.  The first _KEPT_SAMPLES rows of
-    both ell3 columns off the exclusion set are returned as samples.
+    both ell3 columns off the exclusion set are returned as samples.  With
+    ``rho``, ``moment`` is the Monte-Carlo average of rho(-(B/2) ell3) over
+    every index row, in sample order, as limit_quadric_mc takes it.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     keep, ell3_index, ell3_phase = sample_index_batch(rng, n_samples, _pushforward_columns)
+    moment = None if rho is None else _average(rho, B, ell3_index)
     skipped = int(n_samples - keep.sum())
     if skipped:
         ell3_index, ell3_phase = ell3_index[keep], ell3_phase[keep]
     del keep
     gap = float(np.max(np.abs(ell3_phase - ell3_index))) if len(ell3_index) else 0.0
+    samples = ell3_index[:_KEPT_SAMPLES].copy(), ell3_phase[:_KEPT_SAMPLES].copy()
+    ell3_index.sort()
+    ell3_phase.sort()
     # two-sample KS: between atoms of ell3_phase its law is flat and the
-    # index law monotone, so the sup lies where ks_distance looks
-    ref = np.sort(ell3_index)
-    ks_same = ks_distance(ell3_phase, lambda x: np.searchsorted(ref, x, side="right") / len(ref))
-    del ref
+    # index law monotone, so the sup lies where ks_distance looks; the
+    # index law's left limit at a finite x counts the entries below x
+    m = len(ell3_index)
+    ks_same = ks_distance(
+        ell3_phase,
+        lambda x: np.searchsorted(ell3_index, x, side="right") / m,
+        lambda x: np.searchsorted(ell3_index, x, side="left") / m,
+    )
     ks_tri = ks_distance(ell3_phase, triangular_shift_cdf(2.0))
     return PushforwardCheck(
         max_pointwise_gap=gap,
@@ -195,8 +217,9 @@ def liouville_pushforward_check(n_samples: int, rng: np.random.Generator) -> Pus
         ks_vs_triangular=ks_tri,
         skipped_fraction=skipped / n_samples,
         n_samples=n_samples,
-        sample_ell3_index=ell3_index[:_KEPT_SAMPLES].copy(),
-        sample_ell3_phase=ell3_phase[:_KEPT_SAMPLES].copy(),
+        sample_ell3_index=samples[0],
+        sample_ell3_phase=samples[1],
+        moment=moment,
     )
 
 

@@ -728,6 +728,29 @@ def test_sample_columns_are_the_expressions_on_the_full_pairs(n, planted):
     assert len(gen.rows) == len(pair_gen.rows)
 
 
+def _twin_generators(n, planted):
+    if not planted:
+        return (np.random.default_rng(np.random.Philox(key=n)) for _ in range(2))
+    # row 0 vanishes, the last pair is parallel, and the redraw of row 0 vanishes again
+    plants = {
+        0: lambda rows: np.zeros(4),
+        2 * n - 1: lambda rows: 3.0 * rows[n - 1],
+        2 * n: lambda rows: np.zeros(4),
+    }
+    return StreamPlantingGenerator(6, plants), StreamPlantingGenerator(6, plants)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("n", [1, 5000, 3 * _SAMPLE_BLOCK + 5])
+def test_sample_leaves_the_generator_where_the_full_pairs_do(n, planted):
+    gen, oracle_gen = _twin_generators(n, planted)
+    got = sample_index_batch(gen, n, _columns)
+    want = _columns(*reference_sample_index_batch(oracle_gen, n))
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    assert gen.standard_normal((3, 4)).tobytes() == oracle_gen.standard_normal((3, 4)).tobytes()
+
+
 def test_single_sample_constructor():
     index = sample_coherent_index(np.random.default_rng(0))
     assert isinstance(index, CoherentIndex)

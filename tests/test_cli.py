@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,8 @@ from zeemanlab.cli import (
 )
 from zeemanlab.hydrogenic_shell import ScalingSchedule
 from zeemanlab.spectral_cluster import cluster_eigenvalues
+
+from reference import sample_index_batch as reference_sample_index_batch
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -191,6 +194,15 @@ def test_szego_rho_with_64_coefficients_is_one_line_usage_error(tmp_path, capsys
     assert not (tmp_path / "x").exists()
 
 
+def test_szego_rho_with_a_nan_coefficient_is_one_line_usage_error(tmp_path, capsys):
+    # the coefficient is named, not the field range
+    assert run(["szego", "--rho", "nan,1", "--N-list", "4", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad test function 'nan,1': coefficient 0 is nan, not a finite number\n"
+    )
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # cluster command
 # ---------------------------------------------------------------------------
@@ -215,6 +227,13 @@ def test_cluster_writes_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "cluster"
     assert "zeemanlab" in manifest["versions"]
+
+
+def test_manifest_records_the_process_peak_rss(tmp_path):
+    assert run(["kepler", "--out", str(tmp_path)]) == 0
+    peak_mb = json.loads((tmp_path / "manifest.json").read_text())["peak_rss_mb"]
+    # the peak so far of this process, which ran the command
+    assert 0.0 < peak_mb <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def test_cluster_zero_field_point_mass(tmp_path):
@@ -560,6 +579,18 @@ def test_measures_summary(tmp_path):
     assert summary["pushforward"]["ks_vs_triangular"] <= 0.01
     assert abs(summary["haar_normalization"] - 1.0) <= 1e-6
     assert summary["beta_marginalization_gap"] <= 1e-8
+
+
+def test_measures_moment_is_taken_over_the_pushforward_draw(tmp_path):
+    # one index sample serves the pushforward and the Monte-Carlo moment
+    out = tmp_path / "ms"
+    assert run(["measures", "--samples", "40000", "--seed", "5", "--out", str(out)]) == 0
+    moment = json.loads((out / "measures_summary.json").read_text())["quadratic_moment"]
+    rng = np.random.default_rng(np.random.Philox(key=5))
+    a, b = reference_sample_index_batch(rng, 40000)
+    vals = (-(2.0 / 2.0) * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])) ** 2
+    assert moment["monte_carlo"] == float(vals.mean())
+    assert moment["std_error"] == float(vals.std(ddof=1) / np.sqrt(40000))
 
 
 def test_measures_requires_seed(tmp_path):

@@ -60,6 +60,12 @@ def test_testfunction_validation():
         TestFunction.polynomial([])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_polynomial_refuses_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match=f"coefficient 1 is {bad!r}, not a finite number"):
+        TestFunction.polynomial([1.0, bad, 2.0])
+
+
 def test_polynomial_takes_at_most_63_coefficients():
     # the 32-node rules integrate degree 62 exactly, not degree 63
     assert TestFunction.polynomial(np.ones(63))(np.array([1.0]))[0] == 63.0
@@ -378,12 +384,13 @@ def _traced_peak_mib(run) -> float:
         tracemalloc.stop()
 
 
-# The sampler keeps the normalized first vectors (32 bytes a row) and the
-# per-row outputs, and the pairs (a, b) alone are 61 MiB; one full-size
-# (n, 4) temporary, or ks_distance's cdf on all 10^6 atoms at once, would
-# cross these bounds.
+# The sampler keeps only the per-row outputs: the pushforward columns
+# (17 bytes a row) and the pairs (a, b) alone are 16 and 61 MiB.  One
+# full-size (n, 4) temporary, a resident first vector per row, or
+# ks_distance's cdf on all 10^6 atoms at once would cross these bounds.
 @pytest.mark.parametrize(
-    "name, bound_mib", [("pushforward", 56), ("mc", 48), ("sample", 72), ("ks", 32)]
+    "name, bound_mib",
+    [("pushforward", 36), ("mc", 28), ("sample", 72), ("sample_columns", 24), ("ks", 16)],
 )
 def test_peak_memory_at_a_million_samples(name, bound_mib):
     n = 1000000
@@ -395,6 +402,7 @@ def test_peak_memory_at_a_million_samples(name, bound_mib):
         "pushforward": lambda: liouville_pushforward_check(n, rng),
         "mc": lambda: limit_quadric_mc(TestFunction.monomial(2), 2.0, n, rng),
         "sample": lambda: sample_index_batch(rng, n),
+        "sample_columns": lambda: sample_index_batch(rng, n, szego_measures._pushforward_columns),
         "ks": lambda: ks_distance(sample, triangular_shift_cdf(2.0)),
     }
     assert _traced_peak_mib(runs[name]) <= bound_mib
