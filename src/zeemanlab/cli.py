@@ -28,10 +28,14 @@ import csv
 import json
 import math
 import os
-import resource
 import sys
 import time
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # no getrusage on Windows
+    resource = None
 
 import numpy as np
 
@@ -173,10 +177,18 @@ def _write_results(args, config: dict, files: dict, started: float) -> None:
             "python": sys.version.split()[0],
         },
         "wall_time_s": time.time() - started,
-        # ru_maxrss is in KiB on Linux
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     write("manifest.json", manifest)
+
+
+def _peak_rss_mb() -> float | None:
+    """Peak resident set of this process in MiB; None without getrusage."""
+    if resource is None:
+        return None
+    # ru_maxrss counts bytes on macOS and KiB on Linux and the BSDs
+    unit = 1 if sys.platform == "darwin" else 1024
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit / 2**20
 
 
 def _parse_n_list(text: str) -> list[int]:

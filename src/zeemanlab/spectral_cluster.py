@@ -191,20 +191,15 @@ def trace_average(N: int, B: float, rho: Callable[[float], float]) -> float:
     return float(np.sum(mult * vals)) / (N + 1) ** 2
 
 
-def ks_distance(
-    sample: np.ndarray,
-    cdf: Callable[[np.ndarray], np.ndarray],
-    below: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> float:
+def ks_distance(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """sup |F_n - F| between the equal-weight ``sample`` and the reference ``cdf``.
 
     ``cdf`` is right-continuous.  At each distinct value x, held by entries
     k..j-1 of the sorted sample, F_n steps from k/n to j/n, so the sup is
-    reached at x, against cdf(x), or just below x, against ``below(x)``,
-    the left limit of cdf.  Without ``below`` that is cdf at the previous
-    float, where F_n equals k/n exactly: the left limit of a reference
-    atom at x, and within about one ulp times the density of a continuous
-    reference.
+    reached at x, against cdf(x), or just below x.  Just below x is the
+    previous float, where F_n equals k/n exactly; cdf there is the left
+    limit of a reference atom at x, and within about one ulp times the
+    density of a continuous reference.
 
     The sorted sample is walked in blocks of _KS_BLOCK entries, ``cdf`` is
     called on the distinct values that end in each block, and the block
@@ -229,8 +224,8 @@ def ks_distance(
         atoms = x[first]
         at = np.asarray(cdf(atoms), dtype=float)
         d_right = np.maximum(d_right, np.max(np.abs(upper / n - at)))
-        left = below(atoms) if below else cdf(np.nextafter(atoms, -np.inf))
-        d_left = np.maximum(d_left, np.max(np.abs(first / n - np.asarray(left, dtype=float))))
+        below = np.asarray(cdf(np.nextafter(atoms, -np.inf)), dtype=float)
+        d_left = np.maximum(d_left, np.max(np.abs(first / n - below)))
     return float(max(d_right, d_left))
 
 

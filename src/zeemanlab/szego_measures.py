@@ -171,11 +171,14 @@ class PushforwardCheck:
     n_samples: int
     sample_ell3_index: np.ndarray
     sample_ell3_phase: np.ndarray
-    moment: McEstimate | None = None
+    moment: McEstimate
 
 
 def liouville_pushforward_check(
-    n_samples: int, rng: np.random.Generator, rho: Callable | None = None, B: float = 2.0
+    n_samples: int,
+    rng: np.random.Generator,
+    rho: Callable[[np.ndarray], np.ndarray],
+    B: float,
 ) -> PushforwardCheck:
     """Compare ell3 on the energy shell with ell3 read off the index.
 
@@ -185,14 +188,14 @@ def liouville_pushforward_check(
     (the two quantities agree exactly off the exclusion set), hence the
     sample-law distance is zero and only the distance to the triangular
     limit law carries statistical error.  The first _KEPT_SAMPLES rows of
-    both ell3 columns off the exclusion set are returned as samples.  With
-    ``rho``, ``moment`` is the Monte-Carlo average of rho(-(B/2) ell3) over
-    every index row, in sample order, as limit_quadric_mc takes it.
+    both ell3 columns off the exclusion set are returned as samples, and
+    ``moment`` is the Monte-Carlo average of rho(-(B/2) ell3) over every
+    index row, in sample order, as limit_quadric_mc takes it.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     keep, ell3_index, ell3_phase = sample_index_batch(rng, n_samples, _pushforward_columns)
-    moment = None if rho is None else _average(rho, B, ell3_index)
+    moment = _average(rho, B, ell3_index)
     skipped = int(n_samples - keep.sum())
     if skipped:
         ell3_index, ell3_phase = ell3_index[keep], ell3_phase[keep]
@@ -202,14 +205,9 @@ def liouville_pushforward_check(
     ell3_index.sort()
     ell3_phase.sort()
     # two-sample KS: between atoms of ell3_phase its law is flat and the
-    # index law monotone, so the sup lies where ks_distance looks; the
-    # index law's left limit at a finite x counts the entries below x
+    # index law monotone, so the sup lies where ks_distance looks
     m = len(ell3_index)
-    ks_same = ks_distance(
-        ell3_phase,
-        lambda x: np.searchsorted(ell3_index, x, side="right") / m,
-        lambda x: np.searchsorted(ell3_index, x, side="left") / m,
-    )
+    ks_same = ks_distance(ell3_phase, lambda x: np.searchsorted(ell3_index, x, side="right") / m)
     ks_tri = ks_distance(ell3_phase, triangular_shift_cdf(2.0))
     return PushforwardCheck(
         max_pointwise_gap=gap,

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from zeemanlab import szego_measures
 from zeemanlab.szego_measures import (
+    McEstimate,
     TestFunction,
     beta_marginalization_gap,
     haar_density_normalization,
@@ -264,7 +265,7 @@ def test_mc_agrees_with_quadratures_random_polynomials():
 
 def test_liouville_pushforward():
     n = 1000000
-    check = liouville_pushforward_check(n, np.random.default_rng(11))
+    check = liouville_pushforward_check(n, np.random.default_rng(11), TestFunction.monomial(2), 2.0)
     assert check.max_pointwise_gap <= 1e-9
     # pointwise agreement pins the sample law up to float ties
     assert check.ks_vs_index_law <= 3.0 / n
@@ -274,8 +275,12 @@ def test_liouville_pushforward():
 
 def _retired_pushforward_check(n_samples, rng, keep_samples=20000):
     """liouville_pushforward_check as it was before it kept only the
-    columns of the inverse lift that ell3 needs."""
+    columns of the inverse lift that ell3 needs, with the moment of x^2 at
+    B = 2 that limit_quadric_mc took from a second draw."""
     a, b = sample_index_batch(rng, n_samples)
+    vals = (-(2.0 / 2.0) * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])) ** 2
+    sem = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
+    moment = McEstimate(value=float(vals.mean()), std_error=sem, n_samples=n_samples)
     keep = (1.0 - a[:, 3]) > 1e-12
     skipped = int(n_samples - keep.sum())
     a, b = a[keep], b[keep]
@@ -294,6 +299,7 @@ def _retired_pushforward_check(n_samples, rng, keep_samples=20000):
         n_samples=n_samples,
         sample_ell3_index=ell3_index[:keep].copy(),
         sample_ell3_phase=ell3_phase[:keep].copy(),
+        moment=moment,
     )
 
 
@@ -317,6 +323,7 @@ class _PolePlantingGenerator:
 
 def _field_bytes(check):
     values = {f.name: getattr(check, f.name) for f in dataclasses.fields(check)}
+    values["moment"] = dataclasses.astuple(values["moment"])
     return {k: np.asarray(v).tobytes() for k, v in values.items()}
 
 
@@ -327,7 +334,7 @@ def _field_bytes(check):
 def test_pushforward_is_the_retired_check(monkeypatch, seed, n, kept):
     # kept = 0 and 1 reach the edges of the returned sample columns
     monkeypatch.setattr(szego_measures, "_KEPT_SAMPLES", kept)
-    got = liouville_pushforward_check(n, np.random.default_rng(seed))
+    got = liouville_pushforward_check(n, np.random.default_rng(seed), TestFunction.monomial(2), 2.0)
     want = _retired_pushforward_check(n, np.random.default_rng(seed), kept)
     assert len(got.sample_ell3_index) == len(got.sample_ell3_phase) == kept
     assert _field_bytes(got) == _field_bytes(want)
@@ -335,7 +342,9 @@ def test_pushforward_is_the_retired_check(monkeypatch, seed, n, kept):
 
 @pytest.mark.parametrize("rows", [[0], [3, 17, 4999], list(range(0, 5000, 7))])
 def test_pushforward_with_pole_rows_is_the_retired_check(rows):
-    got = liouville_pushforward_check(5000, _PolePlantingGenerator(4, rows))
+    got = liouville_pushforward_check(
+        5000, _PolePlantingGenerator(4, rows), TestFunction.monomial(2), 2.0
+    )
     want = _retired_pushforward_check(5000, _PolePlantingGenerator(4, rows))
     assert got.skipped_fraction == len(rows) / 5000
     assert _field_bytes(got) == _field_bytes(want)
@@ -357,7 +366,7 @@ def test_pushforward_with_pole_and_degenerate_rows_beyond_the_first_block_is_the
     plants[2 * blk + 3] = lambda rows: np.zeros(4)
     plants[n + 3 * blk] = lambda rows: 3.0 * rows[3 * blk]
     gen, retired_gen = StreamPlantingGenerator(4, plants), StreamPlantingGenerator(4, plants)
-    got = liouville_pushforward_check(n, gen)
+    got = liouville_pushforward_check(n, gen, TestFunction.monomial(2), 2.0)
     want = _retired_pushforward_check(n, retired_gen, n)
     # two rows redrawn
     assert len(gen.rows) == len(retired_gen.rows) == 2 * n + 4
@@ -399,7 +408,7 @@ def test_peak_memory_at_a_million_samples(name, bound_mib):
         sample = rng.random(n)
         assert len(np.unique(sample)) == n
     runs = {
-        "pushforward": lambda: liouville_pushforward_check(n, rng),
+        "pushforward": lambda: liouville_pushforward_check(n, rng, TestFunction.monomial(2), 2.0),
         "mc": lambda: limit_quadric_mc(TestFunction.monomial(2), 2.0, n, rng),
         "sample": lambda: sample_index_batch(rng, n),
         "sample_columns": lambda: sample_index_batch(rng, n, szego_measures._pushforward_columns),
