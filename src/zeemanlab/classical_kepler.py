@@ -50,7 +50,7 @@ __all__ = [
 
 _ORTHO_TOL = 1e-12
 # rows per block of sample_index_batch
-_SAMPLE_BLOCK = 1 << 14
+_SAMPLE_BLOCK = 1 << 13
 
 
 class SingularityError(ValueError):

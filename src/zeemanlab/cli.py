@@ -18,7 +18,7 @@ summaries, written by ``json.dump(indent=2)``.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 failed
 scientific check (cluster separation, sub-cluster overlap, lost orbit
-regularization).
+regularization, the pushforward identity of ``measures``).
 """
 
 from __future__ import annotations
@@ -76,6 +76,10 @@ OUTPUT_DIR_ENV = "ZEEMANLAB_OUT"
 
 class ConfigError(ValueError):
     pass
+
+
+class IdentityCheckError(RuntimeError):
+    """An exact identity of a command's output is off by more than rounding."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -384,6 +388,12 @@ def cmd_measures(args) -> tuple[dict, dict]:
     rho = TestFunction.monomial(2)
     _require_in_float_range(rho, args.B, args.samples)
     check = liouville_pushforward_check(args.samples, rng, rho, args.B)
+    # x1 p2 - x2 p1 of the inverse lift is a0 b1 - a1 b0 for any reals.  Off the pole cap
+    # each product x_i (a_j / (1 - a3)) is at most 2 and takes at most 5 roundings of
+    # u = eps/2, their difference one more, and the index wedge 2u: 20u + u + 2u < 12 eps.
+    gap, bound = check.max_pointwise_gap, 12 * sys.float_info.epsilon
+    if not gap <= bound:
+        raise IdentityCheckError(f"pushforward gap {gap!r} exceeds its rounding bound {bound!r}")
     mc = check.moment
     return config, {
         "ell3_samples.csv": (
@@ -532,7 +542,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # ConfigError and the library's input checks
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ClusterSeparationError, SubclusterOverlapError, NumericalCollisionError) as exc:
+    except (
+        ClusterSeparationError,
+        SubclusterOverlapError,
+        NumericalCollisionError,
+        IdentityCheckError,
+    ) as exc:
         print(f"scientific check failed: {exc}", file=sys.stderr)
         return 2
 

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 # sorted sample entries per block of ks_distance
-_KS_BLOCK = 1 << 16
+_KS_BLOCK = 1 << 14
 
 
 class ClusterSeparationError(RuntimeError):
@@ -206,7 +206,11 @@ def ks_distance(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> 
     maxima are folded with ``np.maximum``: the sup is exact in any order,
     and a NaN from ``cdf`` comes out as it does from one ``np.max``.
     """
-    x = np.sort(np.asarray(sample, dtype=float))
+    return _ks_walk(np.sort(np.asarray(sample, dtype=float)), cdf)
+
+
+def _ks_walk(x: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """ks_distance of the sorted sample ``x``."""
     n = len(x)
     if n == 0:
         raise ValueError("the KS distance needs a non-empty sample")

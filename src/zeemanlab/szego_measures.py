@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .classical_kepler import _wedge, sample_index_batch
-from .spectral_cluster import ks_distance, triangular_shift_cdf
+from .spectral_cluster import _ks_walk, ks_distance, triangular_shift_cdf
 
 __all__ = [
     "TestFunction",
@@ -37,6 +37,7 @@ _MAX_MONOMIAL_DEGREE = 12
 _RULE_NODES = 32
 _MAX_COEFFICIENTS = 2 * _RULE_NODES - 1
 _KEPT_SAMPLES = 20000  # pushforward rows returned as samples
+_SUM_LEAF = 1 << 14  # rows per reduce call of _blockwise
 
 
 @dataclass(frozen=True)
@@ -140,13 +141,30 @@ def _pushforward_columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]
     return one_minus > 1e-12, _wedge(a, b, 0, 1), ell3_phase
 
 
+def _blockwise(ufunc: np.ufunc, f: Callable[[int, int], np.ndarray], lo: int, hi: int):
+    """ufunc.reduce of f(lo, hi), with f called on at most _SUM_LEAF rows: the rows are halved
+    where np.add.reduce halves a contiguous array (at a multiple of 8), so a sum keeps its bits."""
+    if hi - lo <= _SUM_LEAF:
+        return ufunc.reduce(f(lo, hi))
+    half = lo + (hi - lo) // 2 // 8 * 8
+    return ufunc(_blockwise(ufunc, f, lo, half), _blockwise(ufunc, f, half, hi))
+
+
 def _average(rho: Callable[[np.ndarray], np.ndarray], B: float, ell3: np.ndarray) -> McEstimate:
-    """Mean of rho(-(B/2) ell3) over the sample ``ell3`` and its standard error."""
+    """Mean of rho(-(B/2) ell3) over the sample ``ell3`` and its standard error, with the
+    bits of vals.mean() and vals.std(ddof=1) / sqrt(n) but no n-long temporary."""
     n = len(ell3)
-    vals = np.asarray(rho(-(B / 2.0) * ell3), dtype=float)
-    mean = float(vals.mean())
-    sem = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(value=mean, std_error=sem, n_samples=n)
+
+    def vals(lo, hi):
+        return np.asarray(rho(-(B / 2.0) * ell3[lo:hi]), dtype=float)
+
+    def squares(lo, hi):
+        dev = vals(lo, hi) - mean
+        return np.multiply(dev, dev, out=dev)
+
+    mean = _blockwise(np.add, vals, 0, n) / n
+    sem = float(np.sqrt(_blockwise(np.add, squares, 0, n) / (n - 1)) / np.sqrt(n)) if n > 1 else 0.0
+    return McEstimate(value=float(mean), std_error=sem, n_samples=n)
 
 
 def limit_quadric_mc(
@@ -200,17 +218,18 @@ def liouville_pushforward_check(
     if skipped:
         ell3_index, ell3_phase = ell3_index[keep], ell3_phase[keep]
     del keep
-    gap = float(np.max(np.abs(ell3_phase - ell3_index))) if len(ell3_index) else 0.0
+    m = len(ell3_index)
+    gap = _blockwise(np.maximum, lambda lo, hi: abs(ell3_phase[lo:hi] - ell3_index[lo:hi]), 0, m)
     samples = ell3_index[:_KEPT_SAMPLES].copy(), ell3_phase[:_KEPT_SAMPLES].copy()
     ell3_index.sort()
     ell3_phase.sort()
     # two-sample KS: between atoms of ell3_phase its law is flat and the
-    # index law monotone, so the sup lies where ks_distance looks
-    m = len(ell3_index)
-    ks_same = ks_distance(ell3_phase, lambda x: np.searchsorted(ell3_index, x, side="right") / m)
+    # index law monotone, so the sup lies where the KS walk looks
+    ks_same = _ks_walk(ell3_phase, lambda x: np.searchsorted(ell3_index, x, side="right") / m)
+    del ell3_index  # so ks_distance's sorted copy sits beside one column
     ks_tri = ks_distance(ell3_phase, triangular_shift_cdf(2.0))
     return PushforwardCheck(
-        max_pointwise_gap=gap,
+        max_pointwise_gap=float(gap),
         ks_vs_index_law=ks_same,
         ks_vs_triangular=ks_tri,
         skipped_fraction=skipped / n_samples,

@@ -18,6 +18,7 @@ from zeemanlab.cli import (
     write_csv,
     write_json,
 )
+from zeemanlab import szego_measures
 from zeemanlab.hydrogenic_shell import ScalingSchedule
 from zeemanlab.spectral_cluster import cluster_eigenvalues
 
@@ -591,6 +592,28 @@ def test_measures_moment_is_taken_over_the_pushforward_draw(tmp_path):
     vals = (-(2.0 / 2.0) * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])) ** 2
     assert moment["monte_carlo"] == float(vals.mean())
     assert moment["std_error"] == float(vals.std(ddof=1) / np.sqrt(40000))
+
+
+@pytest.mark.parametrize("nudge", [1e-12, np.nan])
+def test_measures_pushforward_gap_above_rounding_is_failed_check(
+    tmp_path, capsys, monkeypatch, nudge
+):
+    # x1 p2 - x2 p1 = a0 b1 - a1 b0 exactly, so a gap beyond 12 eps means broken numerics
+    columns = szego_measures._pushforward_columns
+
+    def nudged(a, b):
+        keep, ell3_index, ell3_phase = columns(a, b)
+        ell3_phase[-1] += nudge
+        return keep, ell3_index, ell3_phase
+
+    monkeypatch.setattr(szego_measures, "_pushforward_columns", nudged)
+    out = tmp_path / "ms"
+    assert run(["measures", "--samples", "1000", "--seed", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scientific check failed: pushforward gap ")
+    assert err.endswith(f"exceeds its rounding bound {12 * sys.float_info.epsilon!r}\n")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_measures_requires_seed(tmp_path):
