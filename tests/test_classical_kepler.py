@@ -622,8 +622,9 @@ def test_sample_ell3_law_is_triangular():
 @pytest.mark.parametrize(
     "n",
     [1, 2, 5, 1000, 1000000]
-    # around the sampler's block edges
-    + [_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK + 7],
+    # around the sampler's first and second block edges
+    + [_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK + 7]
+    + [2 * _SAMPLE_BLOCK - 1, 2 * _SAMPLE_BLOCK, 2 * _SAMPLE_BLOCK + 1, 6 * _SAMPLE_BLOCK + 7],
 )
 def test_sample_has_the_bits_of_numpy_row_reductions(n, seed):
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -714,8 +715,9 @@ def _columns(a, b):
 
 @pytest.mark.parametrize(
     "n, planted",
-    [(1, False), (_SAMPLE_BLOCK + 1, False)]
-    + [(3 * _SAMPLE_BLOCK + 7, False), (3 * _SAMPLE_BLOCK + 7, True)],
+    [(1, False), (_SAMPLE_BLOCK + 1, False), (2 * _SAMPLE_BLOCK + 1, False)]
+    + [(3 * _SAMPLE_BLOCK + 7, False), (3 * _SAMPLE_BLOCK + 7, True)]
+    + [(6 * _SAMPLE_BLOCK + 7, False), (6 * _SAMPLE_BLOCK + 7, True)],
 )
 def test_sample_columns_are_the_expressions_on_the_full_pairs(n, planted):
     plants = _degenerate_plants(n) if planted else {}
@@ -741,7 +743,7 @@ def _twin_generators(n, planted):
 
 
 @pytest.mark.parametrize("planted", [False, True])
-@pytest.mark.parametrize("n", [1, 5000, 3 * _SAMPLE_BLOCK + 5])
+@pytest.mark.parametrize("n", [1, 5000, 3 * _SAMPLE_BLOCK + 5, 6 * _SAMPLE_BLOCK + 5])
 def test_sample_leaves_the_generator_where_the_full_pairs_do(n, planted):
     gen, oracle_gen = _twin_generators(n, planted)
     got = sample_index_batch(gen, n, _columns)

@@ -447,7 +447,9 @@ def test_blocked_ks_over_several_blocks_is_the_one_array_form():
     _assert_ks_bits(sample, triangular_shift_cdf(2.0), triangular_shift_cdf(0.0), other)
 
 
-@pytest.mark.parametrize("block", [1, 3, 8, spectral_cluster._KS_BLOCK])
+@pytest.mark.parametrize(
+    "block", [1, 3, 8, spectral_cluster._KS_BLOCK, 4 * spectral_cluster._KS_BLOCK]
+)
 def test_blocked_ks_with_ties_at_block_edges_is_the_one_array_form(block, monkeypatch):
     monkeypatch.setattr(spectral_cluster, "_KS_BLOCK", block)
     atoms = np.linspace(-1.0, 1.0, 2 * block + 3)
@@ -468,7 +470,9 @@ def test_blocked_ks_all_tied_and_single_entry_is_the_one_array_form(sample, bloc
     _assert_ks_bits(sample, triangular_shift_cdf(1.0), triangular_shift_cdf(0.0))
 
 
-@pytest.mark.parametrize("block", [64, 800, 801, spectral_cluster._KS_BLOCK])
+@pytest.mark.parametrize(
+    "block", [64, 800, 801, spectral_cluster._KS_BLOCK, 4 * spectral_cluster._KS_BLOCK]
+)
 def test_blocked_ks_of_the_ladder_is_the_one_array_form(block, monkeypatch):
     # N = 400: 801 atoms with N + 1 - |m| ties each
     sample = scaled_shift_measure(cluster_eigenvalues(400, _para_schedule(B=1.0)))

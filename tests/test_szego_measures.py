@@ -329,7 +329,9 @@ def _field_bytes(check):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 11])
 @pytest.mark.parametrize(
-    "n, kept", [(1, 1), (5000, 0), (200000, 20000), (3 * _SAMPLE_BLOCK + 5, 20000)]
+    "n, kept",
+    [(1, 1), (5000, 0), (200000, 20000)]
+    + [(3 * _SAMPLE_BLOCK + 5, 20000), (6 * _SAMPLE_BLOCK + 5, 20000)],
 )
 def test_pushforward_is_the_retired_check(monkeypatch, seed, n, kept):
     # kept = 0 and 1 reach the edges of the returned sample columns
