@@ -40,7 +40,6 @@ __all__ = [
     "moser_forward",
     "moser_inverse",
     "sphere_point_of_index",
-    "symplectic_check",
     "integrate_kepler",
     "measure_period",
     "orbit_point_from_elements",
@@ -222,53 +221,6 @@ def sphere_point_of_index(index: CoherentIndex) -> SpherePoint:
     return SpherePoint(omega=index.a_vec.copy(), xi=index.b_vec.copy())
 
 
-def symplectic_check(
-    pt: PhasePoint,
-    radius: float,
-    n_loops: int = 8,
-    segments: int = 64,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Line-integral test of the canonical identity behind the Moser map.
-
-    The pullback of xi . d(omega) equals y . d(p) as 1-forms, so their
-    integrals over any closed loop coincide; both are evaluated with the
-    same chord-trapezoid rule over random circles of the given radius
-    around ``pt`` and the worst absolute mismatch is returned.  The
-    mismatch is pure quadrature error and vanishes at least cubically in
-    the radius at fixed segment count.
-    """
-    if radius < 0:
-        raise ValueError("loop radius must be >= 0")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    z0 = np.concatenate([pt.x, pt.p])
-    t = np.linspace(0.0, 2.0 * np.pi, segments + 1)
-    worst = 0.0
-    for _ in range(n_loops):
-        for _attempt in range(100):
-            u = rng.standard_normal(6)
-            nu = np.linalg.norm(u)
-            v = rng.standard_normal(6)
-            v -= (v @ u) * u / nu**2
-            nv = np.linalg.norm(v)
-            if nu > 1e-8 and nv > 1e-8:
-                u, v = u / nu, v / nv
-                break
-        else:  # pragma: no cover - probability zero
-            raise RuntimeError("could not draw a non-degenerate loop plane")
-        loop = z0[None, :] + radius * (
-            np.cos(t)[:, None] * u[None, :] + np.sin(t)[:, None] * v[None, :]
-        )
-        x, p = loop[:, :3], loop[:, 3:]
-        omega, xi = _forward_arrays(x, p)
-        y = -x
-        phase_side = float(np.sum(0.5 * (y[1:] + y[:-1]) * (p[1:] - p[:-1])))
-        sphere_side = float(np.sum(0.5 * (xi[1:] + xi[:-1]) * (omega[1:] - omega[:-1])))
-        worst = max(worst, abs(phase_side - sphere_side))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # regularized flow
 # ---------------------------------------------------------------------------
@@ -319,8 +271,7 @@ class Trajectory:
         return 0.5 * np.sum(self.states[:, 3:] ** 2, axis=1) - 1.0 / r
 
     def ell3(self) -> np.ndarray:
-        x, p = self.states[:, :3], self.states[:, 3:]
-        return x[:, 0] * p[:, 1] - x[:, 1] * p[:, 0]
+        return _wedge(self.states[:, :3], self.states[:, 3:], 0, 1)
 
 
 def integrate_kepler(pt0: PhasePoint, s_max: float, tol: float = 1e-10) -> Trajectory:

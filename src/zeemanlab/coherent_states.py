@@ -5,32 +5,30 @@ alpha . omega, with alpha = a + ib an orthonormal index pair.  Degree-N
 harmonics split as V_{N/2} x V_{N/2} under SU(2) x SU(2), and the state
 is, up to a phase, the product |u> x |v> of two spin-N/2 coherent states
 along u = ell + A and v = ell - A, read off a ^ b.  So L3 + N is the sum of
-two independent binomials (its law a convolution of their pmfs), and the
-completeness check runs in the (N+1)^2-dimensional product basis.  The
-product quadrature on S^3 below serves the normalization checks.
+two independent binomials (its law a convolution of their pmfs).  The
+product quadrature on S^3 below serves the normalization checks; the
+completeness check, in the (N+1)^2-dimensional product basis, lives with
+the tests in tests/reference.py.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .classical_kepler import CoherentIndex, _wedge, sample_index_batch
+from .classical_kepler import CoherentIndex, _wedge
 
 __all__ = [
     "QuadratureSpec",
     "SphereGrid",
-    "IdentityCheckResult",
     "ConvergenceTable",
     "normalization_sq",
     "s3_quadrature",
     "sphere_grid",
     "expectation_L3_power",
     "moment_convergence_table",
-    "resolution_of_identity_check",
 ]
 
 SPHERE_AREA = 2.0 * np.pi**2
@@ -203,69 +201,4 @@ def moment_convergence_table(
         slope = float(np.polyfit(np.log(N_values), np.log(errors), 1)[0])
     return ConvergenceTable(
         N_values=N_values, moments=moments, errors=errors, target=target, slope=slope
-    )
-
-
-# ---------------------------------------------------------------------------
-# resolution of the identity
-# ---------------------------------------------------------------------------
-
-
-def _spin_states(w: np.ndarray, N: int) -> np.ndarray:
-    """Spin-N/2 coherent states along the unit rows of w: entry k of a row is
-    sqrt(C(N, k)) c^(N-k) (s e^(i phi))^k, with c = sqrt((1 + w3)/2),
-    s = sqrt((1 - w3)/2) and phi = atan2(w2, w1)."""
-    k = np.arange(N + 1)
-    w3 = np.clip(w[:, 2:], -1.0, 1.0)
-    binom = np.array([math.comb(N, j) for j in k], dtype=float)
-    amp = np.sqrt(binom * (0.5 * (1.0 + w3)) ** (N - k) * (0.5 * (1.0 - w3)) ** k)
-    return amp * np.exp(1j * k * np.arctan2(w[:, 1:2], w[:, :1]))
-
-
-def _product_states(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
-    """The states |u> x |v> of the index rows (a, b), one per row."""
-    ell = np.stack([_wedge(a, b, 1, 2), _wedge(a, b, 2, 0), _wedge(a, b, 0, 1)], axis=-1)
-    rl = np.stack([_wedge(a, b, i, 3) for i in range(3)], axis=-1)
-    su, sv = _spin_states(ell + rl, N), _spin_states(ell - rl, N)
-    return (su[:, :, None] * sv[:, None, :]).reshape(len(a), -1)
-
-
-def _identity_estimate(N: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """dim * mean of |state><state| over n_samples indices, drawn in batches of 20000."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    if N < 0:
-        raise ValueError("shell index must be non-negative")
-    acc = np.zeros(((N + 1) ** 2,) * 2, dtype=complex)
-    for done in range(0, n_samples, 20000):
-        states = _product_states(*sample_index_batch(rng, min(20000, n_samples - done)), N)
-        acc += states.T @ states.conj()
-    return (N + 1) ** 2 * acc / n_samples
-
-
-@dataclass
-class IdentityCheckResult:
-    max_deviation: float
-    trace: float
-    dim: int
-    n_samples: int
-
-
-def resolution_of_identity_check(
-    N: int,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> IdentityCheckResult:
-    """Monte-Carlo check that dim * E[ |state><state| ] is the identity.
-
-    The estimate is formed in the (N+1)^2 product basis of the states
-    |u> x |v>; the worst entry deviation from the identity is reported
-    together with the trace."""
-    estimate = _identity_estimate(N, n_samples, rng)
-    dim = (N + 1) ** 2
-    return IdentityCheckResult(
-        max_deviation=float(np.max(np.abs(estimate - np.eye(dim)))),
-        trace=float(estimate.trace().real),
-        dim=dim,
-        n_samples=n_samples,
     )

@@ -249,7 +249,6 @@ def _same_shell_r2(n: int, l: int, l2: int) -> float:
     true division like the cross-shell ratios, so they have the bits of the
     integrated polynomial.
     """
-    n, l = operator.index(n), operator.index(l)
     if l2 == l:
         a = n * n * (5 * n * n + 1 - 3 * l * (l + 1))
         return math.sqrt(a * a / 4)
@@ -262,13 +261,7 @@ def radial_integral_r2(n: int, l: int, l2: int) -> float:
     Only the couplings the perturbation produces are allowed:
     |l - l2| in {0, 2}.
     """
-    # numpy integers would wrap in the checks and in the exact arithmetic
-    n, l, l2 = map(operator.index, (n, l, l2))
-    if not (0 <= l <= n - 1 and 0 <= l2 <= n - 1):
-        raise ValueError(f"need 0 <= l, l2 <= n-1, got l={l}, l2={l2}, n={n}")
-    if abs(l - l2) not in (0, 2):
-        raise ValueError(f"unsupported angular coupling |l-l2|={abs(l - l2)}")
-    return _same_shell_r2(n, min(l, l2), max(l, l2))
+    return radial_integral_r2_cross(n, l, n, l2)
 
 
 def radial_integral_r2_cross(n: int, l: int, n2: int, l2: int) -> float:

@@ -3,10 +3,12 @@
 The library keeps what the command line, the acceptance criteria and the
 benchmark tracer reach.  The scalar and dense forms below pin its fast
 paths from outside: labelled shell states and full matrices, the scalar
-ladder and angular elements, orbit elements from their angles, coherent
-states sampled on a grid, an orthonormal harmonic basis built on the grid
-by Gram-Schmidt and the completeness estimate taken in it (the generic form
-of the product-basis check, for small N), the hydrogenic r^2 radial element
+ladder and angular elements, orbit elements from their angles, the
+canonical 1-form identity of the Moser map at each point, coherent states
+sampled on a grid, an orthonormal harmonic basis built on the grid by
+Gram-Schmidt and the completeness estimate taken in it (the generic form
+of the product-basis check, for small N), the product-basis completeness
+check itself (acceptance criterion 10), the hydrogenic r^2 radial element
 as one integrated polynomial, the distribution function of an equal-weight
 sample, the KS distance over all distinct values at once, the two-sample
 KS distance over the pooled sample, and the index sampler with numpy's row
@@ -18,13 +20,20 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from zeemanlab.classical_kepler import CoherentIndex, OrbitElements, _wedge
+from zeemanlab.classical_kepler import (
+    CoherentIndex,
+    OrbitElements,
+    _forward_arrays,
+    _wedge,
+    sample_index_batch as library_sample_index_batch,
+)
 from zeemanlab.coherent_states import (
     QuadratureSpec,
     SphereGrid,
@@ -178,6 +187,28 @@ def index_kepler_vectors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
     return ell, np.stack([_wedge(a, b, i, 3) for i in range(3)], axis=-1)
 
 
+def canonical_form_gap(x: np.ndarray, p: np.ndarray) -> float:
+    """Worst gap in Moser's canonical identity sum_i xi_i d(omega_i)/d(p_j) = y_j.
+
+    The pullback of xi . d(omega) is y . dp with y = -x, so the identity
+    holds at every phase point (rows of the (n, 3) arrays ``x`` and ``p``)
+    for j = 1, 2, 3.
+    Both omega and xi come from the library's ``_forward_arrays``, and
+    d(omega)/d(p_j) is its complex step Im omega(p + i h e_j)/h with
+    h = 1e-30: no difference is taken, so the value is exact to rounding.
+    Since |xi| = |y| (|p|^2 + 1)/2 and |d(omega)/d(p_j)| = 2/(|p|^2 + 1),
+    the terms of the sum are at most |y| in all; the gap is taken relative
+    to 1 + |y|, the scale of its rounding.
+    """
+    _, xi = _forward_arrays(x, p)
+    scale = 1.0 + np.linalg.norm(x, axis=-1)
+    gap = 0.0
+    for j, step in enumerate(np.eye(3) * 1e-30j):
+        d_omega = _forward_arrays(x, p + step)[0].imag / 1e-30
+        gap = max(gap, float(np.max(np.abs(np.sum(xi * d_omega, axis=-1) + x[:, j]) / scale)))
+    return gap
+
+
 def coherent_state_values(index: CoherentIndex, N: int, grid: SphereGrid) -> np.ndarray:
     """Normalized state a(N) (alpha . omega)^N at the grid nodes."""
     u = grid.omega @ index.alpha
@@ -276,6 +307,67 @@ def grid_identity_estimate(N: int, n_samples: int, rng: np.random.Generator) -> 
             coeff = weighted @ (scale * (grid.omega @ alpha.T) ** N)  # <Y_i, state>
             acc += coeff @ coeff.conj().T
     return dim * acc / n_samples
+
+
+def _spin_states(w: np.ndarray, N: int) -> np.ndarray:
+    """Spin-N/2 coherent states along the unit rows of w: entry k of a row is
+    sqrt(C(N, k)) c^(N-k) (s e^(i phi))^k, with c = sqrt((1 + w3)/2),
+    s = sqrt((1 - w3)/2) and phi = atan2(w2, w1)."""
+    k = np.arange(N + 1)
+    w3 = np.clip(w[:, 2:], -1.0, 1.0)
+    binom = np.array([math.comb(N, j) for j in k], dtype=float)
+    amp = np.sqrt(binom * (0.5 * (1.0 + w3)) ** (N - k) * (0.5 * (1.0 - w3)) ** k)
+    return amp * np.exp(1j * k * np.arctan2(w[:, 1:2], w[:, :1]))
+
+
+def _product_states(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
+    """The states |u> x |v> of the index rows (a, b), one per row."""
+    ell, rl = index_kepler_vectors(a, b)
+    su, sv = _spin_states(ell + rl, N), _spin_states(ell - rl, N)
+    return (su[:, :, None] * sv[:, None, :]).reshape(len(a), -1)
+
+
+def _identity_estimate(N: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """dim * mean of |state><state| over n_samples indices, drawn in batches of 20000."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
+    if N < 0:
+        raise ValueError("shell index must be non-negative")
+    acc = np.zeros(((N + 1) ** 2,) * 2, dtype=complex)
+    for done in range(0, n_samples, 20000):
+        states = _product_states(
+            *library_sample_index_batch(rng, min(20000, n_samples - done)), N
+        )
+        acc += states.T @ states.conj()
+    return (N + 1) ** 2 * acc / n_samples
+
+
+@dataclass
+class IdentityCheckResult:
+    max_deviation: float
+    trace: float
+    dim: int
+    n_samples: int
+
+
+def resolution_of_identity_check(
+    N: int,
+    n_samples: int,
+    rng: np.random.Generator,
+) -> IdentityCheckResult:
+    """Monte-Carlo check that dim * E[ |state><state| ] is the identity.
+
+    The estimate is formed in the (N+1)^2 product basis of the states
+    |u> x |v>; the worst entry deviation from the identity is reported
+    together with the trace."""
+    estimate = _identity_estimate(N, n_samples, rng)
+    dim = (N + 1) ** 2
+    return IdentityCheckResult(
+        max_deviation=float(np.max(np.abs(estimate - np.eye(dim)))),
+        trace=float(estimate.trace().real),
+        dim=dim,
+        n_samples=n_samples,
+    )
 
 
 def empirical_cdf(sample: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -27,12 +27,15 @@ from zeemanlab.classical_kepler import (
     sample_coherent_index,
     sample_index_batch,
     sphere_point_of_index,
-    symplectic_check,
 )
 from zeemanlab.spectral_cluster import ks_distance, triangular_shift_cdf
 
+from test_acceptance import CANONICAL_FORM_BOUND
+
+import reference
 from reference import (
     StreamPlantingGenerator,
+    canonical_form_gap,
     elements_from_angles,
     index_kepler_vectors,
     sample_index_batch as reference_sample_index_batch,
@@ -204,36 +207,28 @@ def test_unit_covector_on_shell_has_unit_fiber():
 # ---------------------------------------------------------------------------
 
 
-def test_symplectic_loops_small_radius():
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(100):
-        x = rng.standard_normal(3)
-        while np.linalg.norm(x) < 0.3:
-            x = rng.standard_normal(3)
-        pt = PhasePoint(x=x, p=rng.standard_normal(3))
-        worst = max(worst, symplectic_check(pt, 1e-3, n_loops=1, rng=rng))
-    assert worst <= 1e-6
+def test_canonical_form_gap_holds_to_large_momenta():
+    # 10^4 points with |p| spread up to 10: the gap, relative to 1 + |y|,
+    # stays within the acceptance suite's rounding bound
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((10000, 3))
+    p = rng.standard_normal((10000, 3))
+    p *= rng.uniform(0.0, 10.0, (10000, 1)) / np.linalg.norm(p, axis=1, keepdims=True)
+    assert canonical_form_gap(x, p) <= CANONICAL_FORM_BOUND
 
 
-def test_symplectic_zero_radius_loop():
-    pt = PhasePoint(x=[1.0, 0.2, -0.4], p=[0.1, 0.9, 0.0])
-    assert symplectic_check(pt, 0.0, n_loops=2) == 0.0
+def test_canonical_form_gap_sees_a_planted_fault(monkeypatch):
+    forward = reference._forward_arrays
 
+    def faulty(x, p):
+        omega, xi = forward(x, p)
+        xi[..., 3] *= 1.0 + 1e-9
+        return omega, xi
 
-def test_symplectic_discrepancy_vanishes_superlinearly():
-    # quadrature error of the two line integrals cancels through cubic
-    # order; the fitted decay must therefore be at least cubic
-    pt = PhasePoint(x=[0.9, -0.3, 0.5], p=[0.2, 0.8, -0.1])
-    radii = np.array([0.005, 0.01, 0.02, 0.04])
-    discs = np.array(
-        [
-            symplectic_check(pt, r, n_loops=4, segments=32, rng=np.random.default_rng(7))
-            for r in radii
-        ]
-    )
-    slope = np.polyfit(np.log(radii), np.log(discs), 1)[0]
-    assert slope >= 2.7
+    rng = np.random.default_rng(12)
+    x, p = rng.standard_normal((100, 3)), rng.standard_normal((100, 3))
+    monkeypatch.setattr(reference, "_forward_arrays", faulty)
+    assert canonical_form_gap(x, p) > 1e4 * CANONICAL_FORM_BOUND
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,10 @@ from zeemanlab.coherent_states import (
     QuadratureSpec,
     SPHERE_AREA,
     _binomial_pmf,
-    _identity_estimate,
     _l3_law,
-    _product_states,
     expectation_L3_power,
     moment_convergence_table,
     normalization_sq,
-    resolution_of_identity_check,
     s3_quadrature,
     sphere_grid,
 )
@@ -31,11 +28,14 @@ from zeemanlab.coherent_states import (
 from reference import (
     BasisConstructionError,
     QuadratureAccuracyError,
+    _identity_estimate,
+    _product_states,
     coherent_state_values,
     exactness_degree,
     grid_identity_estimate,
     harmonic_basis,
     index_kepler_vectors,
+    resolution_of_identity_check,
 )
 
 AXIS_INDEX = CoherentIndex(a_vec=[1.0, 0, 0, 0], b_vec=[0, 1.0, 0, 0])
