@@ -18,7 +18,6 @@ operation order, so no BLAS kernel runs inside a step.
 
 from __future__ import annotations
 
-import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -475,15 +474,13 @@ def sample_index_batch(
 
     Two independent standard Gaussian 4-vectors are orthonormalized in
     place; isotropy of the Gaussian makes the law rotation invariant.
-    The stream is that of one (n, 4) draw of all first vectors followed by
-    one of all second vectors.  A copy of ``rng`` re-reads the first
-    vectors in blocks of _SAMPLE_BLOCK rows while ``rng``, having drawn
-    and dropped them, draws the second ones alongside, so no first vector
-    outlives its block and ``rng`` ends where the two draws leave it.
-    Row norms and dots are column expressions summed in the order numpy's
-    row reduction uses, ((c0 + c1) + c2) + c3, so they have its bits.
-    Degenerate draws (vanishing norms or numerically parallel pairs) are
-    redrawn at the end, in row order, by a recursive call on ``rng``.
+    The stream is that of one (n, 8) draw, a row's first vector in its
+    first four columns and its second vector in the last four, taken in
+    blocks of _SAMPLE_BLOCK rows.  Row norms and dots are column
+    expressions summed in the order numpy's row reduction uses,
+    ((c0 + c1) + c2) + c3, so they have its bits.  Degenerate draws
+    (vanishing norms or numerically parallel pairs) are redrawn at the
+    end, in row order, by a recursive call on ``rng``.
 
     Without ``columns`` the result is the pair ``(a, b)`` of (n, 4) arrays.
     With it, ``columns(a_blk, b_blk)`` maps each block of orthonormal rows
@@ -491,14 +488,11 @@ def sample_index_batch(
     n rows; then only the outputs stay resident.
     """
     ok = np.empty(n, dtype=bool)
-    blocks = [slice(i, min(i + _SAMPLE_BLOCK, n)) for i in range(0, max(n, 1), _SAMPLE_BLOCK)]
-    first = copy.deepcopy(rng)
-    for blk in blocks:
-        rng.standard_normal((blk.stop - blk.start, 4))
     outs = None
-    for blk in blocks:
-        a_blk = first.standard_normal((blk.stop - blk.start, 4))
-        b_blk = rng.standard_normal((blk.stop - blk.start, 4))
+    for start in range(0, max(n, 1), _SAMPLE_BLOCK):
+        blk = slice(start, min(start + _SAMPLE_BLOCK, n))
+        ab = rng.standard_normal((blk.stop - blk.start, 8))
+        a_blk, b_blk = ab[:, :4], ab[:, 4:]
         ok[blk] = _orthonormalize(a_blk) & _orthonormalize(b_blk, a_blk)
         got = (a_blk, b_blk) if columns is None else columns(a_blk, b_blk)
         if outs is None:

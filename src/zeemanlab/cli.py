@@ -296,6 +296,8 @@ def cmd_cluster(args) -> tuple[dict, dict]:
 
 
 def cmd_szego(args) -> tuple[dict, dict]:
+    if args.samples < 0:
+        raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     rho = parse_rho(args.rho)
     n_list = _parse_n_list(args.N_list)
     config = {"rho": args.rho, "B": args.B, "N_list": n_list, "samples": args.samples}
@@ -329,6 +331,8 @@ def cmd_szego(args) -> tuple[dict, dict]:
 
 
 def cmd_coherent(args) -> tuple[dict, dict]:
+    if args.m < 0:
+        raise ConfigError(f"--m must be >= 0, got {args.m}")
     rng = _require_seed(args)
     n_list = _parse_n_list(args.N_list)
     config = {"m": args.m, "B": args.B, "N_list": n_list, "seed": args.seed}
@@ -383,6 +387,8 @@ def cmd_kepler(args) -> tuple[dict, dict]:
 
 
 def cmd_measures(args) -> tuple[dict, dict]:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     rng = _require_seed(args)
     config = {"samples": args.samples, "seed": args.seed, "B": args.B}
     rho = TestFunction.monomial(2)

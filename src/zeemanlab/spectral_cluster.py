@@ -192,25 +192,23 @@ def trace_average(N: int, B: float, rho: Callable[[float], float]) -> float:
 
 
 def ks_distance(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """sup |F_n - F| between the equal-weight ``sample`` and the reference ``cdf``.
+    """sup |F_n - F| between the equal-weight sorted ``sample`` and the reference ``cdf``.
 
     ``cdf`` is right-continuous.  At each distinct value x, held by entries
-    k..j-1 of the sorted sample, F_n steps from k/n to j/n, so the sup is
+    k..j-1 of the sample, F_n steps from k/n to j/n, so the sup is
     reached at x, against cdf(x), or just below x.  Just below x is the
     previous float, where F_n equals k/n exactly; cdf there is the left
     limit of a reference atom at x, and within about one ulp times the
     density of a continuous reference.
 
-    The sorted sample is walked in blocks of _KS_BLOCK entries, ``cdf`` is
-    called on the distinct values that end in each block, and the block
-    maxima are folded with ``np.maximum``: the sup is exact in any order,
-    and a NaN from ``cdf`` comes out as it does from one ``np.max``.
+    The sample is walked in blocks of _KS_BLOCK entries, each overlapping
+    the previous one by an entry, so a descent anywhere, block edges
+    included, raises ValueError.  ``cdf`` is called on the distinct values
+    that end in each block, and the block maxima are folded with
+    ``np.maximum``: the sup is exact in any order, and a NaN from ``cdf``
+    comes out as it does from one ``np.max``.
     """
-    return _ks_walk(np.sort(np.asarray(sample, dtype=float)), cdf)
-
-
-def _ks_walk(x: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """ks_distance of the sorted sample ``x``."""
+    x = np.asarray(sample, dtype=float)
     n = len(x)
     if n == 0:
         raise ValueError("the KS distance needs a non-empty sample")
@@ -220,6 +218,8 @@ def _ks_walk(x: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
         # entries first[k]..upper[k]-1 of x hold the k-th value ending in
         # this block; the last block also ends the last value, at n
         seg = x[i - 1 : i + _KS_BLOCK]
+        if np.any(seg[1:] < seg[:-1]):
+            raise ValueError("the KS distance needs a sorted sample")
         upper = i + np.flatnonzero(np.append(seg[1:] != seg[:-1], i + _KS_BLOCK > n))
         if not len(upper):
             continue

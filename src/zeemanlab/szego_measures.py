@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .classical_kepler import _wedge, sample_index_batch
-from .spectral_cluster import _ks_walk, ks_distance, triangular_shift_cdf
+from .classical_kepler import _inverse_arrays, _wedge, sample_index_batch
+from .spectral_cluster import ks_distance, triangular_shift_cdf
 
 __all__ = [
     "TestFunction",
@@ -131,14 +131,10 @@ class McEstimate:
 
 def _pushforward_columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per index row: off the pole, ell3 of the index, ell3 of its inverse lift."""
-    one_minus = 1.0 - a[:, 3]
-    # the x1, x2, p1, p2 columns of the inverse lift, as _inverse_arrays
-    # computes them; pole rows divide by zero here and are dropped
+    # pole rows divide by zero in the lift and are dropped
     with np.errstate(divide="ignore", invalid="ignore"):
-        x1 = -(one_minus * b[:, 0] + b[:, 3] * a[:, 0])
-        x2 = -(one_minus * b[:, 1] + b[:, 3] * a[:, 1])
-        ell3_phase = x1 * (a[:, 1] / one_minus) - x2 * (a[:, 0] / one_minus)
-    return one_minus > 1e-12, _wedge(a, b, 0, 1), ell3_phase
+        ell3_phase = _wedge(*_inverse_arrays(a, b), 0, 1)
+    return 1.0 - a[:, 3] > 1e-12, _wedge(a, b, 0, 1), ell3_phase
 
 
 def _blockwise(ufunc: np.ufunc, f: Callable[[int, int], np.ndarray], lo: int, hi: int):
@@ -224,9 +220,8 @@ def liouville_pushforward_check(
     ell3_index.sort()
     ell3_phase.sort()
     # two-sample KS: between atoms of ell3_phase its law is flat and the
-    # index law monotone, so the sup lies where the KS walk looks
-    ks_same = _ks_walk(ell3_phase, lambda x: np.searchsorted(ell3_index, x, side="right") / m)
-    del ell3_index  # so ks_distance's sorted copy sits beside one column
+    # index law monotone, so the sup lies where ks_distance looks
+    ks_same = ks_distance(ell3_phase, lambda x: np.searchsorted(ell3_index, x, side="right") / m)
     ks_tri = ks_distance(ell3_phase, triangular_shift_cdf(2.0))
     return PushforwardCheck(
         max_pointwise_gap=float(gap),

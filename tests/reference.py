@@ -12,7 +12,7 @@ check itself (acceptance criterion 10), the hydrogenic r^2 radial element
 as one integrated polynomial, the distribution function of an equal-weight
 sample, the KS distance over all distinct values at once, the two-sample
 KS distance over the pooled sample, and the index sampler with numpy's row
-norms and dots in one (n, 4) draw, with a seeded generator that plants
+norms and dots in one (n, 8) draw, with a seeded generator that plants
 rows into its stream.
 """
 
@@ -402,9 +402,9 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def sample_index_batch(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index sampler with ``np.linalg.norm`` and ``np.sum`` over rows."""
-    a = rng.standard_normal((n, 4))
-    b = rng.standard_normal((n, 4))
+    """The index sampler with ``np.linalg.norm`` and ``np.sum`` over rows, in one (n, 8) draw."""
+    ab = rng.standard_normal((n, 8))
+    a, b = ab[:, :4], ab[:, 4:]
     with np.errstate(divide="ignore", invalid="ignore"):
         n1 = np.linalg.norm(a, axis=1)
         a /= n1[:, None]
@@ -418,24 +418,25 @@ def sample_index_batch(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np
 
 
 class StreamPlantingGenerator:
-    """A seeded generator whose standard-normal draws, counted as rows of
-    one stream across calls, have the rows ``k`` in ``plants`` replaced by
-    ``plants[k](earlier)``, where ``earlier`` holds stream rows 0..k-1.
+    """A seeded generator of (k, 8) standard-normal draws whose rows, counted
+    as one stream across calls, have the row ``k`` of each key of
+    ``plants`` replaced by ``plants[k](row)``, ``row`` as drawn.
 
     Only the stream matters, not how it is cut into calls, so one blocked
-    and one unblocked sampler see the same planted rows.
+    and one unblocked sampler see the same planted rows.  ``drawn`` counts
+    the rows handed out.
     """
 
     def __init__(self, seed: int, plants: dict[int, Callable[[np.ndarray], np.ndarray]]):
         self.rng = np.random.default_rng(seed)
         self.plants = plants
-        self.rows = np.empty((0, 4))
+        self.drawn = 0
 
     def standard_normal(self, shape):
         out = self.rng.standard_normal(shape)
-        start = len(self.rows)
+        start = self.drawn
         for k in sorted(self.plants):
             if start <= k < start + len(out):
-                out[k - start] = self.plants[k](np.concatenate([self.rows, out[: k - start]]))
-        self.rows = np.concatenate([self.rows, out])
+                out[k - start] = self.plants[k](out[k - start].copy())
+        self.drawn += len(out)
         return out

@@ -616,6 +616,23 @@ def test_measures_pushforward_gap_above_rounding_is_failed_check(
     assert not out.exists()
 
 
+def test_measures_gates_the_library_inverse_lift(tmp_path, capsys, monkeypatch):
+    # ell3 of the pushforward comes from the library's own inverse Moser lift
+    lift = szego_measures._inverse_arrays
+
+    def scaled(omega, xi):
+        x, p = lift(omega, xi)
+        return x, p * (1.0 + 1e-12)
+
+    monkeypatch.setattr(szego_measures, "_inverse_arrays", scaled)
+    out = tmp_path / "ms"
+    assert run(["measures", "--samples", "1000", "--seed", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scientific check failed: pushforward gap ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_measures_requires_seed(tmp_path):
     assert run(["measures", "--samples", "1000", "--out", str(tmp_path / "x")]) == 1
 
@@ -667,6 +684,10 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
         # an --out that names a file, or a path through one
         ["cluster", "--N", "3", "--out", "{file}"],
         ["cluster", "--N", "3", "--out", "{file}/sub"],
+        # a count the library would refuse is refused under the flag's name
+        ["szego", "--samples", "-3", "--seed", "1"],
+        ["measures", "--samples", "0", "--seed", "1"],
+        ["measures", "--samples", "-1", "--seed", "1"],
     ],
 )
 def test_library_value_error_is_one_line_usage_error(tmp_path, capsys, argv):
@@ -680,6 +701,9 @@ def test_library_value_error_is_one_line_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
     if argv[1] == "--seed":
         assert err == f"error: --seed must lie in [0, 2**128), got {argv[2]}\n"
+    least = 1 if argv[0] == "measures" else 0
+    if argv[1] in ("--samples", "--m") and int(argv[2]) < least:
+        assert err == f"error: {argv[1]} must be >= {least}, got {argv[2]}\n"
     if not out:
         assert err.startswith(f"error: cannot create output directory {argv[-1]!r}: ")
 

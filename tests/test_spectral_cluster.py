@@ -314,7 +314,7 @@ def test_trace_identity_against_matrix_functional_calculus():
 
 
 def test_ks_identical_discrete_measures_is_zero():
-    sample = np.array([0.25, 0.0, -0.5, 0.0])
+    sample = np.array([-0.5, 0.0, 0.0, 0.25])
 
     def ref(x):
         return empirical_cdf(sample, x)
@@ -376,6 +376,20 @@ def test_ks_bounds():
     assert ks_distance(np.array([5.0]), triangular_shift_cdf(1.0)) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("block", [1, 3, spectral_cluster._KS_BLOCK])
+@pytest.mark.parametrize("edge", [1, 2])
+def test_ks_of_a_sample_with_a_descent_past_a_block_edge_is_value_error(block, edge, monkeypatch):
+    # the only descent is between the last entry of a block and the first
+    # entry past it, the one entry the blocks share
+    monkeypatch.setattr(spectral_cluster, "_KS_BLOCK", block)
+    sample = np.linspace(-1.0, 1.0, 3 * block + 5)
+    k = edge * block
+    sample[k], sample[k + 1] = sample[k + 1], sample[k]
+    assert np.count_nonzero(np.diff(sample) < 0) == 1
+    with pytest.raises(ValueError, match="sorted"):
+        ks_distance(sample, triangular_shift_cdf(2.0))
+
+
 def test_ks_of_empty_sample_is_value_error():
     with pytest.raises(ValueError, match="non-empty"):
         ks_distance(np.array([]), triangular_shift_cdf(1.0))
@@ -386,7 +400,7 @@ def test_ks_of_empty_sample_is_value_error():
 )
 @settings(deadline=None, max_examples=25)
 def test_ks_in_unit_interval(xs):
-    d = ks_distance(np.array(xs), triangular_shift_cdf(2.0))
+    d = ks_distance(np.sort(xs), triangular_shift_cdf(2.0))
     assert 0.0 <= d <= 1.0
 
 
@@ -398,7 +412,7 @@ def test_ks_in_unit_interval(xs):
 def test_ks_equals_searchsorted_oracle_on_tied_samples(xs, B):
     # F_n by searchsorted at every atom and at its previous float, against
     # the tie groups of ks_distance; both give the same step heights k/n
-    sample = np.array(xs)
+    sample = np.sort(xs)
     cdf = triangular_shift_cdf(B)
     atoms = np.unique(sample)
     points = np.concatenate([atoms, np.nextafter(atoms, -np.inf)])
@@ -422,7 +436,7 @@ _two_sample = st.lists(
 def test_two_sample_ks_through_ks_distance_is_the_pooled_form(xs, ys):
     # liouville_pushforward_check takes the distance between its two samples
     # as ks_distance against the second one's distribution function
-    a, b = np.array(xs), np.array(ys)
+    a, b = np.sort(xs), np.array(ys)
     ref = np.sort(b)
     got = ks_distance(a, lambda x: np.searchsorted(ref, x, side="right") / len(ref))
     assert got == ks_two_sample(a, b)
@@ -441,7 +455,7 @@ def _sample_cdf(sample):
 def test_blocked_ks_over_several_blocks_is_the_one_array_form():
     rng = np.random.default_rng(17)
     n = 3 * spectral_cluster._KS_BLOCK + 5
-    sample = rng.triangular(-1.0, 0.0, 1.0, n)
+    sample = np.sort(rng.triangular(-1.0, 0.0, 1.0, n))
     assert len(np.unique(sample)) == n
     other = _sample_cdf(rng.triangular(-1.0, 0.0, 1.0, 1000))
     _assert_ks_bits(sample, triangular_shift_cdf(2.0), triangular_shift_cdf(0.0), other)
@@ -457,7 +471,7 @@ def test_blocked_ks_with_ties_at_block_edges_is_the_one_array_form(block, monkey
     for edge in (block, 2 * block):
         # tie runs on both atoms next to each block edge
         counts[edge - 1], counts[edge] = 4, 3
-    sample = np.random.default_rng(block).permutation(np.repeat(atoms, counts))
+    sample = np.repeat(atoms, counts)
     _assert_ks_bits(
         sample, triangular_shift_cdf(2.0), triangular_shift_cdf(0.0), _sample_cdf(atoms[::2])
     )

@@ -289,7 +289,7 @@ def _retired_pushforward_check(n_samples, rng, keep_samples=20000):
     ell3_phase = x[:, 0] * p[:, 1] - x[:, 1] * p[:, 0]
     gap = float(np.max(np.abs(ell3_phase - ell3_index))) if len(a) else 0.0
     ks_same = ks_two_sample(ell3_phase, ell3_index)
-    ks_tri = ks_distance(ell3_phase, triangular_shift_cdf(2.0))
+    ks_tri = ks_distance(np.sort(ell3_phase), triangular_shift_cdf(2.0))
     keep = min(keep_samples, len(a))
     return PushforwardCheck(
         max_pointwise_gap=gap,
@@ -303,22 +303,14 @@ def _retired_pushforward_check(n_samples, rng, keep_samples=20000):
     )
 
 
-class _PolePlantingGenerator:
-    """A seeded generator whose first draw has the given rows replaced by
-    multiples of e4 or by points within 1e-7 of it, so that those index
+def _poles(rows):
+    """Plants that replace the first vectors of the given stream rows by
+    multiples of e4, or by points within 1e-7 of it, so that those index
     vectors land on (or next to) the north pole."""
-
-    def __init__(self, seed, rows):
-        self.rng = np.random.default_rng(seed)
-        self.rows = rows
-
-    def standard_normal(self, shape):
-        out = self.rng.standard_normal(shape)
-        if self.rows:
-            for i, row in enumerate(self.rows):
-                out[row] = [1e-7 * (i % 2), 0.0, 0.0, 2.0 + i]
-            self.rows = None
-        return out
+    return {
+        row: (lambda drawn, i=i: np.r_[1e-7 * (i % 2), 0.0, 0.0, 2.0 + i, drawn[4:]])
+        for i, row in enumerate(rows)
+    }
 
 
 def _field_bytes(check):
@@ -345,9 +337,9 @@ def test_pushforward_is_the_retired_check(monkeypatch, seed, n, kept):
 @pytest.mark.parametrize("rows", [[0], [3, 17, 4999], list(range(0, 5000, 7))])
 def test_pushforward_with_pole_rows_is_the_retired_check(rows):
     got = liouville_pushforward_check(
-        5000, _PolePlantingGenerator(4, rows), TestFunction.monomial(2), 2.0
+        5000, StreamPlantingGenerator(4, _poles(rows)), TestFunction.monomial(2), 2.0
     )
-    want = _retired_pushforward_check(5000, _PolePlantingGenerator(4, rows))
+    want = _retired_pushforward_check(5000, StreamPlantingGenerator(4, _poles(rows)))
     assert got.skipped_fraction == len(rows) / 5000
     assert _field_bytes(got) == _field_bytes(want)
 
@@ -359,19 +351,17 @@ def test_pushforward_with_pole_and_degenerate_rows_beyond_the_first_block_is_the
     n = 3 * blk + 5
     # every kept row is compared
     monkeypatch.setattr(szego_measures, "_KEPT_SAMPLES", n)
-    # stream rows 0..n-1 are the first vectors of the index rows, n..2n-1 the second ones
+    # stream rows 0..n-1 are the index rows: four pole rows, then a vanishing
+    # first vector and a parallel pair
     poles = [blk, blk + 1, 2 * blk + 7, n - 1]
-    plants = {
-        row: (lambda rows, i=i: np.array([1e-7 * (i % 2), 0.0, 0.0, 2.0 + i]))
-        for i, row in enumerate(poles)
-    }
-    plants[2 * blk + 3] = lambda rows: np.zeros(4)
-    plants[n + 3 * blk] = lambda rows: 3.0 * rows[3 * blk]
+    plants = _poles(poles)
+    plants[2 * blk + 3] = lambda row: np.r_[np.zeros(4), row[4:]]
+    plants[3 * blk] = lambda row: np.r_[row[:4], 3.0 * row[:4]]
     gen, retired_gen = StreamPlantingGenerator(4, plants), StreamPlantingGenerator(4, plants)
     got = liouville_pushforward_check(n, gen, TestFunction.monomial(2), 2.0)
     want = _retired_pushforward_check(n, retired_gen, n)
     # two rows redrawn
-    assert len(gen.rows) == len(retired_gen.rows) == 2 * n + 4
+    assert gen.drawn == retired_gen.drawn == n + 2
     assert got.skipped_fraction == len(poles) / n
     assert _field_bytes(got) == _field_bytes(want)
 
@@ -419,20 +409,20 @@ def _traced_peak_mib(run) -> float:
 
 # The sampler keeps only the per-row outputs: the pushforward columns
 # (17 bytes a row) and the pairs (a, b) alone are 16 and 61 MiB.  The
-# moment, the gap and the KS steps work in blocks beside them, and the
-# sorted copy of ks_distance (8 MiB) sits beside one column only.  One
-# full-size (n, 4) temporary, a resident first vector per row, an n-long
-# temporary after the sampler, or ks_distance's cdf on all 10^6 atoms at
-# once would cross these bounds.
+# moment, the gap and the KS steps work in blocks beside them, and
+# ks_distance walks the sorted sample in place.  One full-size (n, 4)
+# temporary, a resident first vector per row, an n-long temporary after the
+# sampler, a sorted copy (8 MiB) in ks_distance, or its cdf on all 10^6
+# atoms at once would cross these bounds.
 @pytest.mark.parametrize(
     "name, bound_mib",
-    [("pushforward", 22), ("mc", 12), ("sample", 72), ("sample_columns", 24), ("ks", 11)],
+    [("pushforward", 22), ("mc", 12), ("sample", 72), ("sample_columns", 24), ("ks", 3)],
 )
 def test_peak_memory_at_a_million_samples(name, bound_mib):
     n = 1000000
     rng = np.random.default_rng(3)
     if name == "ks":
-        sample = rng.random(n)
+        sample = np.sort(rng.random(n))
         assert len(np.unique(sample)) == n
     runs = {
         "pushforward": lambda: liouville_pushforward_check(n, rng, TestFunction.monomial(2), 2.0),
