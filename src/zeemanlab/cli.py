@@ -410,7 +410,6 @@ def cmd_measures(args) -> tuple[dict, dict]:
             "config": config,
             "pushforward": {
                 "max_pointwise_gap": check.max_pointwise_gap,
-                "ks_vs_index_law": check.ks_vs_index_law,
                 "ks_vs_triangular": check.ks_vs_triangular,
                 "skipped_fraction": check.skipped_fraction,
             },
@@ -547,6 +546,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except ValueError as exc:  # ConfigError and the library's input checks
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
     except (
         ClusterSeparationError,

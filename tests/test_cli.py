@@ -582,6 +582,21 @@ def test_measures_summary(tmp_path):
     assert summary["beta_marginalization_gap"] <= 1e-8
 
 
+def test_measures_summary_keys(tmp_path):
+    # a key leaves or arrives only on purpose
+    out = tmp_path / "ms"
+    assert run(["measures", "--samples", "1000", "--seed", "7", "--out", str(out)]) == 0
+    summary = json.loads((out / "measures_summary.json").read_text())
+    assert {k: sorted(v) if isinstance(v, dict) else None for k, v in summary.items()} == {
+        "config": ["B", "samples", "seed"],
+        "pushforward": ["ks_vs_triangular", "max_pointwise_gap", "skipped_fraction"],
+        "haar_normalization": None,
+        "haar_normalization_refined": None,
+        "beta_marginalization_gap": None,
+        "quadratic_moment": ["angle_density", "monte_carlo", "std_error", "triangular"],
+    }
+
+
 def test_measures_moment_is_taken_over_the_pushforward_draw(tmp_path):
     # one index sample serves the pushforward and the Monte-Carlo moment
     out = tmp_path / "ms"
@@ -706,6 +721,35 @@ def test_library_value_error_is_one_line_usage_error(tmp_path, capsys, argv):
         assert err == f"error: {argv[1]} must be >= {least}, got {argv[2]}\n"
     if not out:
         assert err.startswith(f"error: cannot create output directory {argv[-1]!r}: ")
+
+
+_NUMPY_OOM = (
+    "Unable to allocate 931. GiB for an array with shape (1000000000000,) and data type bool"
+)
+
+
+@pytest.mark.parametrize(
+    "command, call, message",
+    [
+        ("measures", "liouville_pushforward_check", _NUMPY_OOM),
+        ("szego", "limit_quadric_mc", _NUMPY_OOM),
+        ("measures", "liouville_pushforward_check", ""),
+    ],
+)
+def test_out_of_memory_is_one_line_usage_error(
+    tmp_path, capsys, monkeypatch, command, call, message
+):
+    # a huge --samples fails in numpy's allocator; the call raises as that would
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"zeemanlab.cli.{call}", refuse)
+    out = tmp_path / "x"
+    argv = [command, "--samples", "1000000000000", "--seed", "1", "--out", str(out)]
+    assert run(argv) == 1
+    err = "error: out of memory" + (f": {message}" if message else "")
+    assert capsys.readouterr().err == err + "\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
