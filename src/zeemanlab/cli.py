@@ -276,16 +276,11 @@ def cmd_cluster(args) -> tuple[dict, dict]:
         "max_center_distance": None,
     }
     if args.B > 0:
-        assignment = subcluster_assignment(spec)
-        summary["subclusters"] = {
-            str(m): len(vals) for m, vals in sorted(assignment.items())
-        }
+        dist = subcluster_assignment(spec)
+        sizes = np.bincount(spec.subcluster_m + spec.N)
+        summary["subclusters"] = {str(m - spec.N): int(c) for m, c in enumerate(sizes)}
         # empirical worst deviation of a scaled shift from its ladder center
-        summary["max_center_distance"] = max(
-            float(np.max(np.abs(np.asarray(v) + (args.B / 2.0) * m / (args.N + 1))))
-            for m, v in assignment.items()
-            if len(v)
-        )
+        summary["max_center_distance"] = float(np.max(dist))
     return config, {
         "cluster_spectrum.csv": (
             ["N", "m", "shift", "scaled_shift"],

@@ -56,15 +56,15 @@ class ClusterSeparationError(RuntimeError):
 
 
 class SubclusterOverlapError(RuntimeError):
-    """A scaled shift sits too far from every paramagnetic center."""
+    """A scaled shift sits too far from its m-block's paramagnetic center."""
 
     def __init__(self, shift: float, distance: float, allowed: float):
         self.shift = shift
         self.distance = distance
         self.allowed = allowed
         super().__init__(
-            f"scaled shift {shift!r} is {distance:.3e} from its nearest "
-            f"sub-cluster center, allowed {allowed:.3e}"
+            f"scaled shift {shift!r} is {distance:.3e} from its block's "
+            f"ladder center, allowed {allowed:.3e}"
         )
 
 
@@ -150,31 +150,26 @@ def scaled_shift_measure(spec: ClusterSpectrum) -> np.ndarray:
     return spec.scaled_shifts
 
 
-def subcluster_assignment(spec: ClusterSpectrum) -> dict[int, np.ndarray]:
-    """Assign each scaled shift to the nearest paramagnetic center.
+def subcluster_assignment(spec: ClusterSpectrum) -> np.ndarray:
+    """Distance of each scaled shift from its own m-block's ladder center.
 
-    Centers are -(B/2) m / (N+1) for |m| <= N.  The assignment is accepted
-    only if every shift lands within (B/8)/(N+1) of its center, a quarter
-    of the center spacing; anything farther is reported as an overlap
+    The center of block m is -(B/2) m / (N+1).  Every shift must lie within
+    (B/8)/(N+1) of it, a quarter of the center spacing, so it is also
+    nearest to that center; anything farther is reported as an overlap
     instead of silently mislabeled.
     """
     B = spec.schedule.B
     if B <= 0:
         raise ValueError("sub-cluster assignment needs B > 0")
     N = spec.N
-    centers = -(B / 2.0) * np.arange(-N, N + 1) / (N + 1)
     allowed = (B / 8.0) / (N + 1)
-    shifts = np.asarray(spec.scaled_shifts, dtype=float)
-    # nearest center by rounding, as an index into centers
-    k = np.clip(np.rint(-2.0 * (N + 1) * shifts / B), -N, N).astype(int) + N
-    dist = np.abs(centers[k] - shifts)
+    shifts = spec.scaled_shifts
+    dist = np.abs(shifts + (B / 2.0) * spec.subcluster_m / (N + 1))
     bad = np.flatnonzero(dist >= allowed)
     if bad.size:
         i = bad[0]
         raise SubclusterOverlapError(float(shifts[i]), float(dist[i]), float(allowed))
-    order = np.argsort(k, kind="stable")
-    groups = np.split(shifts[order], np.cumsum(np.bincount(k, minlength=2 * N + 1))[:-1])
-    return dict(zip(range(-N, N + 1), groups))
+    return dist
 
 
 def trace_average(N: int, B: float, rho: Callable[[float], float]) -> float:

@@ -9,7 +9,9 @@ sampled on a grid, an orthonormal harmonic basis built on the grid by
 Gram-Schmidt and the completeness estimate taken in it (the generic form
 of the product-basis check, for small N), the product-basis completeness
 check itself (acceptance criterion 10), the hydrogenic r^2 radial element
-as one integrated polynomial, the distribution function of an equal-weight
+as one integrated polynomial, the sub-cluster assignment that rounds each
+scaled shift to its nearest ladder center, with a spectrum whose m labels
+that rounding contradicts, the distribution function of an equal-weight
 sample, the KS distance over all distinct values at once, the two-sample
 KS distance over the pooled sample, and the index sampler with numpy's row
 norms and dots in one (n, 8) draw, with a seeded generator that plants
@@ -40,7 +42,8 @@ from zeemanlab.coherent_states import (
     normalization_sq,
     sphere_grid,
 )
-from zeemanlab.hydrogenic_shell import ShellMatrix
+from zeemanlab.hydrogenic_shell import ScalingSchedule, ShellMatrix
+from zeemanlab.spectral_cluster import ClusterSpectrum, SubclusterOverlapError
 
 
 class ShellState(NamedTuple):
@@ -367,6 +370,54 @@ def resolution_of_identity_check(
         trace=float(estimate.trace().real),
         dim=dim,
         n_samples=n_samples,
+    )
+
+
+def nearest_center_assignment(spec: ClusterSpectrum) -> dict[int, np.ndarray]:
+    """Assign each scaled shift to the nearest paramagnetic center.
+
+    Centers are -(B/2) m / (N+1) for |m| <= N.  The assignment is accepted
+    only if every shift lands within (B/8)/(N+1) of its center, a quarter
+    of the center spacing; anything farther is reported as an overlap
+    instead of silently mislabeled.
+    """
+    B = spec.schedule.B
+    if B <= 0:
+        raise ValueError("sub-cluster assignment needs B > 0")
+    N = spec.N
+    centers = -(B / 2.0) * np.arange(-N, N + 1) / (N + 1)
+    allowed = (B / 8.0) / (N + 1)
+    shifts = np.asarray(spec.scaled_shifts, dtype=float)
+    # nearest center by rounding, as an index into centers
+    k = np.clip(np.rint(-2.0 * (N + 1) * shifts / B), -N, N).astype(int) + N
+    dist = np.abs(centers[k] - shifts)
+    bad = np.flatnonzero(dist >= allowed)
+    if bad.size:
+        i = bad[0]
+        raise SubclusterOverlapError(float(shifts[i]), float(dist[i]), float(allowed))
+    order = np.argsort(k, kind="stable")
+    groups = np.split(shifts[order], np.cumsum(np.bincount(k, minlength=2 * N + 1))[:-1])
+    return dict(zip(range(-N, N + 1), groups))
+
+
+def swapped_label_spectrum() -> ClusterSpectrum:
+    """An N = 1, B = 1 spectrum whose m labels are not its nearest centers.
+
+    The scaled shifts -0.24, 0.0, 0.01, 0.25 carry the labels 0, 0, 1, -1.
+    Each shift is within a quarter spacing of some center, so the rounding
+    assignment accepts it, and regroups it as {-1: [0.25], 0: [0.0, 0.01],
+    1: [-0.24]}; the first and the last two lie far from their own block's
+    center.
+    """
+    schedule = ScalingSchedule(B=1.0)
+    scaled = np.array([-0.24, 0.0, 0.01, 0.25])
+    return ClusterSpectrum(
+        N=1,
+        schedule=schedule,
+        mode="first_order",
+        shifts=scaled * schedule.shift_scale(1),
+        scaled_shifts=scaled,
+        subcluster_m=np.array([0, 0, 1, -1]),
     )
 
 

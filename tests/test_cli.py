@@ -22,7 +22,10 @@ from zeemanlab import szego_measures
 from zeemanlab.hydrogenic_shell import ScalingSchedule
 from zeemanlab.spectral_cluster import cluster_eigenvalues
 
-from reference import sample_index_batch as reference_sample_index_batch
+from reference import (
+    sample_index_batch as reference_sample_index_batch,
+    swapped_label_spectrum,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -266,6 +269,53 @@ def test_cluster_large_shell_summary(tmp_path):
     summary = json.loads((out / "cluster_summary.json").read_text())
     assert summary["ks_vs_triangular"] <= 0.02
     assert summary["max_center_distance"] <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "N, B, argv",
+    [
+        (6, 1.0, []),
+        (4, 1.0, ["--q", "2", "--mode", "multishell", "--delta", "2"]),
+        (4, 0.0, []),
+    ],
+)
+def test_cluster_summary_keys(tmp_path, N, B, argv):
+    # a key leaves or arrives only on purpose
+    out = tmp_path / "cl"
+    assert run(["cluster", "--N", str(N), "--B", str(B), *argv, "--out", str(out)]) == 0
+    summary = json.loads((out / "cluster_summary.json").read_text())
+    assert list(summary) == [
+        "N",
+        "mode",
+        "ks_vs_triangular",
+        "diamagnetic_slack",
+        "shift_scale",
+        "subclusters",
+        "max_center_distance",
+    ]
+    if B > 0:
+        sizes = summary["subclusters"]
+        assert list(sizes) == [str(m) for m in range(-N, N + 1)]
+        assert sizes == {str(m): N + 1 - abs(m) for m in range(-N, N + 1)}
+        assert 0.0 <= summary["max_center_distance"] < (B / 8.0) / (N + 1)
+    else:
+        assert summary["subclusters"] is None
+        assert summary["max_center_distance"] is None
+
+
+def test_cluster_labels_off_their_block_centers_are_failed_check(tmp_path, capsys, monkeypatch):
+    # the rounding assignment would regroup these shifts and disagree with the m column
+    monkeypatch.setattr(
+        "zeemanlab.cli.cluster_eigenvalues", lambda *args, **kwargs: swapped_label_spectrum()
+    )
+    out = tmp_path / "swap"
+    assert run(["cluster", "--N", "1", "--B", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "scientific check failed: scaled shift -0.24 is 2.400e-01 from its block's "
+        "ladder center, allowed 6.250e-02\n"
+    )
+    assert not out.exists()
 
 
 def test_cluster_multishell_counts(tmp_path):

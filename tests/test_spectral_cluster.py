@@ -32,6 +32,8 @@ from reference import (
     ks_distance as reference_ks_distance,
     ks_two_sample,
     multishell_states,
+    nearest_center_assignment,
+    swapped_label_spectrum,
     to_dense,
 )
 
@@ -195,29 +197,25 @@ def test_scaled_measure_normalized(N):
 
 def test_subcluster_sizes_small_shell():
     spec = cluster_eigenvalues(2, ScalingSchedule(B=1.0, q=17.0))
-    sizes = {m: len(v) for m, v in subcluster_assignment(spec).items()}
-    assert sizes == {-2: 1, -1: 2, 0: 3, 1: 2, 2: 1}
+    dist = subcluster_assignment(spec)
+    assert dist.shape == spec.scaled_shifts.shape
+    m, counts = np.unique(spec.subcluster_m, return_counts=True)
+    assert dict(zip(m.tolist(), counts.tolist())) == {-2: 1, -1: 2, 0: 3, 1: 2, 2: 1}
 
 
 def test_subcluster_distances_without_diamagnetic_term():
     spec = cluster_eigenvalues(5, _para_schedule(B=1.0))
-    assignment = subcluster_assignment(spec)
-    for m, shifts in assignment.items():
-        center = -(1.0 / 2.0) * m / 6.0
-        # one rounding step comes from rescaling the raw shifts
-        assert np.max(np.abs(shifts - center)) <= 1e-15
+    dist = subcluster_assignment(spec)
+    center = -(1.0 / 2.0) * spec.subcluster_m / 6.0
+    np.testing.assert_array_equal(dist, np.abs(spec.scaled_shifts - center))
+    # one rounding step comes from rescaling the raw shifts
+    assert np.max(dist) <= 1e-15
 
 
 def test_subcluster_center_distance_default_schedule():
     N, B = 20, 1.0
     spec = cluster_eigenvalues(N, ScalingSchedule(B=B, q=17.0))
-    assignment = subcluster_assignment(spec)
-    worst = max(
-        np.max(np.abs(np.asarray(v) - (-(B / 2.0) * m / (N + 1))))
-        for m, v in assignment.items()
-        if len(v)
-    )
-    assert worst <= 1e-6 * B
+    assert np.max(subcluster_assignment(spec)) <= 1e-6 * B
 
 
 def test_subcluster_assignment_matches_brute_force_argmin():
@@ -225,11 +223,65 @@ def test_subcluster_assignment_matches_brute_force_argmin():
     spec = cluster_eigenvalues(N, ScalingSchedule(B=B, q=2.0))
     centers_m = np.arange(-N, N + 1)
     centers = -(B / 2.0) * centers_m / (N + 1)
-    nearest = centers_m[np.argmin(np.abs(spec.scaled_shifts[:, None] - centers), axis=1)]
-    assignment = subcluster_assignment(spec)
-    assert list(assignment) == list(centers_m)
-    for m, shifts in assignment.items():
-        np.testing.assert_array_equal(shifts, spec.scaled_shifts[nearest == m])
+    gaps = np.abs(spec.scaled_shifts[:, None] - centers)
+    nearest = centers_m[np.argmin(gaps, axis=1)]
+    dist = subcluster_assignment(spec)
+    np.testing.assert_array_equal(nearest, spec.subcluster_m)
+    np.testing.assert_array_equal(dist, np.min(gaps, axis=1))
+
+
+def _agrees_with_nearest_center_oracle(spec):
+    """Hold the labels to the rounding assignment; False where the oracle rejects."""
+    try:
+        groups = nearest_center_assignment(spec)
+    except SubclusterOverlapError:
+        return False
+    # where the oracle accepts, the library accepts too
+    dist = subcluster_assignment(spec)
+    N, B = spec.N, spec.schedule.B
+    assert list(groups) == list(range(-N, N + 1))
+    for m, shifts in groups.items():
+        np.testing.assert_array_equal(shifts, spec.scaled_shifts[spec.subcluster_m == m])
+    worst = max(
+        float(np.max(np.abs(v + (B / 2.0) * m / (N + 1))))
+        for m, v in groups.items()
+        if len(v)
+    )
+    assert float(np.max(dist)) == worst
+    return True
+
+
+@pytest.mark.parametrize("B", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("q", [2.0, 17.0])
+@pytest.mark.parametrize("mode", ["first_order", "multishell"])
+def test_subcluster_labels_are_the_nearest_centers_small_shells(mode, q, B):
+    schedule = ScalingSchedule(B=B, q=q)
+    agreed = 0
+    for N in range(1 if mode == "first_order" else 2, 31):
+        try:
+            spec = cluster_eigenvalues(N, schedule, mode=mode, delta=2)
+        except ClusterSeparationError:
+            continue
+        agreed += _agrees_with_nearest_center_oracle(spec)
+    # only N <= 3 at q = 2, B = 2 is rejected or fails to separate
+    assert agreed >= 27
+
+
+@pytest.mark.parametrize("B", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("N, q", [(400, 17.0), (80, 2.0)])
+def test_subcluster_labels_are_the_nearest_centers_large_shells(N, q, B):
+    assert _agrees_with_nearest_center_oracle(cluster_eigenvalues(N, ScalingSchedule(B=B, q=q)))
+
+
+def test_subcluster_assignment_rejects_a_label_off_its_block_center():
+    spec = swapped_label_spectrum()
+    # the rounding oracle regroups the shifts by their nearest centers
+    groups = nearest_center_assignment(spec)
+    assert {m: v.tolist() for m, v in groups.items()} == {-1: [0.25], 0: [0.0, 0.01], 1: [-0.24]}
+    with pytest.raises(SubclusterOverlapError) as err:
+        subcluster_assignment(spec)
+    assert (err.value.shift, err.value.distance) == (-0.24, 0.24)
+    assert "from its block's ladder center" in str(err.value)
 
 
 def test_subcluster_overlap_error_reports_distance():
