@@ -8,11 +8,12 @@ lambda = h^3 eps(h) B, h = 1/(N+1), eps(h) = h^q.  The perturbation
     W(lambda) = (lambda^2/8) (x1^2 + x2^2) - (lambda/2) L3
 
 commutes with L3, and the diamagnetic part couples l only to l and l+-2, so
-every operator splits into one block per (m, l parity).  Ordered by
-(l, shell), each block is tridiagonal on one shell and banded on a band of
-shells; ShellMatrix stores exactly these bands and no full matrix is ever
-built.  Each block is a trailing slice of one band per l parity, whose
-labels and radial factors are built once and shared by every m.  The
+every operator splits into one block per (m, l parity).  The diamagnetic
+part depends on m only through m^2, so ShellMatrix stores one band per
+(|m|, l parity) and the ladder term as one scalar; no full matrix is ever
+built.  Ordered by (l, shell), each band is tridiagonal on one shell and
+banded on a band of shells, a trailing slice of one band per l parity,
+whose labels and radial factors are built once and shared by every |m|.  The
 radial factors <n l|r^2|n2 l2> are exact until one rounding of their
 square: cross-shell ones from one integer recurrence in l per shell pair,
 seeded at the top l, same-shell ones from the Bethe-Salpeter closed forms;
@@ -33,7 +34,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -110,29 +110,25 @@ class ScalingSchedule:
             raise self._out_of_range(N)
         return scale
 
-    def diamagnetic_bound(self, N: int) -> float:
-        """Upper bound 3 lambda^2 (N+1)^4 / 8 on the diamagnetic block norm."""
+    def diamagnetic_slack(self, N: int) -> float:
+        """The bound 3 lambda^2 (N+1)^4 / 8 on the diamagnetic block norm, in
+        units of the shift scale: (3/8) B^2 eps(h), the amount by which
+        scaled shifts may exceed [-B/2, B/2]."""
         try:
-            return 3.0 * self.lam(N) ** 2 * (N + 1) ** 4 / 8.0
+            return 3.0 * self.lam(N) ** 2 * (N + 1) ** 4 / 8.0 / self.shift_scale(N)
         except OverflowError:
             raise self._out_of_range(N) from None
 
-    def diamagnetic_slack(self, N: int) -> float:
-        """The bound above in units of the shift scale.
-
-        This is the amount by which scaled shifts may exceed [-B/2, B/2].
-        """
-        return self.diamagnetic_bound(N) / self.shift_scale(N)
-
     def diamagnetic_negligible(self, N: int) -> bool:
-        """True when the diamagnetic term cannot move any scaled shift by 1e-8.
+        """True when the diamagnetic term cannot move a scaled shift by half an ulp of B/2.
 
-        In that regime assembling it would only add float noise below the
-        resolution of every downstream quantity, so matrix builders skip it.
+        By Weyl's inequality it moves no scaled eigenvalue by more than its
+        scaled norm, at most diamagnetic_slack(N); below half an ulp of B/2,
+        the edge of the scaled spectrum, matrix builders skip it.
         """
         if not self.include_diamagnetic:
             return True
-        return self.diamagnetic_bound(N) < 1e-8 * self.shift_scale(N) * max(self.B, 1e-300)
+        return self.diamagnetic_slack(N) < math.ulp(self.B / 2.0) / 2.0
 
 
 def shell_energy(N: int) -> float:
@@ -314,46 +310,50 @@ def _dsbevd():
 class ShellMatrix:
     """Real symmetric operator on shells N-delta..N+delta (one shell: delta = 0).
 
-    The operator commutes with L3 and couples l only to l and l+-2, so it
-    splits into one block per (m, l parity).  ``bands[m, p]`` holds that
-    block as ``(labels, ab)``: ``labels[i] = (l, shell)`` in ascending
-    order, which makes the block banded, and ``ab`` is its LAPACK lower
-    band form, ``ab[k, j] = A[j+k, j]``.
+    It splits into one block per (m, l parity), and depends on m through
+    ``ladder * m`` on the diagonal and m^2 elsewhere.  ``bands[|m|, p]``
+    holds blocks +-m less their ladder term as ``(labels, ab)``:
+    ``labels[i] = (l, shell)`` in ascending order, which makes the block
+    banded, and ``ab`` is its LAPACK lower band form, ``ab[k, j] = A[j+k, j]``.
     """
 
     N: int
     delta: int
     bands: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    ladder: float
 
-    def eigenvalues(self, m: int) -> np.ndarray:
-        """Eigenvalues of the m-block, one banded solve per l parity.
+    def block_spectra(self):
+        """Yield ``(m, eigenvalues of the m-block)`` for m = 0, 1, -1, 2, -2, ...
 
-        A band of one row is a diagonal block, whose eigenvalues are its
-        sorted diagonal.  Wider bands go to dsbevd with the call and the
-        checks of scipy.linalg.eigvals_banded(ab, lower=True), so they get
-        its bits and its errors: ValueError for a non-finite band or an
-        illegal argument, np.linalg.LinAlgError for a solve that does not
-        converge.
+        Each |m| is one solve per l parity, plus ``ladder * m`` for either
+        sign.  A band of one row is diagonal: its eigenvalues are its sorted
+        diagonal.  Wider bands go to dsbevd with the call and the checks of
+        scipy.linalg.eigvals_banded(ab, lower=True), so they get its bits and
+        its errors: ValueError for a non-finite band or an illegal argument,
+        np.linalg.LinAlgError for a solve that does not converge.
         """
-        out = []
-        for ab in (self.bands[m, p][1] for p in (0, 1) if (m, p) in self.bands):
-            if len(ab) == 1:
-                out.append(np.sort(ab[0]))
-                continue
-            if not np.isfinite(ab).all():
-                raise ValueError("array must not contain infs or NaNs")
-            w, _, info = _dsbevd()(ab, compute_v=0, lower=1, overwrite_ab=0)
-            if info < 0:
-                raise ValueError(f"illegal value in argument {-info} of internal dsbevd")
-            if info > 0:
-                raise np.linalg.LinAlgError(f"dsbevd did not converge (LAPACK info={info})")
-            out.append(w)
-        return np.concatenate(out)
+        for k in range(self.N + self.delta + 1):
+            out = []
+            for ab in (self.bands[k, p][1] for p in (0, 1) if (k, p) in self.bands):
+                if len(ab) == 1:
+                    out.append(np.sort(ab[0]))
+                    continue
+                if not np.isfinite(ab).all():
+                    raise ValueError("array must not contain infs or NaNs")
+                w, _, info = _dsbevd()(ab, compute_v=0, lower=1, overwrite_ab=0)
+                if info < 0:
+                    raise ValueError(f"illegal value in argument {-info} of internal dsbevd")
+                if info > 0:
+                    raise np.linalg.LinAlgError(f"dsbevd did not converge (LAPACK info={info})")
+                out.append(w)
+            w = np.concatenate(out)
+            yield k, w + self.ladder * k
+            if k:
+                yield -k, w + self.ladder * -k
 
     def norm(self) -> float:
         """Spectral norm, maximized over m-blocks."""
-        mmax = self.N + self.delta
-        return max(float(np.max(np.abs(self.eigenvalues(m)))) for m in range(-mmax, mmax + 1))
+        return max(float(np.max(np.abs(w))) for _, w in self.block_spectra())
 
 
 def _ladder(l: np.ndarray, m: int) -> np.ndarray:
@@ -366,19 +366,19 @@ def _ladder(l: np.ndarray, m: int) -> np.ndarray:
 
 
 def _assemble(
-    N: int, delta: int, level: Callable[[int, int], float], rho2_coeff: float
+    N: int, delta: int, levels: np.ndarray, rho2_coeff: float, ladder: float
 ) -> ShellMatrix:
-    """level(shell, m) on the diagonal plus rho2_coeff (x1^2 + x2^2), banded.
+    """levels[shell - (N - delta)] + rho2_coeff (x1^2 + x2^2) + ladder m, banded.
 
     x1^2 + x2^2 = r^2 sin^2(theta) is a product of a radial and an angular
     element and couples (l, shell) only to (l, shell2 >= shell) and
-    (l+2, shell2) below the diagonal.  The (m, p) block runs over the
-    parity-p labels (l, shell >= max(l, N - delta)) with l >= |m|, a
-    trailing part of the list, so its band is the trailing columns of one
-    parity band.  Each parity's labels and radial bands (l -> l and
-    l -> l+2, one radial call per coupling) are built once; a block scales
-    its columns by its m's angular factors and keeps the rows they reach.
-    With rho2_coeff = 0 each band is its diagonal alone.
+    (l+2, shell2) below the diagonal.  The (|m|, p) band runs over the
+    parity-p labels (l, shell >= max(l, N - delta)) with l >= |m|, the
+    trailing columns of one parity band.  Each parity's labels and radial
+    bands (l -> l and l -> l+2, one radial call per coupling) are built
+    once; a band scales its columns by the angular factors of its m^2 and
+    keeps the rows they reach.  With rho2_coeff = 0 each band is its
+    diagonal alone.  The ladder term stays out of the bands.
     """
     lo, hi = N - delta, N + delta
     parities = []
@@ -405,10 +405,9 @@ def _assemble(
                     up[k, j] = radial_integral_r2_cross(*a, *b)
         parities.append((start, labels, same, up, reach))
     bands = {}
-    for m in range(-hi, hi + 1):
-        levels = np.array([level(Np, m) for Np in range(lo, hi + 1)])
+    for k in range(hi + 1):
         for p, (start, labels, same, up, reach) in enumerate(parities):
-            i = (abs(m) + 1 - p) // 2  # the first l >= |m| of parity p is p + 2 i
+            i = (k + 1 - p) // 2  # the first l >= k of parity p is p + 2 i
             if i >= len(start):
                 continue
             j0 = start[i]
@@ -416,39 +415,39 @@ def _assemble(
             diagonal = levels[block[:, 1] - lo]
             if rho2_coeff:
                 l, rows = block[:, 0], slice(reach[j0:].max() + 1)
-                c = _ladder(l, m)
+                c = _ladder(l, k)
                 # squares through pow, as Python's float ** does; c * c can differ in the last bit
-                sin2 = 1.0 - (np.float_power(c, 2) + np.float_power(_ladder(l - 1, m), 2))
-                sin2_up = -(c * _ladder(l + 1, m))
+                sin2 = 1.0 - (np.float_power(c, 2) + np.float_power(_ladder(l - 1, k), 2))
+                sin2_up = -(c * _ladder(l + 1, k))
                 ab = rho2_coeff * (same[rows, j0:] * sin2 + up[rows, j0:] * sin2_up)
                 ab[0] += diagonal
             else:
                 ab = diagonal[None, :]
-            bands[m, p] = (block, ab)
-    return ShellMatrix(N=N, delta=delta, bands=bands)
+            bands[k, p] = (block, ab)
+    return ShellMatrix(N=N, delta=delta, bands=bands, ladder=ladder)
 
 
 def shell_matrix_L3(N: int) -> ShellMatrix:
     """L3 restricted to shell N: diagonal m with multiplicity N+1-|m|."""
     if N < 0:
         raise ValueError(f"shell index must be non-negative, got {N}")
-    return _assemble(N, 0, lambda Np, m: float(m), 0.0)
+    return _assemble(N, 0, np.zeros(1), 0.0, 1.0)
 
 
 def shell_matrix_rho2(N: int) -> ShellMatrix:
     """x1^2 + x2^2 = r^2 sin^2(theta) restricted to shell N."""
     if N < 0:
         raise ValueError(f"shell index must be non-negative, got {N}")
-    return _assemble(N, 0, lambda Np, m: 0.0, 1.0)
+    return _assemble(N, 0, np.zeros(1), 1.0, 0.0)
 
 
 def shell_matrix_W(N: int, schedule: ScalingSchedule) -> ShellMatrix:
     """(lambda^2/8) rho^2 - (lambda/2) L3 on shell N.
 
-    The delta = 0 band.  The diamagnetic part is dropped when provably
-    below the resolution of every scaled quantity (see
-    ScalingSchedule.diamagnetic_negligible), which leaves the exact
-    paramagnetic ladder on the diagonal.
+    The delta = 0 band.  The diamagnetic part is dropped when it cannot
+    move a scaled shift by half an ulp of B/2 (see
+    ScalingSchedule.diamagnetic_negligible), which leaves zero bands and
+    the exact paramagnetic ladder -(lambda/2) m.
     """
     return _band_blocks(N, 0, schedule)
 
@@ -459,7 +458,7 @@ def _band_blocks(N: int, delta: int, schedule: ScalingSchedule) -> ShellMatrix:
     The diagonal carries the shell energies E_{N'} - E_N, so the cluster
     around E_N sits at the best-conditioned part of the spectrum; the
     diamagnetic term mixes shells through cross-shell radial elements.
-    Each (m, l parity) block, ordered by (l, shell), is banded with
+    Each (|m|, l parity) band, ordered by (l, shell), is banded with
     bandwidth at most 4 delta + 1.
     """
     if delta < 0 or N - delta < 0:
@@ -469,6 +468,7 @@ def _band_blocks(N: int, delta: int, schedule: ScalingSchedule) -> ShellMatrix:
     return _assemble(
         N,
         delta,
-        lambda Np, m: (shell_energy(Np) - e_center) - 0.5 * lam * m,
+        np.array([shell_energy(Np) - e_center for Np in range(N - delta, N + delta + 1)]),
         0.0 if schedule.diamagnetic_negligible(N) else lam**2 / 8.0,
+        -0.5 * lam,
     )

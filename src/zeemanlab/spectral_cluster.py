@@ -4,7 +4,8 @@ The cluster around E_N is computed either by first-order degenerate
 perturbation theory (eigenvalues of the perturbation restricted to the
 shell) or from a band of shells, keeping the eigenvalues inside the
 separating circle around E_N.  Either way the operator splits into one
-banded block per (m, l parity) and each block is one banded solve.  Shifts
+banded block per (m, l parity); blocks m and -m differ by a multiple of
+the identity, so each (|m|, l parity) is one banded solve.  Shifts
 are reported raw and rescaled by h^2 eps(h), the scale on which their
 empirical law has an N -> infinity limit.  That law is the sorted array of
 scaled shifts itself, a sample with equal weights; its Kolmogorov-Smirnov
@@ -43,15 +44,13 @@ _KS_BLOCK = 1 << 14
 
 
 class ClusterSeparationError(RuntimeError):
-    """The band diagonalization did not isolate (N+1)^2 eigenvalues."""
+    """The band diagonalization did not isolate N+1-|m| eigenvalues of block m."""
 
-    def __init__(self, N: int, found: int, expected: int):
-        self.N = N
-        self.found = found
-        self.expected = expected
+    def __init__(self, N: int, m: int, found: int, expected: int):
+        self.N, self.m, self.found, self.expected = N, m, found, expected
         super().__init__(
-            f"cluster around shell {N}: found {found} eigenvalues inside the "
-            f"separating circle, expected {expected}"
+            f"cluster around shell {N}: found {found} eigenvalues of block m={m} "
+            f"inside the separating circle, expected {expected}"
         )
 
 
@@ -99,11 +98,12 @@ def cluster_eigenvalues(
     N-delta..N+delta, assembled with E_N subtracted from the diagonal so
     the cluster sits at the best-conditioned part of the spectrum, that lie
     inside the separating circle; they must number exactly N+1-|m| in each
-    m-block, or ClusterSeparationError is raised.  Both modes solve one
-    banded symmetric problem per (m, l parity) block; where the diamagnetic
-    term is skipped the blocks are diagonal and the shifts are the exact
-    paramagnetic ladder.  Scaled shifts beyond floating-point range raise
-    the schedule's out-of-range ValueError.
+    m-block, or ClusterSeparationError names the first block (in the order
+    m = 0, 1, -1, ...) that does not.  Both modes solve one banded problem
+    per (|m|, l parity), shifted along the ladder for each sign of m; where
+    the diamagnetic term is skipped the bands are diagonal and the shifts
+    are the exact paramagnetic ladder.  Scaled shifts beyond floating-point
+    range raise the schedule's out-of-range ValueError.
     """
     if N < 1:
         raise ValueError(f"cluster computations need N >= 1, got {N}")
@@ -115,17 +115,16 @@ def cluster_eigenvalues(
         radius = cluster_radius(N)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    pieces = []
-    mmax = N + op.delta
-    for m in range(-mmax, mmax + 1):
-        vals = op.eigenvalues(m)
+    shifts, labels = np.empty((N + 1) ** 2), np.empty((N + 1) ** 2, dtype=int)
+    filled = 0
+    for m, vals in op.block_spectra():
         inside = vals[np.abs(vals) < radius]
         expected_m = max(N + 1 - abs(m), 0)
         if len(inside) != expected_m:
-            raise ClusterSeparationError(N, found=len(inside), expected=expected_m)
-        pieces.append((inside, np.full(len(inside), m)))
-    shifts = np.concatenate([p[0] for p in pieces])
-    labels = np.concatenate([p[1] for p in pieces]).astype(int)
+            raise ClusterSeparationError(N, m, found=len(inside), expected=expected_m)
+        shifts[filled : filled + expected_m] = inside
+        labels[filled : filled + expected_m] = m
+        filled += expected_m
     order = np.lexsort((labels, shifts))
     shifts, labels = shifts[order], labels[order]
     with np.errstate(over="ignore"):

@@ -9,13 +9,14 @@ sampled on a grid, an orthonormal harmonic basis built on the grid by
 Gram-Schmidt and the completeness estimate taken in it (the generic form
 of the product-basis check, for small N), the product-basis completeness
 check itself (acceptance criterion 10), the hydrogenic r^2 radial element
-as one integrated polynomial, the sub-cluster assignment that rounds each
-scaled shift to its nearest ladder center, with a spectrum whose m labels
-that rounding contradicts, the distribution function of an equal-weight
-sample, the KS distance over all distinct values at once, the two-sample
-KS distance over the pooled sample, and the index sampler with numpy's row
-norms and dots in one (n, 8) draw, with a seeded generator that plants
-rows into its stream.
+as one integrated polynomial, the retired per-m band assembly with one
+eigensolve per (m, l parity) and the cluster built from it, the sub-cluster
+assignment that rounds each scaled shift to its nearest ladder center, with
+a spectrum whose m labels that rounding contradicts, the distribution
+function of an equal-weight sample, the KS distance over all distinct
+values at once, the two-sample KS distance over the pooled sample, and the
+index sampler with numpy's row norms and dots in one (n, 8) draw, with a
+seeded generator that plants rows into its stream.
 """
 
 from __future__ import annotations
@@ -42,7 +43,14 @@ from zeemanlab.coherent_states import (
     normalization_sq,
     sphere_grid,
 )
-from zeemanlab.hydrogenic_shell import ScalingSchedule, ShellMatrix
+from zeemanlab.hydrogenic_shell import (
+    ScalingSchedule,
+    ShellMatrix,
+    _ladder,
+    cluster_radius,
+    radial_integral_r2_cross,
+    shell_energy,
+)
 from zeemanlab.spectral_cluster import ClusterSpectrum, SubclusterOverlapError
 
 
@@ -74,16 +82,185 @@ def multishell_states(N: int, delta: int) -> list[ShellState]:
 
 def to_dense(op: ShellMatrix) -> np.ndarray:
     """The full matrix of ``op`` in :func:`multishell_states` order, which
-    for one shell is :func:`enumerate_shell` order."""
+    for one shell is :func:`enumerate_shell` order.  The band of |m| fills
+    blocks m and -m, and ``op.ladder * m`` is added to block m's diagonal."""
     states = multishell_states(op.N, op.delta)
     index = {(s.m, s.N, s.l): i for i, s in enumerate(states)}
     out = np.zeros((len(states), len(states)))
-    for (m, _), (labels, ab) in op.bands.items():
-        pos = np.array([index[m, Np, l] for l, Np in labels.tolist()])
-        for k, sub in enumerate(ab):
-            rows, cols = pos[k:], pos[: len(pos) - k]
-            out[rows, cols] = out[cols, rows] = sub[: len(pos) - k]
+    for (k, _), (labels, ab) in op.bands.items():
+        for m in {k, -k}:
+            pos = np.array([index[m, Np, l] for l, Np in labels.tolist()])
+            for d, sub in enumerate(ab):
+                rows, cols = pos[d:], pos[: len(pos) - d]
+                out[rows, cols] = out[cols, rows] = sub[: len(pos) - d]
+            out[pos, pos] += op.ladder * m
     return out
+
+
+def per_m_assemble(
+    N: int, delta: int, level: Callable[[int, int], float], rho2_coeff: float
+) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """The retired per-m band assembler: ``(m, parity) -> (labels, ab)`` for
+    every m, with level(shell, m), the ladder term included, on the diagonal.
+
+    The (m, p) band is the trailing columns of one parity band, whose
+    labels and radial bands are built once, as in the library.
+    """
+    lo, hi = N - delta, N + delta
+    parities = []
+    for p in (0, 1):
+        ls = np.arange(p, hi + 1, 2)
+        first = np.maximum(ls, lo)
+        count = hi + 1 - first
+        start = np.cumsum(count) - count
+        l_of = np.repeat(ls, count)
+        labels = np.column_stack([l_of, np.arange(len(l_of)) + np.repeat(first - start, count)])
+        same = up = reach = None
+        if rho2_coeff and len(ls):
+            end = start + count
+            reach = np.repeat(np.append(end[1:], end[-1]), count) - 1 - np.arange(len(labels))
+            same, up = np.zeros((2, reach.max() + 1, len(labels)))
+            for j, (l, Np) in enumerate(labels.tolist()):
+                for Np2 in range(Np, hi + 1):
+                    same[Np2 - Np, j] = radial_integral_r2_cross(Np + 1, l, Np2 + 1, l)
+                for k, Np2 in enumerate(range(max(lo, l + 2), hi + 1), start=hi + 1 - Np):
+                    a, b = sorted([(Np + 1, l), (Np2 + 1, l + 2)])
+                    up[k, j] = radial_integral_r2_cross(*a, *b)
+        parities.append((start, labels, same, up, reach))
+    bands = {}
+    for m in range(-hi, hi + 1):
+        levels = np.array([level(Np, m) for Np in range(lo, hi + 1)])
+        for p, (start, labels, same, up, reach) in enumerate(parities):
+            i = (abs(m) + 1 - p) // 2
+            if i >= len(start):
+                continue
+            j0 = start[i]
+            block = labels[j0:]
+            diagonal = levels[block[:, 1] - lo]
+            if rho2_coeff:
+                l, rows = block[:, 0], slice(reach[j0:].max() + 1)
+                c = _ladder(l, m)
+                sin2 = 1.0 - (np.float_power(c, 2) + np.float_power(_ladder(l - 1, m), 2))
+                sin2_up = -(c * _ladder(l + 1, m))
+                ab = rho2_coeff * (same[rows, j0:] * sin2 + up[rows, j0:] * sin2_up)
+                ab[0] += diagonal
+            else:
+                ab = diagonal[None, :]
+            bands[m, p] = (block, ab)
+    return bands
+
+
+def per_m_band_blocks(N: int, delta: int, schedule: ScalingSchedule) -> dict:
+    """The per-m bands of S_V - E_N + W(lambda), ladder term on each diagonal."""
+    lam = schedule.lam(N)
+    e_center = shell_energy(N)
+    return per_m_assemble(
+        N,
+        delta,
+        lambda Np, m: (shell_energy(Np) - e_center) - 0.5 * lam * m,
+        0.0 if schedule.diamagnetic_negligible(N) else lam**2 / 8.0,
+    )
+
+
+def per_m_eigenvalues(bands: dict, m: int) -> np.ndarray:
+    """Eigenvalues of the m-block, one scipy.linalg.eigvals_banded call per l
+    parity; a band of one row is its sorted diagonal."""
+    from scipy.linalg import eigvals_banded
+
+    out = []
+    for ab in (bands[m, p][1] for p in (0, 1) if (m, p) in bands):
+        out.append(np.sort(ab[0]) if len(ab) == 1 else eigvals_banded(ab, lower=True))
+    return np.concatenate(out)
+
+
+def banded_solver_spectrum(op: ShellMatrix, m: int) -> np.ndarray:
+    """Block m's eigenvalues: scipy.linalg.eigvals_banded of each parity of
+    the |m| band, plus ``op.ladder * m``."""
+    from scipy.linalg import eigvals_banded
+
+    bands = (op.bands[abs(m), p][1] for p in (0, 1) if (abs(m), p) in op.bands)
+    return np.concatenate([eigvals_banded(ab, lower=True) for ab in bands]) + op.ladder * m
+
+
+def exact_block_spectrum(op: ShellMatrix, m: int, digits: int = 40) -> np.ndarray:
+    """Block m's eigenvalues, parity by parity, for tridiagonal bands: those
+    of the band plus ``op.ladder * m`` times the identity, rounded once to
+    floats from ``digits``-digit decimals.
+
+    Each eigenvalue is bisected on the Sturm count of the LDL^T pivots,
+    from a bracket around its float value.
+    """
+    import decimal
+
+    from scipy.linalg import eigvals_banded
+
+    ctx = decimal.Context(prec=digits)
+    D = decimal.Decimal
+    shift = op.ladder * m
+    out = []
+    for p in (0, 1):
+        if (abs(m), p) not in op.bands:
+            continue
+        ab = op.bands[abs(m), p][1]
+        if len(ab) > 2:
+            raise ValueError("exact_block_spectrum needs tridiagonal bands")
+        diag = [ctx.add(D(x), D(shift)) for x in ab[0].tolist()]
+        off2 = [ctx.multiply(D(x), D(x)) for x in ab[1, :-1].tolist()] if len(ab) > 1 else []
+        guess = eigvals_banded(ab, lower=True) + shift
+        scale = D(float(np.max(np.abs(guess))) or 1.0)
+        tiny = ctx.multiply(scale, D(10) ** -(digits - 2))
+
+        def below(x):
+            count, q = 0, None
+            for i, a in enumerate(diag):
+                q = ctx.subtract(a, x) if i == 0 else ctx.subtract(
+                    ctx.subtract(a, x), ctx.divide(off2[i - 1], q)
+                )
+                q = q or tiny
+                count += q < 0
+            return count
+
+        for k, g in enumerate(guess.tolist()):
+            width = ctx.multiply(scale, D("1e-12"))
+            while True:
+                lo, hi = ctx.subtract(D(g), width), ctx.add(D(g), width)
+                if below(lo) <= k < below(hi):
+                    break
+                width = ctx.multiply(width, 2)
+            while ctx.subtract(hi, lo) > ctx.multiply(scale, D(10) ** -(digits - 8)):
+                mid = ctx.divide(ctx.add(lo, hi), 2)
+                lo, hi = (lo, mid) if below(mid) > k else (mid, hi)
+            out.append(float(ctx.divide(ctx.add(lo, hi), 2)))
+    return np.array(out)
+
+
+def band_norm(bands: dict, m: int) -> float:
+    """‖block m‖ taken crudely as its largest band entry times its band rows."""
+    return max(float(np.abs(ab).max()) * len(ab) for (k, _), (_, ab) in bands.items() if k == m)
+
+
+def per_m_cluster(
+    N: int, schedule: ScalingSchedule, mode: str = "first_order", delta: int = 2
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(shifts, m labels) of the cluster by the retired per-m path: one solve
+    per (m, parity), the kept eigenvalues of each m concatenated, then
+    sorted by shift and label; None where a block does not separate."""
+    if mode == "first_order":
+        bands, radius = per_m_band_blocks(N, 0, schedule), np.inf
+    else:
+        bands, radius = per_m_band_blocks(N, delta, schedule), cluster_radius(N)
+    mmax = N + (0 if mode == "first_order" else delta)
+    pieces = []
+    for m in range(-mmax, mmax + 1):
+        vals = per_m_eigenvalues(bands, m)
+        inside = vals[np.abs(vals) < radius]
+        if len(inside) != max(N + 1 - abs(m), 0):
+            return None
+        pieces.append((inside, np.full(len(inside), m)))
+    shifts = np.concatenate([p[0] for p in pieces])
+    labels = np.concatenate([p[1] for p in pieces]).astype(int)
+    order = np.lexsort((labels, shifts))
+    return shifts[order], labels[order]
 
 
 def ladder_coefficient(l: int, m: int) -> float:

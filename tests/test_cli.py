@@ -349,6 +349,18 @@ def test_cluster_separation_failure_exit_code(tmp_path):
     assert code == 2
 
 
+def test_cluster_separation_failure_names_its_block(tmp_path, capsys):
+    # blocks are checked in the order m = 0, 1, -1, 2, ...: block 5 is the first short
+    out = tmp_path / "fail"
+    argv = ["cluster", "--N", "10", "--q", "1", "--mode", "multishell", "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "scientific check failed: cluster around shell 10: found 5 eigenvalues of "
+        "block m=5 inside the separating circle, expected 6\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "N, q, mode",
     [(7, 17.0, "first_order"), (12, 2.0, "first_order"), (6, 2.0, "multishell")],

@@ -26,6 +26,7 @@ from zeemanlab.spectral_cluster import cluster_eigenvalues
 from reference import (
     angular_cos2_element,
     angular_sin2_element,
+    banded_solver_spectrum,
     enumerate_shell,
     ladder_coefficient,
     multishell_states,
@@ -329,18 +330,18 @@ def oracle_all_pairs(N, delta, schedule, e_center):
     return out
 
 
-def oracle_assemble(N, delta, level, rho2_coeff, radial=radial_integral):
+def oracle_assemble(N, delta, levels, rho2_coeff, radial=radial_integral):
     """The retired per-element band assembler, by default on the exact integer radial path.
 
-    ``radial`` receives its arguments in canonical order.  Returns the
-    ``bands`` dict of a ShellMatrix: ``(m, parity) -> (labels, ab)``.
+    ``levels[shell - (N - delta)]`` goes on the diagonal, with no ladder
+    term.  ``radial`` receives its arguments in canonical order.  Returns
+    the ``bands`` dict of a ShellMatrix: ``(|m|, parity) -> (labels, ab)``.
     """
     lo, hi = N - delta, N + delta
     bands = {}
-    for m in range(-hi, hi + 1):
-        levels = [level(Np, m) for Np in range(lo, hi + 1)]
+    for m in range(hi + 1):
         for p in (0, 1):
-            l0 = abs(m) + (abs(m) + p) % 2
+            l0 = m + (m + p) % 2
             labels = [(l, Np) for l in range(l0, hi + 1, 2) for Np in range(max(lo, l), hi + 1)]
             if not labels:
                 continue
@@ -372,26 +373,27 @@ def assert_same_bands(bands, oracle):
             assert got.tobytes() == want.tobytes(), key
 
 
-def schedule_levels(N, schedule, e_center):
+def schedule_levels(N, delta, schedule):
+    """Shell energies less E_N over the band, and the diamagnetic coefficient."""
     lam = schedule.lam(N)
     coeff = 0.0 if schedule.diamagnetic_negligible(N) else lam**2 / 8.0
-    return (lambda Np, m: (shell_energy(Np) - e_center) - 0.5 * lam * m), coeff
+    return [shell_energy(Np) - shell_energy(N) for Np in range(N - delta, N + delta + 1)], coeff
 
 
 @pytest.mark.parametrize("N", [*range(1, 13), 40, 80])
 def test_W_bands_match_retired_assembler_bit_for_bit(N):
     sched = ScalingSchedule(B=1.0, q=2.0)
     assert not sched.diamagnetic_negligible(N)
-    level, coeff = schedule_levels(N, sched, shell_energy(N))
-    assert_same_bands(shell_matrix_W(N, sched).bands, oracle_assemble(N, 0, level, coeff))
+    levels, coeff = schedule_levels(N, 0, sched)
+    assert_same_bands(shell_matrix_W(N, sched).bands, oracle_assemble(N, 0, levels, coeff))
 
 
 @pytest.mark.parametrize("N, delta", [(10, 1), (12, 2), (32, 2), (48, 3)])
 def test_band_matches_retired_assembler_bit_for_bit(N, delta):
     sched = ScalingSchedule(B=1.0, q=2.0)
-    level, coeff = schedule_levels(N, sched, shell_energy(N))
+    levels, coeff = schedule_levels(N, delta, sched)
     band = _band_blocks(N, delta, sched)
-    assert_same_bands(band.bands, oracle_assemble(N, delta, level, coeff))
+    assert_same_bands(band.bands, oracle_assemble(N, delta, levels, coeff))
 
 
 @pytest.mark.parametrize("N", [0, 1, 2, 7, 20, 120, 160])
@@ -399,9 +401,8 @@ def test_rho2_and_L3_match_retired_assembler_bit_for_bit(N):
     # Radial values are pinned to the integer path elsewhere; the shells past
     # N = 80 reach the (l, m) where ladder c * c and c ** 2 differ in the last bit.
     radial = radial_integral if N <= 20 else radial_integral_r2_cross
-    rho2 = oracle_assemble(N, 0, lambda Np, m: 0.0, 1.0, radial)
-    assert_same_bands(shell_matrix_rho2(N).bands, rho2)
-    assert_same_bands(shell_matrix_L3(N).bands, oracle_assemble(N, 0, lambda Np, m: float(m), 0.0))
+    assert_same_bands(shell_matrix_rho2(N).bands, oracle_assemble(N, 0, [0.0], 1.0, radial))
+    assert_same_bands(shell_matrix_L3(N).bands, oracle_assemble(N, 0, [0.0], 0.0))
 
 
 @pytest.mark.parametrize("N", [0, 1, 2, 7, 40, 200])
@@ -411,8 +412,11 @@ def test_rho2_trace_is_the_shell_sum_of_r2_and_sin2(N):
     n = N + 1
     trace = n**4 * (7 * n * n + 5) / 6
     op = shell_matrix_rho2(N)
-    diagonal = math.fsum(x for _, ab in op.bands.values() for x in ab[0].tolist())
-    eigenvalues = math.fsum(np.concatenate([op.eigenvalues(m) for m in range(-N, N + 1)]).tolist())
+    # the band of |m| > 0 holds blocks m and -m
+    diagonal = math.fsum(
+        x for (k, _), (_, ab) in op.bands.items() for x in ab[0].tolist() * (1 + (k > 0))
+    )
+    eigenvalues = math.fsum(np.concatenate([w for _, w in op.block_spectra()]).tolist())
     assert diagonal == pytest.approx(trace, rel=1e-14, abs=0)
     assert eigenvalues == pytest.approx(trace, rel=1e-14, abs=0)
 
@@ -423,17 +427,11 @@ def test_rho2_trace_is_the_shell_sum_of_r2_and_sin2(N):
 def test_diagonal_bands_sort_like_the_banded_solver(N, delta, q):
     sched = ScalingSchedule(B=1.0, q=q)
     op = _band_blocks(N, delta, sched)
-    for m in range(-(N + delta), N + delta + 1):
-        assert all(len(op.bands[m, p][1]) == 1 for p in (0, 1) if (m, p) in op.bands)
-        assert op.eigenvalues(m).tobytes() == banded_solver_eigenvalues(op, m).tobytes()
-
-
-def banded_solver_eigenvalues(op, m):
-    """The m-block's eigenvalues from scipy.linalg.eigvals_banded, one call per parity."""
-    from scipy.linalg import eigvals_banded
-
-    bands = (op.bands[m, p][1] for p in (0, 1) if (m, p) in op.bands)
-    return np.concatenate([eigvals_banded(ab, lower=True) for ab in bands])
+    assert all(len(ab) == 1 for _, ab in op.bands.values())
+    spectra = list(op.block_spectra())
+    assert sorted(m for m, _ in spectra) == list(range(-(N + delta), N + delta + 1))
+    for m, w in spectra:
+        assert w.tobytes() == banded_solver_spectrum(op, m).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -443,8 +441,8 @@ def test_wide_bands_have_the_bits_of_the_banded_solver(N, delta):
     op = _band_blocks(N, delta, ScalingSchedule(B=1.0, q=2.0))
     # shell N = 1 has one l per parity, so only its bands are diagonal
     assert any(len(ab) > 1 for _, ab in op.bands.values()) == ((N, delta) != (1, 0))
-    for m in range(-(N + delta), N + delta + 1):
-        assert op.eigenvalues(m).tobytes() == banded_solver_eigenvalues(op, m).tobytes()
+    for m, w in op.block_spectra():
+        assert w.tobytes() == banded_solver_spectrum(op, m).tobytes()
 
 
 def test_dsbevd_from_scipy_linalg_when_its_file_is_not_found(monkeypatch, request):
@@ -453,7 +451,7 @@ def test_dsbevd_from_scipy_linalg_when_its_file_is_not_found(monkeypatch, reques
     from scipy.linalg import lapack
 
     op = _band_blocks(12, 2, ScalingSchedule(B=1.0, q=2.0))
-    direct = [op.eigenvalues(m).tobytes() for m in range(-14, 15)]
+    direct = [(m, w.tobytes()) for m, w in op.block_spectra()]
     find_spec = importlib.machinery.PathFinder.find_spec
 
     def without_flapack(name, path=None, target=None):
@@ -463,15 +461,15 @@ def test_dsbevd_from_scipy_linalg_when_its_file_is_not_found(monkeypatch, reques
     request.addfinalizer(_dsbevd.cache_clear)
     _dsbevd.cache_clear()
     assert _dsbevd() is lapack.dsbevd
-    assert [op.eigenvalues(m).tobytes() for m in range(-14, 15)] == direct
+    assert [(m, w.tobytes()) for m, w in op.block_spectra()] == direct
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_band_is_value_error(bad):
     ab = np.array([[1.0, 2.0], [bad, 0.0]])
-    op = ShellMatrix(N=1, delta=0, bands={(0, 1): (np.array([[1, 0], [1, 1]]), ab)})
+    op = ShellMatrix(N=1, delta=0, bands={(0, 1): (np.array([[1, 0], [1, 1]]), ab)}, ladder=0.0)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        op.eigenvalues(0)
+        next(op.block_spectra())
 
 
 @pytest.mark.parametrize("N", range(1, 13))
@@ -652,21 +650,25 @@ def test_rho2_assembled_matrix_matches_oracle_with_l_coupling():
 
 
 def test_diamagnetic_skip_is_harmless():
-    """Where the skip rule fires, keeping the term moves nothing resolvable."""
-    N, B, q = 6, 1.0, 17.0
-    sched = ScalingSchedule(B=B, q=q)
-    assert sched.diamagnetic_negligible(N)
-    lam = sched.lam(N)
-    scale = sched.shift_scale(N)
-    skipped = to_dense(shell_matrix_W(N, sched))
-    full = skipped + (lam**2 / 8.0) * to_dense(shell_matrix_rho2(N))
+    """At q = 17 the term is skipped from N = 8 on, where it cannot move a
+    scaled shift by half an ulp of B/2."""
+    N = 8
     ms = np.array([s.m for s in enumerate_shell(N)])
-    for m in range(-N, N + 1):
-        block = np.ix_(ms == m, ms == m)
-        gap = np.abs(
-            np.linalg.eigvalsh(full[block]) - np.linalg.eigvalsh(skipped[block])
-        ).max()
-        assert gap / scale <= 1e-8
+    rho2 = to_dense(shell_matrix_rho2(N))
+    for B in (0.5, 1.0, 2.0):
+        sched = ScalingSchedule(B=B, q=17.0)
+        assert not sched.diamagnetic_negligible(N - 1) and sched.diamagnetic_negligible(N)
+        assert sched.diamagnetic_slack(N) < math.ulp(B / 2) / 2
+        # each block of the skipped W is -(lambda/2) m times the identity, so
+        # the term would move its eigenvalues by exactly those of its own block
+        skipped = to_dense(shell_matrix_W(N, sched))
+        assert np.array_equal(skipped, np.diag(-0.5 * sched.lam(N) * ms))
+        term = (sched.lam(N) ** 2 / 8.0) * rho2
+        moves = max(
+            np.abs(np.linalg.eigvalsh(term[np.ix_(ms == m, ms == m)])).max()
+            for m in range(-N, N + 1)
+        )
+        assert moves / sched.shift_scale(N) <= sched.diamagnetic_slack(N)
 
 
 @given(st.integers(min_value=0, max_value=6))
@@ -752,7 +754,7 @@ def so4_rho2_block(n, m, ls):
 
 
 def same_shell_parts(bands, shells):
-    """(m, p, shell) -> (ls, diagonal, couplings l -> l+2) of each block on each shell."""
+    """(|m|, p, shell) -> (ls, diagonal, couplings l -> l+2) of each band on each shell."""
     out = {}
     for (m, p), (labels, ab) in bands.items():
         for Np in shells:
@@ -770,7 +772,8 @@ def same_shell_parts(bands, shells):
 def test_rho2_matches_so4_form(N):
     n = N + 1
     parts = same_shell_parts(shell_matrix_rho2(N).bands, [N])
-    assert sum(len(ls) for ls, _, _ in parts.values()) == n * n
+    # the band of |m| > 0 holds blocks m and -m
+    assert sum(len(ls) * (1 + (m > 0)) for (m, _, _), (ls, _, _) in parts.items()) == n * n
     for (m, p, _), (ls, diag, off) in parts.items():
         want_diag, want_off = so4_rho2_block(n, m, ls)
         scale = max(np.abs(want_diag).max(), np.abs(want_off).max(initial=0.0))
@@ -781,15 +784,16 @@ def test_rho2_matches_so4_form(N):
 @pytest.mark.parametrize("N", [10, 12])
 def test_multishell_same_shell_blocks_match_so4_form(N):
     sched = ScalingSchedule(B=1.0, q=2.0)
-    level, coeff = schedule_levels(N, sched, shell_energy(N))
+    levels, coeff = schedule_levels(N, 2, sched)
     assert coeff
     shells = range(N - 2, N + 3)
     parts = same_shell_parts(_band_blocks(N, 2, sched).bands, shells)
-    assert sum(len(ls) for ls, _, _ in parts.values()) == sum((Np + 1) ** 2 for Np in shells)
+    count = sum(len(ls) * (1 + (m > 0)) for (m, _, _), (ls, _, _) in parts.items())
+    assert count == sum((Np + 1) ** 2 for Np in shells)
     for (m, p, Np), (ls, diag, off) in parts.items():
         want_diag, want_off = so4_rho2_block(Np + 1, m, ls)
         scale = max(np.abs(want_diag).max(), np.abs(want_off).max(initial=0.0))
-        lvl = level(Np, m)
+        lvl = levels[Np - (N - 2)]
         # the level is added before the diagonal is stored: half an ulp of it
         # is lost there, and recovering the diamagnetic part divides by coeff
         lost = np.spacing(abs(lvl)) / coeff

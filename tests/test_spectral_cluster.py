@@ -13,7 +13,7 @@ from zeemanlab.hydrogenic_shell import (
     shell_matrix_L3,
     shell_matrix_W,
 )
-from zeemanlab import spectral_cluster
+from zeemanlab import hydrogenic_shell, spectral_cluster
 from zeemanlab.spectral_cluster import (
     ClusterSeparationError,
     SubclusterOverlapError,
@@ -27,12 +27,18 @@ from zeemanlab.spectral_cluster import (
 from zeemanlab.szego_measures import TestFunction
 
 from reference import (
+    band_norm,
     empirical_cdf,
+    exact_block_spectrum,
     enumerate_shell,
     ks_distance as reference_ks_distance,
     ks_two_sample,
     multishell_states,
     nearest_center_assignment,
+    per_m_assemble,
+    per_m_band_blocks,
+    per_m_cluster,
+    per_m_eigenvalues,
     swapped_label_spectrum,
     to_dense,
 )
@@ -148,6 +154,119 @@ def test_multishell_separation_failure_raises():
     sched = ScalingSchedule(B=5e4, q=0.1)
     with pytest.raises(ClusterSeparationError):
         cluster_eigenvalues(2, sched, mode="multishell", delta=1)
+
+
+def test_separation_failure_names_the_first_short_block():
+    with pytest.raises(ClusterSeparationError) as err:
+        cluster_eigenvalues(10, ScalingSchedule(B=1.0, q=1.0), mode="multishell")
+    e = err.value
+    assert (e.N, e.m, e.found, e.expected) == (10, 5, 5, 6)
+    assert "block m=5" in str(e)
+    # the retired per-m path fails there too
+    assert per_m_cluster(10, ScalingSchedule(B=1.0, q=1.0), "multishell") is None
+
+
+# ---------------------------------------------------------------------------
+# one solve per (|m|, l parity), against the retired per-m path
+# ---------------------------------------------------------------------------
+
+
+def _operator(N, sched, mode, delta):
+    return shell_matrix_W(N, sched) if mode == "first_order" else _band_blocks(N, delta, sched)
+
+
+@pytest.mark.parametrize(
+    "N, mode, delta", [(12, "first_order", 0), (80, "first_order", 0), (12, "multishell", 2),
+                       (10, "multishell", 3), (400, "first_order", 0)]
+)
+def test_one_dsbevd_call_per_wide_band(N, mode, delta, monkeypatch):
+    sched = ScalingSchedule(B=1.0, q=2.0 if N < 400 else 17.0)
+    calls = []
+    dsbevd = hydrogenic_shell._dsbevd()
+
+    def counted(ab, **kwargs):
+        calls.append(ab.shape)
+        return dsbevd(ab, **kwargs)
+
+    monkeypatch.setattr(hydrogenic_shell, "_dsbevd", lambda: counted)
+    cluster_eigenvalues(N, sched, mode=mode, delta=delta)
+    op = _operator(N, sched, mode, delta)
+    assert calls == [ab.shape for _, ab in op.bands.values() if len(ab) > 1]
+    # the per-m path solves each band of |m| > 0 twice, once for m and once for -m
+    per_m = [m for (m, _), (_, ab) in per_m_band_blocks(N, delta, sched).items() if len(ab) > 1]
+    assert 2 * len(calls) - per_m.count(0) == len(per_m)
+    assert (len(calls) == 0) == (N == 400)
+
+
+@pytest.mark.parametrize(
+    "N, sched, mode, delta",
+    [
+        (1, ScalingSchedule(B=1.0), "first_order", 0),
+        (1, ScalingSchedule(B=1.0, q=2.0), "first_order", 0),
+        (8, ScalingSchedule(B=2.0), "first_order", 0),
+        (40, ScalingSchedule(B=1.0), "first_order", 0),
+        (400, ScalingSchedule(B=1.0), "first_order", 0),
+        (4, ScalingSchedule(B=1.5, include_diamagnetic=False), "first_order", 0),
+        (10, ScalingSchedule(B=1.0), "multishell", 2),
+        (12, ScalingSchedule(B=2.0, q=2.0, include_diamagnetic=False), "multishell", 3),
+        (3, ScalingSchedule(B=0.0), "multishell", 1),
+    ],
+)
+def test_ladder_spectra_have_the_bits_of_the_per_m_path(N, sched, mode, delta):
+    op = _operator(N, sched, mode, delta)
+    assert all(len(ab) == 1 for _, ab in op.bands.values())
+    bands = per_m_band_blocks(N, delta if mode == "multishell" else 0, sched)
+    for m, w in op.block_spectra():
+        assert w.tobytes() == per_m_eigenvalues(bands, m).tobytes()
+    spec = cluster_eigenvalues(N, sched, mode=mode, delta=delta)
+    shifts, labels = per_m_cluster(N, sched, mode, delta)
+    assert spec.shifts.tobytes() == shifts.tobytes()
+    assert spec.subcluster_m.tobytes() == labels.tobytes()
+
+
+@pytest.mark.parametrize("N", [0, 1, 5, 40])
+def test_L3_spectra_have_the_bits_of_the_per_m_path(N):
+    bands = per_m_assemble(N, 0, lambda Np, m: float(m), 0.0)
+    for m, w in shell_matrix_L3(N).block_spectra():
+        assert w.tobytes() == per_m_eigenvalues(bands, m).tobytes()
+        assert w.tolist() == [float(m)] * (N + 1 - abs(m))
+
+
+@pytest.mark.parametrize(
+    "N, mode, delta",
+    [*((N, "first_order", 0) for N in range(2, 13))]
+    + [(10, "multishell", 1), (10, "multishell", 2), (10, "multishell", 3), (12, "multishell", 2),
+       (32, "multishell", 2), (24, "multishell", 3), (48, "multishell", 3)],
+)
+def test_assembled_clusters_within_band_rounding_of_the_per_m_path(N, mode, delta):
+    # moving the ladder term out of the band changes where it is rounded; the
+    # shifts stay within eps ||band||, the band's largest entry times its rows
+    sched = ScalingSchedule(B=1.0, q=2.0)
+    op = _operator(N, sched, mode, delta)
+    assert any(len(ab) > 1 for _, ab in op.bands.values())
+    bands = per_m_band_blocks(N, delta, sched)
+    spectra = dict(op.block_spectra())
+    # block 0 has no ladder term: the same band, the same bits
+    assert spectra[0].tobytes() == per_m_eigenvalues(bands, 0).tobytes()
+    spec = cluster_eigenvalues(N, sched, mode=mode, delta=delta)
+    shifts, labels = per_m_cluster(N, sched, mode, delta)
+    assert np.array_equal(spec.subcluster_m, labels)
+    floor = np.finfo(float).eps * max(band_norm(bands, m) for m, _ in bands)
+    assert np.max(np.abs(spec.shifts - shifts)) <= floor
+
+
+@pytest.mark.parametrize("N", [40, 80])
+def test_first_order_blocks_within_band_rounding_of_their_exact_spectra(N):
+    # here the per-m path strays up to about 2 eps ||band|| from the exact
+    # eigenvalues, since dsbevd works on the ladder-shifted block; the
+    # library solves the m-free band and adds the ladder term once
+    sched = ScalingSchedule(B=1.0, q=2.0)
+    op = shell_matrix_W(N, sched)
+    bands = per_m_band_blocks(N, 0, sched)
+    spectra = dict(op.block_spectra())
+    for m in (1, -1, N // 2, -(N // 2), N):
+        exact = exact_block_spectrum(op, m)
+        assert np.max(np.abs(spectra[m] - exact)) <= np.finfo(float).eps * band_norm(bands, m), m
 
 
 def test_cluster_requires_positive_N():
