@@ -11,9 +11,11 @@ on the shell 2*pi periodic in s, collisions included.  Unit covectors are
 indexed by pairs of orthonormal 4-vectors (the real and imaginary parts of
 a complex index), carrying the rotation-invariant probability measure.
 
-The integrator steps one orbit in Python floats: each state and stage
-slope is a 6-tuple and every component a scalar expression, in a fixed
-operation order, so no BLAS kernel runs inside a step.
+The integrator steps one orbit in Python floats: one call of _dp5_step
+takes a step on named scalar locals, every component a scalar expression
+in a fixed operation order, so no BLAS kernel runs inside a step.  The
+index sampler orthonormalizes its draws in column-major blocks, so each
+column expression reads contiguous memory.
 """
 
 from __future__ import annotations
@@ -273,6 +275,93 @@ class Trajectory:
         return _wedge(self.states[:, :3], self.states[:, 3:], 0, 1)
 
 
+def _dp5_step(x1, x2, x3, p1, p2, p3, f1, f2, f3, f4, f5, f6, h, rt) -> tuple:
+    """One Dormand-Prince 5(4) step of size h from the state (x, p) with slope f.
+
+    Returns the new state, its slope, the scaled error norm and the new |x|.
+    Each stage combination is written out per component in the tableau's
+    order and each slope in the expressions of _rhs; the error norm is the
+    square root of the left-to-right sum of the six scaled squares over 6.
+    A stage on x = 0 raises ZeroDivisionError.
+    """
+    # stage 2
+    y1 = x1 + h * (_A21 * f1)
+    y2 = x2 + h * (_A21 * f2)
+    y3 = x3 + h * (_A21 * f3)
+    q1 = p1 + h * (_A21 * f4)
+    q2 = p2 + h * (_A21 * f5)
+    q3 = p3 + h * (_A21 * f6)
+    r = math.sqrt((y1 * y1 + y2 * y2) + y3 * y3)
+    rr = r * r
+    g1, g2, g3, g4, g5, g6 = r * q1, r * q2, r * q3, -y1 / rr, -y2 / rr, -y3 / rr
+    # stage 3
+    y1 = x1 + h * (_A31 * f1 + _A32 * g1)
+    y2 = x2 + h * (_A31 * f2 + _A32 * g2)
+    y3 = x3 + h * (_A31 * f3 + _A32 * g3)
+    q1 = p1 + h * (_A31 * f4 + _A32 * g4)
+    q2 = p2 + h * (_A31 * f5 + _A32 * g5)
+    q3 = p3 + h * (_A31 * f6 + _A32 * g6)
+    r = math.sqrt((y1 * y1 + y2 * y2) + y3 * y3)
+    rr = r * r
+    c1, c2, c3, c4, c5, c6 = r * q1, r * q2, r * q3, -y1 / rr, -y2 / rr, -y3 / rr
+    # stage 4
+    y1 = x1 + h * (_A41 * f1 + _A42 * g1 + _A43 * c1)
+    y2 = x2 + h * (_A41 * f2 + _A42 * g2 + _A43 * c2)
+    y3 = x3 + h * (_A41 * f3 + _A42 * g3 + _A43 * c3)
+    q1 = p1 + h * (_A41 * f4 + _A42 * g4 + _A43 * c4)
+    q2 = p2 + h * (_A41 * f5 + _A42 * g5 + _A43 * c5)
+    q3 = p3 + h * (_A41 * f6 + _A42 * g6 + _A43 * c6)
+    r = math.sqrt((y1 * y1 + y2 * y2) + y3 * y3)
+    rr = r * r
+    d1, d2, d3, d4, d5, d6 = r * q1, r * q2, r * q3, -y1 / rr, -y2 / rr, -y3 / rr
+    # stage 5
+    y1 = x1 + h * (_A51 * f1 + _A52 * g1 + _A53 * c1 + _A54 * d1)
+    y2 = x2 + h * (_A51 * f2 + _A52 * g2 + _A53 * c2 + _A54 * d2)
+    y3 = x3 + h * (_A51 * f3 + _A52 * g3 + _A53 * c3 + _A54 * d3)
+    q1 = p1 + h * (_A51 * f4 + _A52 * g4 + _A53 * c4 + _A54 * d4)
+    q2 = p2 + h * (_A51 * f5 + _A52 * g5 + _A53 * c5 + _A54 * d5)
+    q3 = p3 + h * (_A51 * f6 + _A52 * g6 + _A53 * c6 + _A54 * d6)
+    r = math.sqrt((y1 * y1 + y2 * y2) + y3 * y3)
+    rr = r * r
+    e1, e2, e3, e4, e5, e6 = r * q1, r * q2, r * q3, -y1 / rr, -y2 / rr, -y3 / rr
+    # stage 6
+    y1 = x1 + h * (_A61 * f1 + _A62 * g1 + _A63 * c1 + _A64 * d1 + _A65 * e1)
+    y2 = x2 + h * (_A61 * f2 + _A62 * g2 + _A63 * c2 + _A64 * d2 + _A65 * e2)
+    y3 = x3 + h * (_A61 * f3 + _A62 * g3 + _A63 * c3 + _A64 * d3 + _A65 * e3)
+    q1 = p1 + h * (_A61 * f4 + _A62 * g4 + _A63 * c4 + _A64 * d4 + _A65 * e4)
+    q2 = p2 + h * (_A61 * f5 + _A62 * g5 + _A63 * c5 + _A64 * d5 + _A65 * e5)
+    q3 = p3 + h * (_A61 * f6 + _A62 * g6 + _A63 * c6 + _A64 * d6 + _A65 * e6)
+    r = math.sqrt((y1 * y1 + y2 * y2) + y3 * y3)
+    rr = r * r
+    k1, k2, k3, k4, k5, k6 = r * q1, r * q2, r * q3, -y1 / rr, -y2 / rr, -y3 / rr
+    # fifth-order solution and its slope
+    y1 = x1 + h * (_B1 * f1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * k1)
+    y2 = x2 + h * (_B1 * f2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * k2)
+    y3 = x3 + h * (_B1 * f3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * k3)
+    q1 = p1 + h * (_B1 * f4 + _B3 * c4 + _B4 * d4 + _B5 * e4 + _B6 * k4)
+    q2 = p2 + h * (_B1 * f5 + _B3 * c5 + _B4 * d5 + _B5 * e5 + _B6 * k5)
+    q3 = p3 + h * (_B1 * f6 + _B3 * c6 + _B4 * d6 + _B5 * e6 + _B6 * k6)
+    r_new = math.sqrt((y1 * y1 + y2 * y2) + y3 * y3)
+    rr = r_new * r_new
+    g1, g2, g3, g4, g5, g6 = r_new * q1, r_new * q2, r_new * q3, -y1 / rr, -y2 / rr, -y3 / rr
+    # embedded error, each component scaled by rt (1 + max(|new|, |old|)); the
+    # old state is finite, so a NaN in the new one survives max() as in np.maximum
+    s1 = rt * (1.0 + max(abs(y1), abs(x1)))
+    s2 = rt * (1.0 + max(abs(y2), abs(x2)))
+    s3 = rt * (1.0 + max(abs(y3), abs(x3)))
+    s4 = rt * (1.0 + max(abs(q1), abs(p1)))
+    s5 = rt * (1.0 + max(abs(q2), abs(p2)))
+    s6 = rt * (1.0 + max(abs(q3), abs(p3)))
+    w1 = h * (_E1 * f1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * k1 + _E7 * g1) / s1
+    w2 = h * (_E1 * f2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * k2 + _E7 * g2) / s2
+    w3 = h * (_E1 * f3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * k3 + _E7 * g3) / s3
+    w4 = h * (_E1 * f4 + _E3 * c4 + _E4 * d4 + _E5 * e4 + _E6 * k4 + _E7 * g4) / s4
+    w5 = h * (_E1 * f5 + _E3 * c5 + _E4 * d5 + _E5 * e5 + _E6 * k5 + _E7 * g5) / s5
+    w6 = h * (_E1 * f6 + _E3 * c6 + _E4 * d6 + _E5 * e6 + _E6 * k6 + _E7 * g6) / s6
+    err = math.sqrt((((((w1 * w1 + w2 * w2) + w3 * w3) + w4 * w4) + w5 * w5) + w6 * w6) / 6)
+    return y1, y2, y3, q1, q2, q3, g1, g2, g3, g4, g5, g6, err, r_new
+
+
 def integrate_kepler(pt0: PhasePoint, s_max: float, tol: float = 1e-10) -> Trajectory:
     """Integrate dx/ds = |x| p, dp/ds = -x/|x|^2 up to regularized time s_max.
 
@@ -283,13 +372,17 @@ def integrate_kepler(pt0: PhasePoint, s_max: float, tol: float = 1e-10) -> Traje
     but the periodicity statement no longer applies, so a warning is
     emitted.
 
-    A step works on six Python floats, not on arrays: every component is
-    one scalar expression, so no BLAS kernel runs inside a step and the
-    result does not depend on it.  Squared norms are summed as
-    (v1*v1 + v2*v2) + v3*v3, and the error norm is the square root of the
-    left-to-right sum of the six scaled squares over 6.  A step whose stages
-    divide by zero or produce non-finite values is rejected like any step
-    with a non-finite error estimate.
+    A step is one call of _dp5_step on the six floats of the state and the
+    six of its slope, not on arrays: every component is one scalar
+    expression, so no BLAS kernel runs inside a step and the result does
+    not depend on it.  Squared norms are summed as (v1*v1 + v2*v2) + v3*v3,
+    and the error norm is the square root of the left-to-right sum of the
+    six scaled squares over 6.  A step whose stages divide by zero or
+    produce non-finite values is rejected like any step with a non-finite
+    error estimate.  The step is a function of its own, not the loop body,
+    because CPython specializes a code object's instructions only after it
+    has been entered several times: a loop body run once per process stays
+    generic, a function called once per step does not.
     """
     if s_max < 0:
         raise ValueError("s_max must be >= 0")
@@ -314,7 +407,7 @@ def integrate_kepler(pt0: PhasePoint, s_max: float, tol: float = 1e-10) -> Traje
     samples_s = [0.0]
     samples_z = [z]
     energy = energy0
-    k1 = _rhs(z)
+    f1, f2, f3, f4, f5, f6 = _rhs(z)
     max_steps = 2_000_000
     steps = 0
     while s < s_max:
@@ -323,60 +416,28 @@ def integrate_kepler(pt0: PhasePoint, s_max: float, tol: float = 1e-10) -> Traje
             raise NumericalCollisionError(f"step budget exhausted at s={s}")
         h = min(h, s_max - s)
         try:
-            k2 = _rhs([zi + h * (_A21 * a1) for zi, a1 in zip(z, k1)])
-            k3 = _rhs([zi + h * (_A31 * a1 + _A32 * a2) for zi, a1, a2 in zip(z, k1, k2)])
-            k4 = _rhs(
-                [
-                    zi + h * (_A41 * a1 + _A42 * a2 + _A43 * a3)
-                    for zi, a1, a2, a3 in zip(z, k1, k2, k3)
-                ]
+            y1, y2, y3, q1, q2, q3, g1, g2, g3, g4, g5, g6, err, r_new = _dp5_step(
+                x1, x2, x3, p1, p2, p3, f1, f2, f3, f4, f5, f6, h, rt
             )
-            k5 = _rhs(
-                [
-                    zi + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
-                    for zi, a1, a2, a3, a4 in zip(z, k1, k2, k3, k4)
-                ]
-            )
-            k6 = _rhs(
-                [
-                    zi + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
-                    for zi, a1, a2, a3, a4, a5 in zip(z, k1, k2, k3, k4, k5)
-                ]
-            )
-            z_new = tuple(
-                zi + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
-                for zi, a1, a3, a4, a5, a6 in zip(z, k1, k3, k4, k5, k6)
-            )
-            k7 = _rhs(z_new)
-            sq = 0.0
-            for zi, zn, a1, a3, a4, a5, a6, a7 in zip(z, z_new, k1, k3, k4, k5, k6, k7):
-                # z is finite, so a NaN in z_new survives max() as in np.maximum
-                q = h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * a7) / (
-                    rt * (1.0 + max(abs(zn), abs(zi)))
-                )
-                sq += q * q
-            err = math.sqrt(sq / 6)
         except ZeroDivisionError:
             err = 2.0
         if not math.isfinite(err):
             err = 2.0
         accept = False
         if err <= 1.0:
-            x1, x2, x3, p1, p2, p3 = z_new
-            r_new = math.sqrt((x1 * x1 + x2 * x2) + x3 * x3)
-            energy_new = 0.5 * ((p1 * p1 + p2 * p2) + p3 * p3) - 1.0 / r_new
+            energy_new = 0.5 * ((q1 * q1 + q2 * q2) + q3 * q3) - 1.0 / r_new
             accept = abs(energy_new - energy) <= 10.0 * tol
         if accept:
             s += h
-            z = z_new
-            k1 = k7
+            x1, x2, x3, p1, p2, p3 = y1, y2, y3, q1, q2, q3
+            f1, f2, f3, f4, f5, f6 = g1, g2, g3, g4, g5, g6
             energy = energy_new
             if r_new < _COLLISION_FLOOR:
                 raise NumericalCollisionError(
                     f"|x| fell below the collision floor {_COLLISION_FLOOR} at s={s}"
                 )
             samples_s.append(s)
-            samples_z.append(z)
+            samples_z.append((x1, x2, x3, p1, p2, p3))
             factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
             h *= min(5.0, max(0.2, factor))
         else:
@@ -476,9 +537,11 @@ def sample_index_batch(
     place; isotropy of the Gaussian makes the law rotation invariant.
     The stream is that of one (n, 8) draw, a row's first vector in its
     first four columns and its second vector in the last four, taken in
-    blocks of _SAMPLE_BLOCK rows.  Row norms and dots are column
-    expressions summed in the order numpy's row reduction uses,
-    ((c0 + c1) + c2) + c3, so they have its bits.  Degenerate draws
+    blocks of _SAMPLE_BLOCK rows, each copied into one column-major buffer
+    so that every column expression reads contiguous memory.  Row norms
+    and dots are column expressions summed in the order numpy's row
+    reduction uses, ((c0 + c1) + c2) + c3, so they have its bits.  The
+    layout changes no bit: every operation is elementwise.  Degenerate draws
     (vanishing norms or numerically parallel pairs) are redrawn at the
     end, in row order, by a recursive call on ``rng``.
 
@@ -489,10 +552,12 @@ def sample_index_batch(
     """
     ok = np.empty(n, dtype=bool)
     outs = None
+    ab = np.empty((min(n, _SAMPLE_BLOCK), 8), order="F")
     for start in range(0, max(n, 1), _SAMPLE_BLOCK):
         blk = slice(start, min(start + _SAMPLE_BLOCK, n))
-        ab = rng.standard_normal((blk.stop - blk.start, 8))
-        a_blk, b_blk = ab[:, :4], ab[:, 4:]
+        ab_blk = ab[: blk.stop - blk.start]
+        np.copyto(ab_blk, rng.standard_normal(ab_blk.shape))
+        a_blk, b_blk = ab_blk[:, :4], ab_blk[:, 4:]
         ok[blk] = _orthonormalize(a_blk) & _orthonormalize(b_blk, a_blk)
         got = (a_blk, b_blk) if columns is None else columns(a_blk, b_blk)
         if outs is None:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .classical_kepler import _inverse_arrays, _wedge, sample_index_batch
+from .classical_kepler import _SAMPLE_BLOCK, _inverse_arrays, _wedge, sample_index_batch
 from .spectral_cluster import ks_distance, triangular_shift_cdf
 
 __all__ = [
@@ -176,6 +176,18 @@ def limit_quadric_mc(
     return _average(rho, B, ell3)
 
 
+def _compact(keep: np.ndarray, *cols: np.ndarray) -> None:
+    """Move the rows of each column where ``keep`` holds to its front, in order and in
+    place, one _SAMPLE_BLOCK of rows at a time, so no column is copied whole."""
+    m = 0
+    for lo in range(0, len(keep), _SAMPLE_BLOCK):
+        hi = lo + _SAMPLE_BLOCK
+        k = int(np.count_nonzero(keep[lo:hi]))
+        for col in cols:
+            col[m:m + k] = col[lo:hi][keep[lo:hi]]
+        m += k
+
+
 @dataclass
 class PushforwardCheck:
     max_pointwise_gap: float
@@ -213,7 +225,8 @@ def liouville_pushforward_check(
     moment = _average(rho, B, ell3_index)
     skipped = int(n_samples - keep.sum())
     if skipped:
-        ell3_index, ell3_phase = ell3_index[keep], ell3_phase[keep]
+        _compact(keep, ell3_index, ell3_phase)
+        ell3_index, ell3_phase = ell3_index[:-skipped], ell3_phase[:-skipped]
     del keep
     m = len(ell3_index)
     gap = _blockwise(np.maximum, lambda lo, hi: abs(ell3_phase[lo:hi] - ell3_index[lo:hi]), 0, m)

@@ -4,7 +4,9 @@ The library keeps what the command line, the acceptance criteria and the
 benchmark tracer reach.  The scalar and dense forms below pin its fast
 paths from outside: labelled shell states and full matrices, the scalar
 ladder and angular elements, orbit elements from their angles, the
-canonical 1-form identity of the Moser map at each point, coherent states
+canonical 1-form identity of the Moser map at each point, the retired
+Dormand-Prince stepper on 6-element arrays with its squared norms taken
+by a BLAS dot or spelled out, coherent states
 sampled on a grid, an orthonormal harmonic basis built on the grid by
 Gram-Schmidt and the completeness estimate taken in it (the generic form
 of the product-basis check, for small N), the product-basis completeness
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -32,7 +35,10 @@ import numpy as np
 
 from zeemanlab.classical_kepler import (
     CoherentIndex,
+    NumericalCollisionError,
     OrbitElements,
+    PhasePoint,
+    Trajectory,
     _forward_arrays,
     _wedge,
     sample_index_batch as library_sample_index_batch,
@@ -387,6 +393,97 @@ def canonical_form_gap(x: np.ndarray, p: np.ndarray) -> float:
         d_omega = _forward_arrays(x, p + step)[0].imag / 1e-30
         gap = max(gap, float(np.max(np.abs(np.sum(xi * d_omega, axis=-1) + x[:, j]) / scale)))
     return gap
+
+
+# Dormand-Prince 5(4) tableau, as the retired array stepper spelled it.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+
+
+def blas_sq(v: np.ndarray) -> float:
+    return v @ v
+
+
+def spelled_sq(v: np.ndarray) -> float:
+    return (v[0] * v[0] + v[1] * v[1]) + v[2] * v[2]
+
+
+def numpy_integrate_kepler(
+    pt0: PhasePoint, s_max: float, tol: float = 1e-10, collision_floor: float = 1e-8, sq=blas_sq
+) -> Trajectory:
+    """The retired stepper on 6-element arrays, with its squared norms
+    taken by ``sq``.  With the BLAS dot it is the retired code as it ran
+    (np.linalg.norm of a vector is the square root of that dot)."""
+
+    def norm(v):
+        return np.sqrt(sq(v))
+
+    def rhs(z):
+        x, p = z[:3], z[3:]
+        r = norm(x)
+        out = np.empty(6)
+        out[:3] = r * p
+        out[3:] = -x / (r * r)
+        return out
+
+    def energy_of(z):
+        return 0.5 * float(sq(z[3:])) - 1.0 / float(norm(z[:3]))
+
+    z = np.concatenate([pt0.x, pt0.p])
+    kinetic = 0.5 * float(sq(z[3:]))
+    potential = 1.0 / float(norm(z[:3]))
+    energy0 = kinetic - potential
+    if abs(energy0 + 0.5) > 1e-9 * max(1.0, kinetic + potential):
+        warnings.warn(f"initial energy {energy0!r} is off the -1/2 shell", stacklevel=2)
+    rt = tol * 1e-5
+    s = 0.0
+    h = min(0.05, s_max) if s_max > 0 else 0.0
+    samples_s = [0.0]
+    samples_z = [z.copy()]
+    k1 = rhs(z)
+    steps = 0
+    while s < s_max:
+        steps += 1
+        if steps > 2_000_000:
+            raise NumericalCollisionError(f"step budget exhausted at s={s}")
+        h = min(h, s_max - s)
+        k2 = rhs(z + h * (_A21 * k1))
+        k3 = rhs(z + h * (_A31 * k1 + _A32 * k2))
+        k4 = rhs(z + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+        k5 = rhs(z + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+        k6 = rhs(z + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+        z_new = z + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        k7 = rhs(z_new)
+        err_vec = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+        scale = rt * (1.0 + np.maximum(np.abs(z), np.abs(z_new)))
+        with np.errstate(all="ignore"):
+            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        if not np.isfinite(err):
+            err = 2.0
+        energy_ok = abs(energy_of(z_new) - energy_of(z)) <= 10.0 * tol
+        if err <= 1.0 and energy_ok:
+            s += h
+            z = z_new
+            k1 = k7
+            if float(norm(z[:3])) < collision_floor:
+                raise NumericalCollisionError(
+                    f"|x| fell below the collision floor {collision_floor} at s={s}"
+                )
+            samples_s.append(s)
+            samples_z.append(z.copy())
+            factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
+            h *= min(5.0, max(0.2, factor))
+        else:
+            factor = 0.9 * err ** (-0.2) if err > 1.0 else 0.5
+            h *= min(0.9, max(0.2, factor))
+        if h <= 1e-15:
+            raise NumericalCollisionError(f"step size collapsed at s={s}")
+    return Trajectory(s=np.asarray(samples_s), states=np.asarray(samples_z))
 
 
 def coherent_state_values(index: CoherentIndex, N: int, grid: SphereGrid) -> np.ndarray:

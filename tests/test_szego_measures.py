@@ -438,6 +438,24 @@ def test_peak_memory_at_a_million_samples(name, bound_mib):
     assert _traced_peak_mib(runs[name]) <= bound_mib
 
 
+def test_pole_row_at_a_million_samples_is_compacted_in_place():
+    # one stream row puts a at e4; dropping it from both ell3 columns by a
+    # mask would copy them (16 MiB), the compaction moves rows in blocks
+    n = 1000000
+    plants = {5: lambda row: np.r_[0.0, 0.0, 0.0, 1.0, row[4:]]}
+    rho = TestFunction.monomial(2)
+    got = []
+
+    def run(plants):
+        got.append(liouville_pushforward_check(n, StreamPlantingGenerator(7, plants), rho, 2.0))
+
+    planted, unplanted = (_traced_peak_mib(lambda: run(p)) for p in (plants, {}))
+    want = _retired_pushforward_check(n, StreamPlantingGenerator(7, plants))
+    assert got[0].skipped_fraction == 1 / n
+    assert _field_bytes(got[0]) == _field_bytes(want)
+    assert planted <= unplanted + 1.0
+
+
 def test_haar_normalization_default_grid():
     assert haar_density_normalization() == pytest.approx(1.0, abs=1e-6)
 
