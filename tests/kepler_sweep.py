@@ -29,7 +29,7 @@ from zeemanlab.classical_kepler import (
 ORBITS = 99
 TOLS = (1e-6, 1e-8, 1e-10)
 S_MAX = 4.0 * np.pi
-SEED = 28
+SEED = 1
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
