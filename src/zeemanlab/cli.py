@@ -252,7 +252,7 @@ def _require_seed(args) -> np.random.Generator:
 
 def cmd_cluster(args) -> tuple[dict, dict]:
     if args.N is None:
-        raise ConfigError("cluster needs --N (flag or config file)")
+        raise ConfigError("cluster needs --N")
     schedule = ScalingSchedule(
         B=args.B, q=args.q, include_diamagnetic=not args.no_diamagnetic
     )
@@ -295,7 +295,13 @@ def cmd_szego(args) -> tuple[dict, dict]:
         raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     rho = parse_rho(args.rho)
     n_list = _parse_n_list(args.N_list)
-    config = {"rho": args.rho, "B": args.B, "N_list": n_list, "samples": args.samples}
+    config = {
+        "rho": args.rho,
+        "B": args.B,
+        "N_list": n_list,
+        "samples": args.samples,
+        "seed": args.seed,
+    }
     _require_in_float_range(rho, args.B, args.samples)
     rhs_tri = limit_triangular(rho, args.B)
     rhs_angle = limit_angle_density(rho, args.B)
@@ -431,11 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="zeemanlab",
         description="Reproducible experiments on Zeeman eigenvalue clusters",
     )
-    parser.add_argument(
-        "--config",
-        default=None,
-        help="JSON file with default option values, merged under explicit flags",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_seed=False):
@@ -484,57 +485,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# JSON types a config-file value may have, by the option's argparse type
-_JSON_TYPES = {int: (int,), float: (int, float), None: (str,)}
-
-
-def _merge_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    args = parser.parse_args(argv)
-    if args.config:
-        try:
-            defaults = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
-        if not isinstance(defaults, dict):
-            raise ConfigError("config file must hold a JSON object")
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        command = sub.choices[args.command]
-        options = {a.dest: a for a in command._actions if a.dest != "help"}
-        values = {}
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if attr not in options:
-                raise ConfigError(f"config key {key!r} is not an option of {args.command!r}")
-            values[attr] = _config_value(key, value, options[attr])
-        # the file's values become the command's defaults, so flags given
-        # on the command line win over them
-        command.set_defaults(**values)
-        args = parser.parse_args(argv)
-    # float() parses "nan" and "inf", and json.loads accepts NaN and Infinity
-    for key, value in vars(args).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value!r}")
-    return args
-
-
-def _config_value(key: str, value, action: argparse.Action):
-    """The file's value as the option stores it, if its JSON type and choice fit."""
-    kinds = (bool,) if action.nargs == 0 else _JSON_TYPES[action.type]
-    if (
-        isinstance(value, bool) != (kinds == (bool,))
-        or not isinstance(value, kinds)
-        or (action.choices is not None and value not in action.choices)
-    ):
-        expected = " or ".join(k.__name__ for k in kinds)
-        raise ConfigError(f"config key {key!r} cannot take {value!r} (expected {expected})")
-    return action.type(value) if action.type else value
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = _merge_config_file(parser, argv)
+        args = _build_parser().parse_args(argv)
+        # float() parses "nan" and "inf"
+        for key, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value!r}")
         started = time.time()
         config, files = args.func(args)
         _write_results(args, config, files, started)

@@ -113,7 +113,9 @@ class ScalingSchedule:
     def diamagnetic_slack(self, N: int) -> float:
         """The bound 3 lambda^2 (N+1)^4 / 8 on the diamagnetic block norm, in
         units of the shift scale: (3/8) B^2 eps(h), the amount by which
-        scaled shifts may exceed [-B/2, B/2]."""
+        scaled shifts may exceed [-B/2, B/2]; 0 with the term switched off."""
+        if not self.include_diamagnetic:
+            return 0.0
         try:
             return 3.0 * self.lam(N) ** 2 * (N + 1) ** 4 / 8.0 / self.shift_scale(N)
         except OverflowError:
@@ -126,8 +128,6 @@ class ScalingSchedule:
         scaled norm, at most diamagnetic_slack(N); below half an ulp of B/2,
         the edge of the scaled spectrum, matrix builders skip it.
         """
-        if not self.include_diamagnetic:
-            return True
         return self.diamagnetic_slack(N) < math.ulp(self.B / 2.0) / 2.0
 
 

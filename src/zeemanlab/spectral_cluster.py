@@ -138,9 +138,7 @@ def cluster_eigenvalues(
         shifts=shifts,
         scaled_shifts=scaled,
         subcluster_m=labels,
-        diamagnetic_slack=schedule.diamagnetic_slack(N)
-        if schedule.include_diamagnetic
-        else 0.0,
+        diamagnetic_slack=schedule.diamagnetic_slack(N),
     )
 
 

@@ -1,4 +1,4 @@
-"""Command-line contract: files, determinism, exit codes, config merging."""
+"""Command-line contract: files, determinism, exit codes, flag parsing."""
 
 import csv
 import json
@@ -509,6 +509,26 @@ def test_szego_mc_requires_seed(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, seed", [(["--samples", "1000", "--seed", "7"], 7), ([], None)]
+)
+def test_szego_summary_keys(tmp_path, argv, seed):
+    # a key leaves or arrives only on purpose; the seed is echoed, null when not given
+    out = tmp_path / "sz"
+    assert run(["szego", "--N-list", "10", *argv, "--out", str(out)]) == 0
+    summary = json.loads((out / "szego_summary.json").read_text())
+    assert {k: sorted(v) if isinstance(v, dict) else None for k, v in summary.items()} == {
+        "config": ["B", "N_list", "rho", "samples", "seed"],
+        "results": None,
+        "limit_triangular": None,
+        "limit_angle_density": None,
+        "triangular_vs_angle_gap": None,
+        "final_gap": None,
+    }
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert summary["config"]["seed"] == manifest["config"]["seed"] == seed
+
+
 # ---------------------------------------------------------------------------
 # coherent command
 # ---------------------------------------------------------------------------
@@ -715,28 +735,8 @@ def test_measures_requires_seed(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# config file and environment
+# flags and environment
 # ---------------------------------------------------------------------------
-
-
-def test_config_file_merges_under_flags(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"N": 4, "B": 2.0}))
-    out = tmp_path / "cfgrun"
-    code = run(
-        ["--config", str(cfg), "cluster", "--B", "1.0", "--out", str(out)]
-    )
-    assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    # N comes from the file, B from the explicit flag
-    assert manifest["config"]["N"] == 4
-    assert manifest["config"]["B"] == 1.0
-
-
-def test_bad_config_file_is_usage_error(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("not json")
-    assert run(["--config", str(cfg), "cluster", "--N", "3"]) == 1
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):
@@ -937,44 +937,33 @@ def test_swamping_field_is_one_line_failed_check(tmp_path):
 
 
 def test_abbreviated_flag_is_rejected_not_overridden(tmp_path, capsys):
-    # an abbreviation used to escape _explicit_keys, so the file value won
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"samples": 50}))
-    argv = ["--config", str(cfg), "szego", "--sam", "1000", "--seed", "1"]
+    argv = ["szego", "--sam", "1000", "--seed", "1"]
     assert run(argv + ["--N-list", "4", "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.startswith("error: unrecognized arguments: --sam")
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [{"N": "12"}, {"N": True}, {"N": 4.0}, {"B": "1"}, {"no_diamagnetic": 1},
-     {"mode": "dense"}, {"out": 3}],
-)
-def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, entry):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(dict({"N": 3}, **entry)))
-    assert run(["--config", str(cfg), "cluster", "--out", str(tmp_path / "x")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: config key") and len(err.splitlines()) == 1
-
-
-def test_config_integer_for_float_option_is_a_float(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"N": 3, "B": 2, "no-diamagnetic": True}))
+def test_integer_float_flag_is_stored_as_a_float(tmp_path):
     out = tmp_path / "x"
-    assert run(["--config", str(cfg), "cluster", "--out", str(out)]) == 0
+    assert run(["cluster", "--N", "3", "--B", "2", "--no-diamagnetic", "--out", str(out)]) == 0
     config = json.loads((out / "manifest.json").read_text())["config"]
     assert config["B"] == 2.0 and isinstance(config["B"], float)
     assert config["diamagnetic"] is False
 
 
-@pytest.mark.parametrize("key", ["Nn", "seed", "func", "config"])
-def test_config_key_unknown_to_the_command_is_usage_error(tmp_path, capsys, key):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"N": 3, key: 4}))
-    assert run(["--config", str(cfg), "cluster", "--out", str(tmp_path / "x")]) == 1
-    assert f"config key {key!r} is not an option of 'cluster'" in capsys.readouterr().err
+@pytest.mark.parametrize("before_command", [True, False])
+def test_config_option_is_one_line_usage_error(tmp_path, before_command):
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps({"N": 3}))
+    out = tmp_path / "x"
+    command = ["cluster", "--N", "3", "--out", str(out)]
+    option = ["--config", str(cfg)]
+    argv = option + command if before_command else command + option
+    proc = run_fresh(["-m", "zeemanlab.cli", *argv])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -984,20 +973,18 @@ def test_config_key_unknown_to_the_command_is_usage_error(tmp_path, capsys, key)
         ["cluster", "--N", "3", "--B", "inf"],
         ["cluster", "--N", "3", "--q", "nan"],
         ["szego", "--B", "nan", "--N-list", "5"],
+        ["cluster", "--N", "3", "--q", "inf"],
+        ["coherent", "--B", "inf", "--seed", "1"],
+        ["kepler", "--ell", "nan"],
+        ["kepler", "--tol", "inf"],
+        ["kepler", "--s-max", "nan"],
+        ["measures", "--B", "nan", "--seed", "1"],
     ],
 )
 def test_non_finite_flag_is_usage_error(tmp_path, capsys, argv):
     # these used to fail inside LAPACK, or (szego) exit 0 with NaN in the JSON
     assert run(argv + ["--out", str(tmp_path / "x")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --") and "must be finite" in err
-    assert len(err.splitlines()) == 1
+    flag, value = next((a, v) for a, v in zip(argv, argv[1:]) if v in ("nan", "inf"))
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got {float(value)!r}\n"
     assert not (tmp_path / "x").exists()
 
-
-def test_non_finite_config_value_is_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"N": 3, "B": NaN}')  # json.loads accepts NaN
-    assert run(["--config", str(cfg), "cluster", "--out", str(tmp_path / "x")]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: --B must be finite, got nan\n"

@@ -671,6 +671,15 @@ def test_diamagnetic_skip_is_harmless():
         assert moves / sched.shift_scale(N) <= sched.diamagnetic_slack(N)
 
 
+def test_switched_off_diamagnetic_term_has_no_slack_and_is_negligible():
+    # at B = 1e300 the bound lambda^2 overflows; with the term off it is never formed
+    sched = ScalingSchedule(B=1e300, include_diamagnetic=False)
+    assert sched.diamagnetic_slack(5) == 0.0
+    assert sched.diamagnetic_negligible(5)
+    with pytest.raises(ValueError, match="out of floating-point range"):
+        ScalingSchedule(B=1e300).diamagnetic_slack(5)
+
+
 @given(st.integers(min_value=0, max_value=6))
 @settings(deadline=None, max_examples=7)
 def test_matrices_symmetric_property(N):
