@@ -443,7 +443,7 @@ def integrate_kepler(pt0: PhasePoint, s_max: float, tol: float = 1e-10) -> Traje
         else:
             factor = 0.9 * err ** (-0.2) if err > 1.0 else 0.5
             h *= min(0.9, max(0.2, factor))
-        if h <= 1e-15:
+        if h <= 1e-15 and s < s_max:
             raise NumericalCollisionError(f"step size collapsed at s={s}")
     return Trajectory(s=np.asarray(samples_s), states=np.asarray(samples_z))
 

@@ -27,7 +27,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -70,9 +69,6 @@ from .szego_measures import (
     limit_triangular,
     liouville_pushforward_check,
 )
-
-OUTPUT_DIR_ENV = "ZEEMANLAB_OUT"
-
 
 class ConfigError(ValueError):
     pass
@@ -153,7 +149,7 @@ def _write_results(args, config: dict, files: dict, started: float) -> None:
     """
     import scipy
 
-    outdir = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or ".")
+    outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -253,16 +249,13 @@ def _require_seed(args) -> np.random.Generator:
 def cmd_cluster(args) -> tuple[dict, dict]:
     if args.N is None:
         raise ConfigError("cluster needs --N")
-    schedule = ScalingSchedule(
-        B=args.B, q=args.q, include_diamagnetic=not args.no_diamagnetic
-    )
+    schedule = ScalingSchedule(B=args.B, q=args.q)
     config = {
         "N": args.N,
         "B": args.B,
         "q": args.q,
         "mode": args.mode,
         "delta": args.delta,
-        "diamagnetic": not args.no_diamagnetic,
     }
     spec = cluster_eigenvalues(args.N, schedule, mode=args.mode, delta=args.delta)
     ks = ks_distance(scaled_shift_measure(spec), triangular_shift_cdf(args.B))
@@ -270,7 +263,7 @@ def cmd_cluster(args) -> tuple[dict, dict]:
         "N": spec.N,
         "mode": spec.mode,
         "ks_vs_triangular": ks,
-        "diamagnetic_slack": spec.diamagnetic_slack,
+        "diamagnetic_slack": schedule.diamagnetic_slack(args.N),
         "shift_scale": schedule.shift_scale(args.N),
         "subclusters": None,
         "max_center_distance": None,
@@ -440,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_seed=False):
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default=".", help="output directory")
         if with_seed:
             p.add_argument("--seed", type=int, default=None)
 
@@ -450,7 +443,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=17.0)
     p.add_argument("--mode", choices=["first_order", "multishell"], default="first_order")
     p.add_argument("--delta", type=int, default=2)
-    p.add_argument("--no-diamagnetic", action="store_true")
     add_common(p)
     p.set_defaults(func=cmd_cluster)
 

@@ -57,14 +57,10 @@ class ScalingSchedule:
     The default q = 17 keeps the perturbation weak enough that the cluster
     around each shell stays well separated for every N; q is configurable
     because that default is far from the smallest workable exponent.
-    ``include_diamagnetic`` switches the (lambda^2/8)(x1^2+x2^2) term off
-    entirely, which collapses the cluster onto the exactly known
-    paramagnetic ladder (useful as an oracle).
     """
 
     B: float
     q: float = 17.0
-    include_diamagnetic: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.B) and math.isfinite(self.q)):
@@ -113,9 +109,7 @@ class ScalingSchedule:
     def diamagnetic_slack(self, N: int) -> float:
         """The bound 3 lambda^2 (N+1)^4 / 8 on the diamagnetic block norm, in
         units of the shift scale: (3/8) B^2 eps(h), the amount by which
-        scaled shifts may exceed [-B/2, B/2]; 0 with the term switched off."""
-        if not self.include_diamagnetic:
-            return 0.0
+        scaled shifts may exceed [-B/2, B/2]."""
         try:
             return 3.0 * self.lam(N) ** 2 * (N + 1) ** 4 / 8.0 / self.shift_scale(N)
         except OverflowError:

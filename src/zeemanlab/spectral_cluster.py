@@ -72,8 +72,7 @@ class ClusterSpectrum:
     """Sorted eigenvalue shifts of one cluster with their m labels.
 
     ``scaled_shifts`` = shifts / (h^2 eps(h)).  ``subcluster_m[i]`` is the
-    azimuthal block that produced ``shifts[i]``.  ``diamagnetic_slack`` is
-    the reported bound on how far scaled shifts may leave [-B/2, B/2].
+    azimuthal block that produced ``shifts[i]``.
     """
 
     N: int
@@ -82,7 +81,6 @@ class ClusterSpectrum:
     shifts: np.ndarray = field(repr=False)
     scaled_shifts: np.ndarray = field(repr=False)
     subcluster_m: np.ndarray = field(repr=False)
-    diamagnetic_slack: float = 0.0
 
 
 def cluster_eigenvalues(
@@ -102,11 +100,14 @@ def cluster_eigenvalues(
     m = 0, 1, -1, ...) that does not.  Both modes solve one banded problem
     per (|m|, l parity), shifted along the ladder for each sign of m; where
     the diamagnetic term is skipped the bands are diagonal and the shifts
-    are the exact paramagnetic ladder.  Scaled shifts beyond floating-point
-    range raise the schedule's out-of-range ValueError.
+    are the exact paramagnetic ladder.  A negative delta is refused in
+    either mode.  Scaled shifts beyond floating-point range raise the
+    schedule's out-of-range ValueError.
     """
     if N < 1:
         raise ValueError(f"cluster computations need N >= 1, got {N}")
+    if delta < 0:
+        raise ValueError(f"need delta >= 0, got {delta}")
     if mode == "first_order":
         # first order keeps every eigenvalue of the projected perturbation
         op, radius = shell_matrix_W(N, schedule), np.inf
@@ -138,7 +139,6 @@ def cluster_eigenvalues(
         shifts=shifts,
         scaled_shifts=scaled,
         subcluster_m=labels,
-        diamagnetic_slack=schedule.diamagnetic_slack(N),
     )
 
 

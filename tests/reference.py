@@ -2,11 +2,11 @@
 
 The library keeps what the command line, the acceptance criteria and the
 benchmark tracer reach.  The scalar and dense forms below pin its fast
-paths from outside: labelled shell states and full matrices, the scalar
-ladder and angular elements, orbit elements from their angles, the
-canonical 1-form identity of the Moser map at each point, the retired
-Dormand-Prince stepper on 6-element arrays with its squared norms taken
-by a BLAS dot or spelled out, coherent states
+paths from outside: a schedule with no diamagnetic slack, labelled shell
+states and full matrices, the scalar ladder and angular elements, orbit
+elements from their angles, the canonical 1-form identity of the Moser
+map at each point, the retired Dormand-Prince stepper on 6-element arrays
+with its squared norms taken by a BLAS dot or spelled out, coherent states
 sampled on a grid, an orthonormal harmonic basis built on the grid by
 Gram-Schmidt and the completeness estimate taken in it (the generic form
 of the product-basis check, for small N), the product-basis completeness
@@ -58,6 +58,17 @@ from zeemanlab.hydrogenic_shell import (
     shell_energy,
 )
 from zeemanlab.spectral_cluster import ClusterSpectrum, SubclusterOverlapError
+
+
+class LadderSchedule(ScalingSchedule):
+    """A schedule with no diamagnetic slack: the bare paramagnetic ladder.
+
+    For B > 0 the term counts as negligible at every N, so the matrix
+    builders skip it and a cluster is -(lambda/2) m whatever q and N.
+    """
+
+    def diamagnetic_slack(self, N: int) -> float:
+        return 0.0
 
 
 class ShellState(NamedTuple):
@@ -481,7 +492,7 @@ def numpy_integrate_kepler(
         else:
             factor = 0.9 * err ** (-0.2) if err > 1.0 else 0.5
             h *= min(0.9, max(0.2, factor))
-        if h <= 1e-15:
+        if h <= 1e-15 and s < s_max:
             raise NumericalCollisionError(f"step size collapsed at s={s}")
     return Trajectory(s=np.asarray(samples_s), states=np.asarray(samples_z))
 

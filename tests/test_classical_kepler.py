@@ -362,6 +362,18 @@ def test_period_of_a_trajectory_short_of_the_window_raises():
         measure_period(integrate_kepler(pt0, 1.0, tol=1e-10))
 
 
+@pytest.mark.parametrize("s_max", [1e-16, 1e-300])
+def test_run_shorter_than_the_step_floor_ends_at_s_max(s_max):
+    # the one step to s_max leaves a next step size below the collapse
+    # floor of 1e-15, which is the end of the run, not a collapse
+    pt0 = PhasePoint(x=[1.0, 0.0, 0.0], p=[0.0, 1.0, 0.0])
+    traj = integrate_kepler(pt0, s_max)
+    assert traj.s.tolist() == [0.0, s_max]
+    retired = numpy_integrate_kepler(pt0, s_max, sq=spelled_sq)
+    assert traj.s.tobytes() == retired.s.tobytes()
+    assert traj.states.tobytes() == retired.states.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the retired NumPy stepper as oracle for the scalar one
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import pytest
 
 from zeemanlab.cli import (
     _BLOCK_ROWS,
-    OUTPUT_DIR_ENV,
     main,
     parse_rho,
     write_csv,
@@ -105,7 +104,7 @@ def _repeating(n, seed):
 
 
 def _spectrum(N, q):
-    spec = cluster_eigenvalues(N, ScalingSchedule(B=1.0, q=q, include_diamagnetic=True))
+    spec = cluster_eigenvalues(N, ScalingSchedule(B=1.0, q=q))
     return spec.N, spec.subcluster_m, spec.shifts, spec.scaled_shifts
 
 
@@ -387,12 +386,12 @@ def test_write_json_numpy_floats_match_python_floats(tmp_path):
     assert path.read_text() == expected
 
 
-def test_cluster_paramagnetic_flag(tmp_path):
+def test_diamagnetic_switch_is_gone(tmp_path, capsys):
+    # the skip rule alone decides the diamagnetic term
     out = tmp_path / "para"
-    assert run(["cluster", "--N", "5", "--no-diamagnetic", "--out", str(out)]) == 0
-    summary = json.loads((out / "cluster_summary.json").read_text())
-    assert summary["diamagnetic_slack"] == 0.0
-    assert summary["max_center_distance"] <= 1e-15
+    assert run(["cluster", "--N", "5", "--no-diamagnetic", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --no-diamagnetic\n"
+    assert not out.exists()
 
 
 def test_cluster_deterministic_output(tmp_path):
@@ -613,13 +612,17 @@ def test_kepler_period_report(tmp_path):
 
 
 def test_kepler_short_run_is_usage_error_and_writes_nothing(tmp_path, capsys):
-    # a trajectory that stops before s = 2 pi - 0.5 holds no recurrence
-    out = tmp_path / "kep"
-    assert run(["kepler", "--s-max", "1", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: the initial state does not recur")
-    assert len(err.splitlines()) == 1
-    assert not out.exists()
+    # a trajectory that stops before s = 2 pi - 0.5 holds no recurrence; at
+    # 1e-300 the one step to s_max leaves a step size below the collapse
+    # floor, which ends the run and is no collapse
+    for s_max in ("1", "1e-300"):
+        out = tmp_path / s_max
+        assert run(["kepler", "--s-max", s_max, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the initial state does not recur")
+        assert err.endswith(f"(trajectory ends at s={float(s_max)!r})\n")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
 
 # the ell = 1e-4 start rounds 3e-8 off the shell, which is no reason to
@@ -739,10 +742,17 @@ def test_measures_requires_seed(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_output_dir_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "envout"))
+def test_output_goes_to_the_working_directory_without_out(tmp_path, monkeypatch):
+    # --out alone names the output directory; the environment plays no part
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("ZEEMANLAB_OUT", str(tmp_path / "envout"))
     assert run(["cluster", "--N", "3"]) == 0
-    assert (tmp_path / "envout" / "cluster_summary.json").exists()
+    assert sorted(p.name for p in work.iterdir()) == [
+        "cluster_spectrum.csv", "cluster_summary.json", "manifest.json"
+    ]
+    assert not (tmp_path / "envout").exists()
 
 
 @pytest.mark.parametrize(
@@ -765,6 +775,9 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
         ["szego", "--samples", "-3", "--seed", "1"],
         ["measures", "--samples", "0", "--seed", "1"],
         ["measures", "--samples", "-1", "--seed", "1"],
+        # first order has no use for delta but refuses a negative one, as multishell does
+        ["cluster", "--N", "3", "--delta", "-5", "--mode", "first_order"],
+        ["cluster", "--N", "3", "--delta", "-5", "--mode", "multishell"],
     ],
 )
 def test_library_value_error_is_one_line_usage_error(tmp_path, capsys, argv):
@@ -781,8 +794,11 @@ def test_library_value_error_is_one_line_usage_error(tmp_path, capsys, argv):
     least = 1 if argv[0] == "measures" else 0
     if argv[1] in ("--samples", "--m") and int(argv[2]) < least:
         assert err == f"error: {argv[1]} must be >= {least}, got {argv[2]}\n"
+    if "--delta" in argv:
+        assert err == "error: need delta >= 0, got -5\n"
     if not out:
         assert err.startswith(f"error: cannot create output directory {argv[-1]!r}: ")
+    assert not (tmp_path / "x").exists()
 
 
 _NUMPY_OOM = (
@@ -820,7 +836,6 @@ def test_out_of_memory_is_one_line_usage_error(
         ["--B", "1e300"],  # lambda^2 overflows
         ["--q", "-400"],  # h^q overflows
         ["--q", "1000"],  # h^q underflows to 0
-        ["--q", "1000", "--no-diamagnetic"],
         ["--B", "1e168"],  # the shifts are finite, the scaled shifts overflow
     ],
 )
@@ -901,7 +916,6 @@ def test_field_beyond_the_float_range_is_one_line_usage_error(tmp_path, argv):
     [
         ["--B", "1e-310"],  # lambda underflows to 0 and every shift with it
         ["--B", "1e-300"],  # lambda is subnormal, the shifts lose digits
-        ["--B", "1e-310", "--no-diamagnetic"],
     ],
 )
 def test_tiny_positive_field_is_one_line_usage_error(tmp_path, argv):
@@ -945,10 +959,9 @@ def test_abbreviated_flag_is_rejected_not_overridden(tmp_path, capsys):
 
 def test_integer_float_flag_is_stored_as_a_float(tmp_path):
     out = tmp_path / "x"
-    assert run(["cluster", "--N", "3", "--B", "2", "--no-diamagnetic", "--out", str(out)]) == 0
+    assert run(["cluster", "--N", "3", "--B", "2", "--out", str(out)]) == 0
     config = json.loads((out / "manifest.json").read_text())["config"]
     assert config["B"] == 2.0 and isinstance(config["B"], float)
-    assert config["diamagnetic"] is False
 
 
 @pytest.mark.parametrize("before_command", [True, False])

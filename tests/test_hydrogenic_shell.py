@@ -24,6 +24,7 @@ from zeemanlab.hydrogenic_shell import (
 from zeemanlab.spectral_cluster import cluster_eigenvalues
 
 from reference import (
+    LadderSchedule,
     angular_cos2_element,
     angular_sin2_element,
     banded_solver_spectrum,
@@ -560,7 +561,7 @@ def test_W_zero_field_vanishes():
 
 
 def test_W_paramagnetic_only_is_diagonal():
-    sched = ScalingSchedule(B=1.5, q=17.0, include_diamagnetic=False)
+    sched = LadderSchedule(B=1.5, q=17.0)
     N = 3
     dense = to_dense(shell_matrix_W(N, sched))
     lam = sched.lam(N)
@@ -669,13 +670,7 @@ def test_diamagnetic_skip_is_harmless():
             for m in range(-N, N + 1)
         )
         assert moves / sched.shift_scale(N) <= sched.diamagnetic_slack(N)
-
-
-def test_switched_off_diamagnetic_term_has_no_slack_and_is_negligible():
-    # at B = 1e300 the bound lambda^2 overflows; with the term off it is never formed
-    sched = ScalingSchedule(B=1e300, include_diamagnetic=False)
-    assert sched.diamagnetic_slack(5) == 0.0
-    assert sched.diamagnetic_negligible(5)
+    # at B = 1e300 the bound's lambda^2 overflows, which is out of range, not a skip
     with pytest.raises(ValueError, match="out of floating-point range"):
         ScalingSchedule(B=1e300).diamagnetic_slack(5)
 

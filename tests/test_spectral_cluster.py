@@ -27,6 +27,7 @@ from zeemanlab.spectral_cluster import (
 from zeemanlab.szego_measures import TestFunction
 
 from reference import (
+    LadderSchedule,
     band_norm,
     empirical_cdf,
     exact_block_spectrum,
@@ -45,7 +46,7 @@ from reference import (
 
 
 def _para_schedule(B=1.0, q=17.0):
-    return ScalingSchedule(B=B, q=q, include_diamagnetic=False)
+    return LadderSchedule(B=B, q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +116,7 @@ def test_scaled_shifts_supported_in_reported_interval():
     N, B = 12, 2.0
     sched = ScalingSchedule(B=B, q=17.0)
     spec = cluster_eigenvalues(N, sched)
-    bound = B / 2.0 + spec.diamagnetic_slack + 1e-12
+    bound = B / 2.0 + spec.schedule.diamagnetic_slack(spec.N) + 1e-12
     assert np.max(np.abs(spec.scaled_shifts)) <= bound
 
 
@@ -206,9 +207,9 @@ def test_one_dsbevd_call_per_wide_band(N, mode, delta, monkeypatch):
         (8, ScalingSchedule(B=2.0), "first_order", 0),
         (40, ScalingSchedule(B=1.0), "first_order", 0),
         (400, ScalingSchedule(B=1.0), "first_order", 0),
-        (4, ScalingSchedule(B=1.5, include_diamagnetic=False), "first_order", 0),
+        (4, LadderSchedule(B=1.5), "first_order", 0),
         (10, ScalingSchedule(B=1.0), "multishell", 2),
-        (12, ScalingSchedule(B=2.0, q=2.0, include_diamagnetic=False), "multishell", 3),
+        (12, LadderSchedule(B=2.0, q=2.0), "multishell", 3),
         (3, ScalingSchedule(B=0.0), "multishell", 1),
     ],
 )
