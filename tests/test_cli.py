@@ -836,6 +836,7 @@ def test_out_of_memory_is_one_line_usage_error(
         ["--B", "1e300"],  # lambda^2 overflows
         ["--q", "-400"],  # h^q overflows
         ["--q", "1000"],  # h^q underflows to 0
+        ["--q", "400"],  # lambda is subnormal
         ["--B", "1e168"],  # the shifts are finite, the scaled shifts overflow
     ],
 )
