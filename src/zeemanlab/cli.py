@@ -247,8 +247,9 @@ def _require_seed(args) -> np.random.Generator:
 
 
 def cmd_cluster(args) -> tuple[dict, dict]:
-    if args.N is None:
-        raise ConfigError("cluster needs --N")
+    # delta is the multishell band width; first order reads no band
+    if (args.delta is None) == (args.mode == "multishell"):
+        raise ConfigError("--delta goes with --mode multishell, and only with it")
     schedule = ScalingSchedule(B=args.B, q=args.q)
     config = {
         "N": args.N,
@@ -257,11 +258,11 @@ def cmd_cluster(args) -> tuple[dict, dict]:
         "mode": args.mode,
         "delta": args.delta,
     }
-    spec = cluster_eigenvalues(args.N, schedule, mode=args.mode, delta=args.delta)
+    spec = cluster_eigenvalues(args.N, schedule, args.delta)
     ks = ks_distance(scaled_shift_measure(spec), triangular_shift_cdf(args.B))
     summary = {
         "N": spec.N,
-        "mode": spec.mode,
+        "mode": args.mode,
         "ks_vs_triangular": ks,
         "diamagnetic_slack": schedule.diamagnetic_slack(args.N),
         "shift_scale": schedule.shift_scale(args.N),
@@ -286,6 +287,10 @@ def cmd_cluster(args) -> tuple[dict, dict]:
 def cmd_szego(args) -> tuple[dict, dict]:
     if args.samples < 0:
         raise ConfigError(f"--samples must be >= 0, got {args.samples}")
+    # only the Monte-Carlo column draws
+    if args.seed is not None and not args.samples:
+        raise ConfigError("--seed needs --samples > 0")
+    rng = _require_seed(args) if args.samples else None
     rho = parse_rho(args.rho)
     n_list = _parse_n_list(args.N_list)
     config = {
@@ -300,7 +305,7 @@ def cmd_szego(args) -> tuple[dict, dict]:
     rhs_angle = limit_angle_density(rho, args.B)
     rows = [("triangular", rhs_tri, None, None), ("angle_density", rhs_angle, None, None)]
     if args.samples:
-        mc = limit_quadric_mc(rho, args.B, args.samples, _require_seed(args))
+        mc = limit_quadric_mc(rho, args.B, args.samples, rng)
         rows.append(("quadric_mc", mc.value, mc.std_error, mc.n_samples))
     lhs = np.array([trace_average(N, args.B, rho) for N in n_list])
     gaps = np.abs(lhs - rhs_tri)
@@ -438,11 +443,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("cluster", help="cluster spectrum and its scaled-shift law")
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=int, required=True)
     p.add_argument("--B", type=float, default=1.0)
     p.add_argument("--q", type=float, default=17.0)
     p.add_argument("--mode", choices=["first_order", "multishell"], default="first_order")
-    p.add_argument("--delta", type=int, default=2)
+    p.add_argument("--delta", type=int)
     add_common(p)
     p.set_defaults(func=cmd_cluster)
 

@@ -395,8 +395,7 @@ def _assemble(
                     same[Np2 - Np, j] = radial_integral_r2_cross(Np + 1, l, Np2 + 1, l)
                 # (l+2, Np2) starts right after (l, hi)
                 for k, Np2 in enumerate(range(max(lo, l + 2), hi + 1), start=hi + 1 - Np):
-                    a, b = sorted([(Np + 1, l), (Np2 + 1, l + 2)])
-                    up[k, j] = radial_integral_r2_cross(*a, *b)
+                    up[k, j] = radial_integral_r2_cross(Np + 1, l, Np2 + 1, l + 2)
         parities.append((start, labels, same, up, reach))
     bands = {}
     for k in range(hi + 1):

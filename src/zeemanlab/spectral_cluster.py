@@ -77,45 +77,36 @@ class ClusterSpectrum:
 
     N: int
     schedule: ScalingSchedule
-    mode: str
     shifts: np.ndarray = field(repr=False)
     scaled_shifts: np.ndarray = field(repr=False)
     subcluster_m: np.ndarray = field(repr=False)
 
 
 def cluster_eigenvalues(
-    N: int,
-    schedule: ScalingSchedule,
-    mode: str = "first_order",
-    delta: int = 2,
+    N: int, schedule: ScalingSchedule, delta: int | None = None
 ) -> ClusterSpectrum:
     """Eigenvalue shifts of the cluster around E_N.
 
-    ``first_order``: eigenvalues of the perturbation projected onto the
-    shell.  ``multishell``: eigenvalues of the band over shells
+    ``delta=None`` is first order: the eigenvalues of the perturbation
+    projected onto the shell.  An integer ``delta`` is the band over shells
     N-delta..N+delta, assembled with E_N subtracted from the diagonal so
-    the cluster sits at the best-conditioned part of the spectrum, that lie
-    inside the separating circle; they must number exactly N+1-|m| in each
-    m-block, or ClusterSeparationError names the first block (in the order
-    m = 0, 1, -1, ...) that does not.  Both modes solve one banded problem
-    per (|m|, l parity), shifted along the ladder for each sign of m; where
-    the diamagnetic term is skipped the bands are diagonal and the shifts
-    are the exact paramagnetic ladder.  A negative delta is refused in
-    either mode.  Scaled shifts beyond floating-point range raise the
-    schedule's out-of-range ValueError.
+    the cluster sits at the best-conditioned part of the spectrum; its
+    eigenvalues inside the separating circle must number exactly N+1-|m|
+    in each m-block, or ClusterSeparationError names the first block (in
+    the order m = 0, 1, -1, ...) that does not.  Either way one banded
+    problem is solved per (|m|, l parity), shifted along the ladder for
+    each sign of m; where the diamagnetic term is skipped the bands are
+    diagonal and the shifts are the exact paramagnetic ladder.  Scaled
+    shifts beyond floating-point range raise the schedule's out-of-range
+    ValueError.
     """
     if N < 1:
         raise ValueError(f"cluster computations need N >= 1, got {N}")
-    if delta < 0:
-        raise ValueError(f"need delta >= 0, got {delta}")
-    if mode == "first_order":
+    if delta is None:
         # first order keeps every eigenvalue of the projected perturbation
         op, radius = shell_matrix_W(N, schedule), np.inf
-    elif mode == "multishell":
-        op = _band_blocks(N, delta, schedule)
-        radius = cluster_radius(N)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        op, radius = _band_blocks(N, delta, schedule), cluster_radius(N)
     shifts, labels = np.empty((N + 1) ** 2), np.empty((N + 1) ** 2, dtype=int)
     filled = 0
     for m, vals in op.block_spectra():
@@ -135,7 +126,6 @@ def cluster_eigenvalues(
     return ClusterSpectrum(
         N=N,
         schedule=schedule,
-        mode=mode,
         shifts=shifts,
         scaled_shifts=scaled,
         subcluster_m=labels,

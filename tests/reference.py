@@ -257,16 +257,18 @@ def band_norm(bands: dict, m: int) -> float:
 
 
 def per_m_cluster(
-    N: int, schedule: ScalingSchedule, mode: str = "first_order", delta: int = 2
+    N: int, schedule: ScalingSchedule, delta: int | None = None
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """(shifts, m labels) of the cluster by the retired per-m path: one solve
     per (m, parity), the kept eigenvalues of each m concatenated, then
-    sorted by shift and label; None where a block does not separate."""
-    if mode == "first_order":
-        bands, radius = per_m_band_blocks(N, 0, schedule), np.inf
+    sorted by shift and label; None where a block does not separate.
+    ``delta=None`` is first order, as in ``cluster_eigenvalues``."""
+    if delta is None:
+        delta, radius = 0, np.inf
     else:
-        bands, radius = per_m_band_blocks(N, delta, schedule), cluster_radius(N)
-    mmax = N + (0 if mode == "first_order" else delta)
+        radius = cluster_radius(N)
+    bands = per_m_band_blocks(N, delta, schedule)
+    mmax = N + delta
     pieces = []
     for m in range(-mmax, mmax + 1):
         vals = per_m_eigenvalues(bands, m)
@@ -699,7 +701,6 @@ def swapped_label_spectrum() -> ClusterSpectrum:
     return ClusterSpectrum(
         N=1,
         schedule=schedule,
-        mode="first_order",
         shifts=scaled * schedule.shift_scale(1),
         scaled_shifts=scaled,
         subcluster_m=np.array([0, 0, 1, -1]),

@@ -77,7 +77,7 @@ def test_criterion_01_triangular_limit_law():
     runtime_200 = None
     for N in (25, 50, 100, 200):
         start = time.time()
-        spec = cluster_eigenvalues(N, schedule, mode="first_order")
+        spec = cluster_eigenvalues(N, schedule)
         distances.append(ks_distance(scaled_shift_measure(spec), cdf))
         if N == 200:
             runtime_200 = time.time() - start
@@ -260,7 +260,7 @@ def test_criterion_08_stability_count():
     counts = {}
     ok = True
     for N in (8, 10, 12):
-        spec = cluster_eigenvalues(N, schedule, mode="multishell", delta=2)
+        spec = cluster_eigenvalues(N, schedule, delta=2)
         counts[N] = len(spec.shifts)
         ok &= counts[N] == (N + 1) ** 2
     _report(

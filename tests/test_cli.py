@@ -282,6 +282,15 @@ def test_cluster_summary_keys(tmp_path, N, B, argv):
     # a key leaves or arrives only on purpose
     out = tmp_path / "cl"
     assert run(["cluster", "--N", str(N), "--B", str(B), *argv, "--out", str(out)]) == 0
+    # first order reads no band width and records none
+    multishell = "multishell" in argv
+    assert json.loads((out / "manifest.json").read_text())["config"] == {
+        "N": N,
+        "B": B,
+        "q": 2.0 if multishell else 17.0,
+        "mode": "multishell" if multishell else "first_order",
+        "delta": 2 if multishell else None,
+    }
     summary = json.loads((out / "cluster_summary.json").read_text())
     assert list(summary) == [
         "N",
@@ -351,7 +360,8 @@ def test_cluster_separation_failure_exit_code(tmp_path):
 def test_cluster_separation_failure_names_its_block(tmp_path, capsys):
     # blocks are checked in the order m = 0, 1, -1, 2, ...: block 5 is the first short
     out = tmp_path / "fail"
-    argv = ["cluster", "--N", "10", "--q", "1", "--mode", "multishell", "--out", str(out)]
+    argv = ["cluster", "--N", "10", "--q", "1", "--mode", "multishell", "--delta", "2",
+            "--out", str(out)]
     assert run(argv) == 2
     assert capsys.readouterr().err == (
         "scientific check failed: cluster around shell 10: found 5 eigenvalues of "
@@ -366,9 +376,10 @@ def test_cluster_separation_failure_names_its_block(tmp_path, capsys):
 )
 def test_cluster_csv_holds_the_spectrum_bit_for_bit(tmp_path, N, q, mode):
     out = tmp_path / "rt"
+    delta = 2 if mode == "multishell" else None
     argv = ["cluster", "--N", str(N), "--q", str(q), "--mode", mode, "--out", str(out)]
-    assert run(argv) == 0
-    spec = cluster_eigenvalues(N, ScalingSchedule(B=1.0, q=q), mode=mode)
+    assert run(argv + (["--delta", str(delta)] if delta else [])) == 0
+    spec = cluster_eigenvalues(N, ScalingSchedule(B=1.0, q=q), delta)
     rows = _spectrum_rows(out)
     assert [int(row["N"]) for row in rows] == [spec.N] * len(spec.shifts)
     assert [int(row["m"]) for row in rows] == spec.subcluster_m.tolist()
@@ -436,6 +447,13 @@ def test_command_writes_exactly_its_files(tmp_path, argv, files):
         (["coherent"], 1),
         (["measures"], 1),
         (["measures", "--samples", "0", "--seed", "1"], 1),
+        # --delta is the multishell band width, and multishell needs one
+        (["cluster", "--N", "3", "--delta", "100"], 1),
+        (["cluster", "--N", "10", "--mode", "multishell"], 1),
+        (["cluster"], 1),
+        # szego draws, and reads --seed, only with --samples > 0
+        (["szego", "--N-list", "4,8", "--seed", "-7"], 1),
+        (["szego", "--N-list", "4,8", "--seed", "340282366920938463463374607431768211457"], 1),
     ],
 )
 def test_failed_command_creates_no_output_directory(tmp_path, argv, code):
@@ -775,7 +793,7 @@ def test_output_goes_to_the_working_directory_without_out(tmp_path, monkeypatch)
         ["szego", "--samples", "-3", "--seed", "1"],
         ["measures", "--samples", "0", "--seed", "1"],
         ["measures", "--samples", "-1", "--seed", "1"],
-        # first order has no use for delta but refuses a negative one, as multishell does
+        # first order takes no delta; the band refuses a negative one
         ["cluster", "--N", "3", "--delta", "-5", "--mode", "first_order"],
         ["cluster", "--N", "3", "--delta", "-5", "--mode", "multishell"],
     ],
@@ -794,8 +812,10 @@ def test_library_value_error_is_one_line_usage_error(tmp_path, capsys, argv):
     least = 1 if argv[0] == "measures" else 0
     if argv[1] in ("--samples", "--m") and int(argv[2]) < least:
         assert err == f"error: {argv[1]} must be >= {least}, got {argv[2]}\n"
-    if "--delta" in argv:
-        assert err == "error: need delta >= 0, got -5\n"
+    if "first_order" in argv:
+        assert err == "error: --delta goes with --mode multishell, and only with it\n"
+    if "multishell" in argv:
+        assert err == "error: need delta >= 0 and N - delta >= 0, got N=3, delta=-5\n"
     if not out:
         assert err.startswith(f"error: cannot create output directory {argv[-1]!r}: ")
     assert not (tmp_path / "x").exists()

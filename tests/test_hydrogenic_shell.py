@@ -691,7 +691,7 @@ def test_matrices_symmetric_property(N):
 def test_band_delta0_reduces_to_single_shell():
     N = 3
     sched = ScalingSchedule(B=1.0, q=5.0)
-    multi = cluster_eigenvalues(N, sched, mode="multishell", delta=0)
+    multi = cluster_eigenvalues(N, sched, delta=0)
     assert np.array_equal(multi.shifts, cluster_eigenvalues(N, sched).shifts)
 
 

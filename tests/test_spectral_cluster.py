@@ -80,9 +80,14 @@ def test_skipped_diamagnetic_ladder_is_exact_at_large_N():
     assert np.array_equal(cluster_eigenvalues(N, sched).shifts, ladder)
 
 
-def _dense_cluster(N, sched, mode, delta):
+def _width(mode, delta):
+    """The ``delta`` argument of ``cluster_eigenvalues`` for a case: None is first order."""
+    return delta if mode == "multishell" else None
+
+
+def _dense_cluster(N, sched, delta):
     """eigvalsh of each m-block of the full matrix, filtered and ordered like the cluster."""
-    if mode == "first_order":
+    if delta is None:
         states, radius = enumerate_shell(N), np.inf
         dense = to_dense(shell_matrix_W(N, sched))
     else:
@@ -106,8 +111,8 @@ def _dense_cluster(N, sched, mode, delta):
 )
 def test_cluster_matches_dense_eigvalsh(N, mode, delta, rtol):
     sched = ScalingSchedule(B=1.0, q=2.0)
-    spec = cluster_eigenvalues(N, sched, mode=mode, delta=delta)
-    vals, labels = _dense_cluster(N, sched, mode, delta)
+    spec = cluster_eigenvalues(N, sched, _width(mode, delta))
+    vals, labels = _dense_cluster(N, sched, _width(mode, delta))
     assert np.max(np.abs(spec.shifts - vals)) <= rtol * sched.shift_scale(N)
     assert np.array_equal(spec.subcluster_m, labels)
 
@@ -128,8 +133,8 @@ def test_shift_multiset_symmetric_without_diamagnetic_term():
 def test_first_order_vs_multishell_default_schedule():
     N = 20
     sched = ScalingSchedule(B=1.0, q=17.0)
-    first = cluster_eigenvalues(N, sched, mode="first_order")
-    multi = cluster_eigenvalues(N, sched, mode="multishell", delta=2)
+    first = cluster_eigenvalues(N, sched)
+    multi = cluster_eigenvalues(N, sched, delta=2)
     tol = 1e-3 * sched.shift_scale(N)
     assert np.max(np.abs(first.shifts - multi.shifts)) <= tol
 
@@ -139,14 +144,14 @@ def test_first_order_vs_multishell_visible_coupling():
     # differs only by second-order shell mixing, well under tolerance
     N = 10
     sched = ScalingSchedule(B=1.0, q=2.0)
-    first = cluster_eigenvalues(N, sched, mode="first_order")
-    multi = cluster_eigenvalues(N, sched, mode="multishell", delta=2)
+    first = cluster_eigenvalues(N, sched)
+    multi = cluster_eigenvalues(N, sched, delta=2)
     gap = np.max(np.abs(first.shifts - multi.shifts))
     assert 0.0 < gap <= 1e-3 * sched.shift_scale(N)
 
 
 def test_multishell_counts_cluster():
-    spec = cluster_eigenvalues(8, ScalingSchedule(B=1.0, q=17.0), mode="multishell")
+    spec = cluster_eigenvalues(8, ScalingSchedule(B=1.0, q=17.0), delta=2)
     assert len(spec.shifts) == 81
 
 
@@ -154,17 +159,17 @@ def test_multishell_separation_failure_raises():
     # an enormous field at a low exponent pushes eigenvalues out of the circle
     sched = ScalingSchedule(B=5e4, q=0.1)
     with pytest.raises(ClusterSeparationError):
-        cluster_eigenvalues(2, sched, mode="multishell", delta=1)
+        cluster_eigenvalues(2, sched, delta=1)
 
 
 def test_separation_failure_names_the_first_short_block():
     with pytest.raises(ClusterSeparationError) as err:
-        cluster_eigenvalues(10, ScalingSchedule(B=1.0, q=1.0), mode="multishell")
+        cluster_eigenvalues(10, ScalingSchedule(B=1.0, q=1.0), delta=2)
     e = err.value
     assert (e.N, e.m, e.found, e.expected) == (10, 5, 5, 6)
     assert "block m=5" in str(e)
     # the retired per-m path fails there too
-    assert per_m_cluster(10, ScalingSchedule(B=1.0, q=1.0), "multishell") is None
+    assert per_m_cluster(10, ScalingSchedule(B=1.0, q=1.0), 2) is None
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +177,8 @@ def test_separation_failure_names_the_first_short_block():
 # ---------------------------------------------------------------------------
 
 
-def _operator(N, sched, mode, delta):
-    return shell_matrix_W(N, sched) if mode == "first_order" else _band_blocks(N, delta, sched)
+def _operator(N, sched, delta):
+    return shell_matrix_W(N, sched) if delta is None else _band_blocks(N, delta, sched)
 
 
 @pytest.mark.parametrize(
@@ -190,8 +195,8 @@ def test_one_dsbevd_call_per_wide_band(N, mode, delta, monkeypatch):
         return dsbevd(ab, **kwargs)
 
     monkeypatch.setattr(hydrogenic_shell, "_dsbevd", lambda: counted)
-    cluster_eigenvalues(N, sched, mode=mode, delta=delta)
-    op = _operator(N, sched, mode, delta)
+    cluster_eigenvalues(N, sched, _width(mode, delta))
+    op = _operator(N, sched, _width(mode, delta))
     assert calls == [ab.shape for _, ab in op.bands.values() if len(ab) > 1]
     # the per-m path solves each band of |m| > 0 twice, once for m and once for -m
     per_m = [m for (m, _), (_, ab) in per_m_band_blocks(N, delta, sched).items() if len(ab) > 1]
@@ -214,13 +219,13 @@ def test_one_dsbevd_call_per_wide_band(N, mode, delta, monkeypatch):
     ],
 )
 def test_ladder_spectra_have_the_bits_of_the_per_m_path(N, sched, mode, delta):
-    op = _operator(N, sched, mode, delta)
+    op = _operator(N, sched, _width(mode, delta))
     assert all(len(ab) == 1 for _, ab in op.bands.values())
     bands = per_m_band_blocks(N, delta if mode == "multishell" else 0, sched)
     for m, w in op.block_spectra():
         assert w.tobytes() == per_m_eigenvalues(bands, m).tobytes()
-    spec = cluster_eigenvalues(N, sched, mode=mode, delta=delta)
-    shifts, labels = per_m_cluster(N, sched, mode, delta)
+    spec = cluster_eigenvalues(N, sched, _width(mode, delta))
+    shifts, labels = per_m_cluster(N, sched, _width(mode, delta))
     assert spec.shifts.tobytes() == shifts.tobytes()
     assert spec.subcluster_m.tobytes() == labels.tobytes()
 
@@ -243,14 +248,14 @@ def test_assembled_clusters_within_band_rounding_of_the_per_m_path(N, mode, delt
     # moving the ladder term out of the band changes where it is rounded; the
     # shifts stay within eps ||band||, the band's largest entry times its rows
     sched = ScalingSchedule(B=1.0, q=2.0)
-    op = _operator(N, sched, mode, delta)
+    op = _operator(N, sched, _width(mode, delta))
     assert any(len(ab) > 1 for _, ab in op.bands.values())
     bands = per_m_band_blocks(N, delta, sched)
     spectra = dict(op.block_spectra())
     # block 0 has no ladder term: the same band, the same bits
     assert spectra[0].tobytes() == per_m_eigenvalues(bands, 0).tobytes()
-    spec = cluster_eigenvalues(N, sched, mode=mode, delta=delta)
-    shifts, labels = per_m_cluster(N, sched, mode, delta)
+    spec = cluster_eigenvalues(N, sched, _width(mode, delta))
+    shifts, labels = per_m_cluster(N, sched, _width(mode, delta))
     assert np.array_equal(spec.subcluster_m, labels)
     floor = np.finfo(float).eps * max(band_norm(bands, m) for m, _ in bands)
     assert np.max(np.abs(spec.shifts - shifts)) <= floor
@@ -273,11 +278,6 @@ def test_first_order_blocks_within_band_rounding_of_their_exact_spectra(N):
 def test_cluster_requires_positive_N():
     with pytest.raises(ValueError):
         cluster_eigenvalues(0, ScalingSchedule(B=1.0))
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        cluster_eigenvalues(2, ScalingSchedule(B=1.0), mode="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +379,7 @@ def test_subcluster_labels_are_the_nearest_centers_small_shells(mode, q, B):
     agreed = 0
     for N in range(1 if mode == "first_order" else 2, 31):
         try:
-            spec = cluster_eigenvalues(N, schedule, mode=mode, delta=2)
+            spec = cluster_eigenvalues(N, schedule, _width(mode, 2))
         except ClusterSeparationError:
             continue
         agreed += _agrees_with_nearest_center_oracle(spec)
