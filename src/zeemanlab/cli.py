@@ -1,11 +1,11 @@
 """Batch command-line front end producing CSV/JSON experiment artifacts.
 
 Each command validates its input and computes its results, then returns
-its configuration and its files.  ``main`` alone creates the output
-directory and writes the files in order, then a manifest (configuration
-echo, package versions, wall time, peak RSS).  So a command that fails
-writes nothing.  A failed write exits 1 naming the file; the files
-written before it stay and no manifest is written.
+its files.  ``main`` alone creates the output directory and writes the
+files in order, then a manifest (the parsed flags, package versions, wall
+time, peak RSS).  So a command that fails writes nothing.  A failed write
+exits 1 naming the file; the files written before it stay and no manifest
+is written.
 Results are deterministic for a fixed configuration and seed: dictionary
 field order is fixed, CSV floats have 17 significant digits and JSON
 floats are the shortest repr that round-trips, so reruns are
@@ -139,7 +139,13 @@ def write_csv(path: Path, header: list[str], columns) -> None:
             fh.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
 
 
-def _write_results(args, config: dict, files: dict, started: float) -> None:
+def _config(args) -> dict:
+    """Every flag of the command but ``--out``, as parsed, in ``--help`` order."""
+    # argparse sets each default in definition order, so the keys keep it
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+
+
+def _write_results(args, files: dict, started: float) -> None:
     """Create the output directory, write ``files`` in order, then the manifest.
 
     ``files`` maps each file name to its content: ``(header, columns)``
@@ -169,7 +175,7 @@ def _write_results(args, config: dict, files: dict, started: float) -> None:
         write(name, content)
     manifest = {
         "command": args.command,
-        "config": config,
+        "config": _config(args),
         "versions": {
             "zeemanlab": __version__,
             "numpy": np.__version__,
@@ -192,12 +198,16 @@ def _peak_rss_mb() -> float | None:
 
 
 def _parse_n_list(text: str) -> list[int]:
+    """Comma-separated, strictly increasing positive integers."""
     try:
-        values = [int(v) for v in text.split(",") if v]
-    except ValueError as exc:
-        raise ConfigError(f"bad N list {text!r}") from exc
-    if not values or any(v < 1 for v in values):
-        raise ConfigError(f"bad N list {text!r}")
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or values[0] < 1 or any(a >= b for a, b in zip(values, values[1:])):
+        # argparse keeps the message of this error type only
+        raise argparse.ArgumentTypeError(
+            f"bad N list {text!r}: want strictly increasing positive integers"
+        )
     return values
 
 
@@ -246,18 +256,11 @@ def _require_seed(args) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def cmd_cluster(args) -> tuple[dict, dict]:
+def cmd_cluster(args) -> dict:
     # delta is the multishell band width; first order reads no band
     if (args.delta is None) == (args.mode == "multishell"):
         raise ConfigError("--delta goes with --mode multishell, and only with it")
     schedule = ScalingSchedule(B=args.B, q=args.q)
-    config = {
-        "N": args.N,
-        "B": args.B,
-        "q": args.q,
-        "mode": args.mode,
-        "delta": args.delta,
-    }
     spec = cluster_eigenvalues(args.N, schedule, args.delta)
     ks = ks_distance(scaled_shift_measure(spec), triangular_shift_cdf(args.B))
     summary = {
@@ -275,7 +278,7 @@ def cmd_cluster(args) -> tuple[dict, dict]:
         summary["subclusters"] = {str(m - spec.N): int(c) for m, c in enumerate(sizes)}
         # empirical worst deviation of a scaled shift from its ladder center
         summary["max_center_distance"] = float(np.max(dist))
-    return config, {
+    return {
         "cluster_spectrum.csv": (
             ["N", "m", "shift", "scaled_shift"],
             [spec.N, spec.subcluster_m, spec.shifts, spec.scaled_shifts],
@@ -284,7 +287,7 @@ def cmd_cluster(args) -> tuple[dict, dict]:
     }
 
 
-def cmd_szego(args) -> tuple[dict, dict]:
+def cmd_szego(args) -> dict:
     if args.samples < 0:
         raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     # only the Monte-Carlo column draws
@@ -292,14 +295,6 @@ def cmd_szego(args) -> tuple[dict, dict]:
         raise ConfigError("--seed needs --samples > 0")
     rng = _require_seed(args) if args.samples else None
     rho = parse_rho(args.rho)
-    n_list = _parse_n_list(args.N_list)
-    config = {
-        "rho": args.rho,
-        "B": args.B,
-        "N_list": n_list,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
     _require_in_float_range(rho, args.B, args.samples)
     rhs_tri = limit_triangular(rho, args.B)
     rhs_angle = limit_angle_density(rho, args.B)
@@ -307,10 +302,10 @@ def cmd_szego(args) -> tuple[dict, dict]:
     if args.samples:
         mc = limit_quadric_mc(rho, args.B, args.samples, rng)
         rows.append(("quadric_mc", mc.value, mc.std_error, mc.n_samples))
-    lhs = np.array([trace_average(N, args.B, rho) for N in n_list])
+    lhs = np.array([trace_average(N, args.B, rho) for N in args.N_list])
     gaps = np.abs(lhs - rhs_tri)
     summary = {
-        "config": config,
+        "config": _config(args),
         "results": [
             {"rho": args.rho, "B": args.B, "representation": r, "value": v, "std_error": e, "n": n}
             for r, v, e, n in rows
@@ -320,30 +315,28 @@ def cmd_szego(args) -> tuple[dict, dict]:
         "triangular_vs_angle_gap": abs(rhs_tri - rhs_angle),
         "final_gap": gaps[-1],
     }
-    return config, {
+    return {
         "szego_table.csv": (
             ["N", "trace_average", "limit_triangular", "gap"],
-            [n_list, lhs, rhs_tri, gaps],
+            [args.N_list, lhs, rhs_tri, gaps],
         ),
         "szego_summary.json": summary,
     }
 
 
-def cmd_coherent(args) -> tuple[dict, dict]:
+def cmd_coherent(args) -> dict:
     if args.m < 0:
         raise ConfigError(f"--m must be >= 0, got {args.m}")
     rng = _require_seed(args)
-    n_list = _parse_n_list(args.N_list)
-    config = {"m": args.m, "B": args.B, "N_list": n_list, "seed": args.seed}
     index = sample_coherent_index(rng)
-    table = moment_convergence_table(index, args.m, args.B, n_list)
-    return config, {
+    table = moment_convergence_table(index, args.m, args.B, args.N_list)
+    return {
         "coherent_convergence.csv": (
             ["N", "moment", "error", "slope"],
             [table.N_values, table.moments, table.errors, table.slope],
         ),
         "coherent_summary.json": {
-            "config": config,
+            "config": _config(args),
             "ell3": index.ell3,
             "target": table.target,
             "slope": table.slope,
@@ -351,11 +344,10 @@ def cmd_coherent(args) -> tuple[dict, dict]:
     }
 
 
-def cmd_kepler(args) -> tuple[dict, dict]:
+def cmd_kepler(args) -> dict:
     ell = args.ell
     if not 0.0 < ell <= 1.0:
         raise ConfigError("--ell must lie in (0, 1]")
-    config = {"ell": ell, "tol": args.tol, "s_max": args.s_max}
     rl_norm = float(np.sqrt(max(0.0, 1.0 - ell * ell)))
     elements = OrbitElements(
         ell=np.array([0.0, 0.0, ell]), rl=np.array([rl_norm, 0.0, 0.0])
@@ -366,13 +358,13 @@ def cmd_kepler(args) -> tuple[dict, dict]:
     energies = traj.energies()
     ell3 = traj.ell3()
     energy0, ell_vec, rl_vec = kepler_constants(pt0)
-    return config, {
+    return {
         "trajectory.csv": (
             ["s", "x1", "x2", "x3", "p1", "p2", "p3", "energy", "ell3"],
             [traj.s, *traj.states.T, energies, ell3],
         ),
         "kepler_summary.json": {
-            "config": config,
+            "config": _config(args),
             "initial_energy": energy0,
             "ell": ell_vec,
             "runge_lenz": rl_vec,
@@ -385,11 +377,10 @@ def cmd_kepler(args) -> tuple[dict, dict]:
     }
 
 
-def cmd_measures(args) -> tuple[dict, dict]:
+def cmd_measures(args) -> dict:
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     rng = _require_seed(args)
-    config = {"samples": args.samples, "seed": args.seed, "B": args.B}
     rho = TestFunction.monomial(2)
     _require_in_float_range(rho, args.B, args.samples)
     check = liouville_pushforward_check(args.samples, rng, rho, args.B)
@@ -400,13 +391,13 @@ def cmd_measures(args) -> tuple[dict, dict]:
     if not gap <= bound:
         raise IdentityCheckError(f"pushforward gap {gap!r} exceeds its rounding bound {bound!r}")
     mc = check.moment
-    return config, {
+    return {
         "ell3_samples.csv": (
             ["ell3_index", "ell3_phase"],
             [check.sample_ell3_index, check.sample_ell3_phase],
         ),
         "measures_summary.json": {
-            "config": config,
+            "config": _config(args),
             "pushforward": {
                 "max_pointwise_gap": check.max_pointwise_gap,
                 "ks_vs_triangular": check.ks_vs_triangular,
@@ -437,10 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_seed=False):
+    def add_common(p):
         p.add_argument("--out", default=".", help="output directory")
-        if with_seed:
-            p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("cluster", help="cluster spectrum and its scaled-shift law")
     p.add_argument("--N", type=int, required=True)
@@ -454,16 +443,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("szego", help="trace averages against the three limit values")
     p.add_argument("--rho", default="x^2")
     p.add_argument("--B", type=float, default=2.0)
-    p.add_argument("--N-list", dest="N_list", default="25,50,100,200,400")
+    p.add_argument("--N-list", dest="N_list", type=_parse_n_list, default="25,50,100,200,400")
     p.add_argument("--samples", type=int, default=0)
-    add_common(p, with_seed=True)
+    p.add_argument("--seed", type=int)
+    add_common(p)
     p.set_defaults(func=cmd_szego)
 
     p = sub.add_parser("coherent", help="moment convergence of coherent states")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--B", type=float, default=1.0)
-    p.add_argument("--N-list", dest="N_list", default="8,16,32,64")
-    add_common(p, with_seed=True)
+    p.add_argument("--N-list", dest="N_list", type=_parse_n_list, default="8,16,32,64")
+    p.add_argument("--seed", type=int)
+    add_common(p)
     p.set_defaults(func=cmd_coherent)
 
     p = sub.add_parser("kepler", help="regularized orbit integration diagnostics")
@@ -475,8 +466,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measures", help="limit-measure identities and pushforward")
     p.add_argument("--samples", type=int, default=1000000)
+    p.add_argument("--seed", type=int)
     p.add_argument("--B", type=float, default=2.0)
-    add_common(p, with_seed=True)
+    add_common(p)
     p.set_defaults(func=cmd_measures)
 
     return parser
@@ -490,8 +482,7 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value!r}")
         started = time.time()
-        config, files = args.func(args)
-        _write_results(args, config, files, started)
+        _write_results(args, args.func(args), started)
         return 0
     except ValueError as exc:  # ConfigError and the library's input checks
         print(f"error: {exc}", file=sys.stderr)

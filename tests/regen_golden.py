@@ -1,10 +1,11 @@
 """Rewrite the golden result files of a few small commands in tests/golden/.
 
 Each entry of GOLDEN_COMMANDS runs in-process through ``zeemanlab.cli.main``
-into ``tests/golden/<name>/``; the manifest, which records the wall time and
-the peak RSS, is dropped.  FINGERPRINT.json records the Python, numpy and
-scipy versions and the machine the files were made on, where
-tests/test_golden.py compares them byte for byte.  Run it from the
+into ``tests/golden/<name>/``.  Its manifest records the wall time and the
+peak RSS, so only the manifest's ``config`` is kept, as ``config.json``;
+for ``cluster`` no other file records it.  FINGERPRINT.json records the
+Python, numpy and scipy versions and the machine the files were made on,
+where tests/test_golden.py compares them byte for byte.  Run it from the
 repository root after a change that is meant to move results, and read the
 diff of tests/golden/ to see which values moved:
 
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from zeemanlab.cli import main
+from zeemanlab.cli import main, write_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -57,11 +58,13 @@ def fingerprint() -> dict:
 
 
 def run(name: str, out: Path) -> None:
-    """Run one golden command into ``out``, without its manifest."""
+    """Run one golden command into ``out``; its manifest leaves only its config, as config.json."""
     code = main([*GOLDEN_COMMANDS[name], "--out", str(out)])
     if code != 0:
         raise RuntimeError(f"golden command {name!r} exited {code}")
-    (out / "manifest.json").unlink()
+    manifest = out / "manifest.json"
+    write_json(out / "config.json", json.loads(manifest.read_text())["config"])
+    manifest.unlink()
 
 
 def regenerate() -> None:

@@ -284,13 +284,16 @@ def test_cluster_summary_keys(tmp_path, N, B, argv):
     assert run(["cluster", "--N", str(N), "--B", str(B), *argv, "--out", str(out)]) == 0
     # first order reads no band width and records none
     multishell = "multishell" in argv
-    assert json.loads((out / "manifest.json").read_text())["config"] == {
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config == {
         "N": N,
         "B": B,
         "q": 2.0 if multishell else 17.0,
         "mode": "multishell" if multishell else "first_order",
         "delta": 2 if multishell else None,
     }
+    # the manifest is the one record of a cluster run's config, so its order is pinned too
+    assert list(config) == ["N", "B", "q", "mode", "delta"]
     summary = json.loads((out / "cluster_summary.json").read_text())
     assert list(summary) == [
         "N",
@@ -454,6 +457,13 @@ def test_command_writes_exactly_its_files(tmp_path, argv, files):
         # szego draws, and reads --seed, only with --samples > 0
         (["szego", "--N-list", "4,8", "--seed", "-7"], 1),
         (["szego", "--N-list", "4,8", "--seed", "340282366920938463463374607431768211457"], 1),
+        # an N list is strictly increasing positive integers with no empty field
+        (["szego", "--N-list", "x"], 1),
+        (["szego", "--N-list", "0,4"], 1),
+        (["szego", "--N-list", "4,,8"], 1),
+        (["szego", "--N-list", "400,25"], 1),
+        (["szego", "--N-list", "25,25"], 1),
+        (["coherent", "--N-list", "16,8", "--seed", "1"], 1),
     ],
 )
 def test_failed_command_creates_no_output_directory(tmp_path, argv, code):
@@ -461,7 +471,15 @@ def test_failed_command_creates_no_output_directory(tmp_path, argv, code):
     proc = run_fresh(["-m", "zeemanlab.cli", *argv, "--out", str(out)])
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: " if code == 1 else "scientific check failed: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "szego", "coherent", "kepler", "measures"])
+def test_command_help_exits_zero(command):
+    proc = run_fresh(["-m", "zeemanlab.cli", command, "--help"])
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.startswith(f"usage: zeemanlab {command} ")
 
 
 @pytest.mark.parametrize(

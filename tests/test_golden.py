@@ -1,4 +1,4 @@
-"""The result files of a few small commands against those kept in tests/golden/.
+"""The result files and config of a few small commands against those kept in tests/golden/.
 
 On the Python, numpy, scipy and machine recorded in FINGERPRINT.json the
 files must match byte for byte.  Elsewhere the libraries' and the
@@ -123,7 +123,7 @@ def test_parsed_comparison_takes_the_files_and_refuses_a_moved_value(name, tmp_p
     with csv_file.open("w", newline="") as fh:
         csv.writer(fh).writerows([header, *rows])
     assert parsed_mismatch(csv_file, GOLDEN / name / csv_file.name) is not None
-    summary = next(tmp_path.glob("*.json"))
+    summary = next(tmp_path.glob("*_summary.json"))
     payload = json.loads(summary.read_text())
     key = next(k for k, v in payload.items() if isinstance(v, float))
     payload[key] = payload[key] * (1 + 1e-3) + 1e-3
