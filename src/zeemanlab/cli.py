@@ -10,11 +10,14 @@ Results are deterministic for a fixed configuration and seed: dictionary
 field order is fixed, CSV floats have 17 significant digits and JSON
 floats are the shortest repr that round-trips, so reruns are
 byte-identical (the manifest records the wall time and the peak RSS and
-is exempt).  The CSV writer takes whole columns and formats each
-distinct bit pattern of a block of rows once, which makes a cluster
-spectrum (few distinct shifts, each many times over) cheap to write; a
-test pins its bytes to ``csv.writer``.  JSON payloads are small
-summaries, written by ``json.dump(indent=2)``.
+is exempt).  The CSV writer takes whole columns and works on blocks of
+rows.  In a block it formats each run of rows equal bit for bit once,
+and each distinct bit pattern of a column among the runs once, which
+makes a cluster spectrum (few distinct rows, each many times over and
+adjacent) cheap to write; a test pins its bytes to ``csv.writer``.  JSON
+payloads are small summaries, written by ``json.dump(indent=2)``.  The
+manifest's scipy version is read from scipy's version file, so commands
+that need no scipy never import it.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 failed
 scientific check (cluster separation, sub-cluster overlap, lost orbit
@@ -25,10 +28,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.machinery
+import importlib.util
 import json
 import math
+import re
 import sys
 import time
+from itertools import chain, repeat
 from pathlib import Path
 
 try:
@@ -93,9 +100,9 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-# Rows go out in blocks of this many; within a block each distinct bit
-# pattern of a column is formatted once.  The cap bounds the memory the
-# formatted text takes.
+# Rows go out in blocks of this many; within a block each run of equal
+# rows, and each distinct bit pattern of a column among the runs, is
+# formatted once.  The cap bounds the memory the formatted text takes.
 _BLOCK_ROWS = 1 << 14
 
 
@@ -111,7 +118,6 @@ def _formatted(column: np.ndarray) -> list[str]:
     Deduplicating by bits rather than by value keeps -0.0 apart from 0.0
     and NaN equal to itself.
     """
-    column = np.ascontiguousarray(column)
     bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
     return np.array(_csv_texts(bits.view(column.dtype)), dtype=object)[inverse].tolist()
 
@@ -121,6 +127,28 @@ def write_json(path: Path, payload: dict) -> None:
     with path.open("w") as fh:
         json.dump(payload, fh, indent=2, default=lambda v: v.tolist())
         fh.write("\n")
+
+
+def _csv_block(block: list[np.ndarray]) -> str:
+    """CSV lines of a block of rows, without the last line ending.
+
+    A row equal bit for bit to the one above repeats its text; only the
+    first row of each run is formatted.  A block's texts go when it
+    returns, so they never share memory with the next block's.
+    """
+    # a run of equal rows starts where the bits of some column change
+    new_run = np.zeros(len(block[0]), dtype=bool)
+    new_run[0] = True
+    for c in block:
+        bits = c.view(f"u{c.itemsize}")
+        new_run[1:] |= bits[1:] != bits[:-1]
+    firsts = np.flatnonzero(new_run)
+    counts = np.diff(firsts, append=len(new_run)).tolist()
+    texts = [_formatted(c[firsts]) for c in block]
+    # numbers never need CSV quoting; the line ending is csv's
+    rows = list(map(",".join, zip(*texts)))
+    del texts  # freed before the join allocates the block's text
+    return "\r\n".join(chain.from_iterable(map(repeat, rows, counts)))
 
 
 def write_csv(path: Path, header: list[str], columns) -> None:
@@ -134,9 +162,9 @@ def write_csv(path: Path, header: list[str], columns) -> None:
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            texts = [_formatted(c[start : start + _BLOCK_ROWS]) for c in columns]
-            # numbers never need CSV quoting; the line ending is csv's
-            fh.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
+            # the last line ending goes out apart, which spares a copy of the text
+            fh.write(_csv_block([c[start : start + _BLOCK_ROWS] for c in columns]))
+            fh.write("\r\n")
 
 
 def _config(args) -> dict:
@@ -153,8 +181,6 @@ def _write_results(args, files: dict, started: float) -> None:
     error naming the file; the files written before it stay, and with no
     manifest written the run reads as incomplete.
     """
-    import scipy
-
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -179,13 +205,28 @@ def _write_results(args, files: dict, started: float) -> None:
         "versions": {
             "zeemanlab": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
             "python": sys.version.split()[0],
         },
         "wall_time_s": time.time() - started,
         "peak_rss_mb": _peak_rss_mb(),
     }
     write("manifest.json", manifest)
+
+
+def _scipy_version() -> str:
+    """``scipy.__version__``, read from scipy/version.py without scipy's package init.
+
+    Only the diamagnetic term needs scipy; importing it for its version
+    alone would cost every other command 9-16 ms (2-vCPU machine).
+    """
+    package = importlib.util.find_spec("scipy")
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.version", package.submodule_search_locations
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
 
 
 def _peak_rss_mb() -> float | None:
@@ -198,12 +239,15 @@ def _peak_rss_mb() -> float | None:
 
 
 def _parse_n_list(text: str) -> list[int]:
-    """Comma-separated, strictly increasing positive integers."""
+    """Comma-separated, strictly increasing positive integers in ASCII digits."""
+    fields = text.split(",")
     try:
-        values = [int(v) for v in text.split(",")]
-    except ValueError:
+        # int() alone also reads "+8", " 8", "4_0" and non-ASCII digits
+        values = [int(v) for v in fields if re.fullmatch("[0-9]+", v)]
+    except ValueError:  # more digits than int() converts
         values = []
-    if not values or values[0] < 1 or any(a >= b for a, b in zip(values, values[1:])):
+    increasing = all(a < b for a, b in zip(values, values[1:]))
+    if len(values) < len(fields) or values[0] < 1 or not increasing:
         # argparse keeps the message of this error type only
         raise argparse.ArgumentTypeError(
             f"bad N list {text!r}: want strictly increasing positive integers"

@@ -182,7 +182,7 @@ def moment_convergence_table(
     index: CoherentIndex, power: int, B: float, N_list
 ) -> ConvergenceTable:
     """Errors |moment(N) - ((-B/2) ell3)^power| and their decay rate in N."""
-    N_values = np.asarray(sorted(N_list), dtype=int)
+    N_values = np.asarray(N_list, dtype=int)
     if len(N_values) < 2 or np.any(np.diff(N_values) <= 0):
         raise ValueError("N_list must contain at least two strictly increasing values")
     if power < 0:

@@ -1,15 +1,19 @@
 """Command-line contract: files, determinism, exit codes, flag parsing."""
 
 import csv
+import importlib.metadata
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zeemanlab import cli
 from zeemanlab.cli import (
     _BLOCK_ROWS,
     main,
@@ -43,10 +47,10 @@ def run_fresh(args, **env):
     )
 
 
-def _scipy_submodules_loaded_after(statement):
+def _scipy_modules_loaded_after(statement):
     code = (
         f"import sys, zeemanlab.cli; {statement}; "
-        "print([m for m in ('scipy.special', 'scipy.linalg', 'scipy._lib._array_api') "
+        "print([m for m in ('scipy', 'scipy.special', 'scipy.linalg', 'scipy._lib._array_api') "
         "if m in sys.modules])"
     )
     proc = run_fresh(["-c", code])
@@ -56,25 +60,39 @@ def _scipy_submodules_loaded_after(statement):
 
 def test_importing_the_cli_leaves_scipy_submodules_unloaded():
     # every command pays the import
-    assert _scipy_submodules_loaded_after("pass") == "[]"
+    assert _scipy_modules_loaded_after("pass") == "[]"
+
+
+# (argv, whether the scipy package itself is imported); the manifest reads
+# scipy's version from its file, so only the banded solver imports scipy
+_SCIPY_CASES = [
+    # LAPACK's banded solver is loaded without scipy.linalg's package init; at
+    # q = 17 the diamagnetic term, and with it the band, stays up to N = 7
+    (["cluster", "--N", "6", "--q", "17"], True),
+    (["cluster", "--N", "6", "--q", "2"], True),
+    (["cluster", "--N", "4", "--q", "2", "--mode", "multishell", "--delta", "2"], True),
+    # the L3 law is built without scipy.special
+    (["coherent", "--m", "2", "--N-list", "8,16", "--seed", "1"], False),
+    (["kepler", "--tol", "1e-6"], False),
+    (["measures", "--samples", "1000", "--seed", "1"], False),
+    # the paramagnetic ladder: diagonal blocks need no banded solver
+    (["cluster", "--N", "8", "--q", "17"], False),
+]
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        # diagonal blocks need no banded solver
-        ["cluster", "--N", "6", "--q", "17"],
-        # LAPACK's banded solver is loaded without scipy.linalg's package init
-        ["cluster", "--N", "6", "--q", "2"],
-        ["cluster", "--N", "4", "--q", "2", "--mode", "multishell", "--delta", "2"],
-        # the L3 law is built without scipy.special
-        ["coherent", "--m", "2", "--N-list", "8,16", "--seed", "1"],
-    ],
+    "argv, package", _SCIPY_CASES, ids=[f"argv{i}" for i in range(len(_SCIPY_CASES))]
 )
-def test_commands_leave_scipy_submodules_unloaded(argv, tmp_path):
+def test_commands_leave_scipy_submodules_unloaded(argv, package, tmp_path):
     run_argv = [*argv, "--out", str(tmp_path / "out")]
     statement = f"assert zeemanlab.cli.main({run_argv!r}) == 0"
-    assert _scipy_submodules_loaded_after(statement) == "[]"
+    assert _scipy_modules_loaded_after(statement) == ("['scipy']" if package else "[]")
+
+
+def test_manifest_records_the_installed_scipy_version(tmp_path):
+    assert run(["cluster", "--N", "2", "--out", str(tmp_path)]) == 0
+    versions = json.loads((tmp_path / "manifest.json").read_text())["versions"]
+    assert versions["scipy"] == importlib.metadata.version("scipy")
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +146,21 @@ _COLUMN_CASES = {
     ],
     "ladder_N40_q17": list(_spectrum(40, 17.0)),
     "spectrum_N12_q2": list(_spectrum(12, 2.0)),
+    # runs of equal rows: the writer formats the first row of each run once
+    "runs_over_one_block_edge": [
+        np.repeat([0.5, -1.25, 3.0], [_BLOCK_ROWS - 3, 7, 100]),
+        np.repeat([1, 2], [_BLOCK_ROWS - 1, 105]),
+    ],
+    "runs_over_two_block_edges": [
+        np.repeat([0.1, 7.0, 0.1], [5, 2 * _BLOCK_ROWS, 9]),
+        np.repeat([2, 3], [_BLOCK_ROWS + 1, _BLOCK_ROWS + 13]),
+        -0.0,
+    ],
+    "signed_zero_and_nan_runs": [
+        np.repeat([-0.0, 0.0, np.nan, -np.nan, 0.0, -0.0, np.nan], [4, 3, 5, 2, 1, 6, 3]),
+        np.repeat([0.0, -0.0], [12, 12]),
+    ],
+    "one_run": [np.full(_BLOCK_ROWS + 5, 1 / 3), 4, np.full(_BLOCK_ROWS + 5, np.nan)],
 }
 
 
@@ -139,6 +172,35 @@ def test_write_csv_matches_row_writer(tmp_path, case):
     rows = zip(*np.broadcast_arrays(*(np.atleast_1d(c) for c in columns)))
     _oracle_write_csv(tmp_path / "old.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+_RUN_POOL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.1, -2.5]
+
+
+def _runs(values):
+    """A column of runs: each drawn value repeated 1 to 4 times."""
+    return st.lists(st.tuples(values, st.integers(1, 4)), max_size=12).map(
+        lambda runs: [v for v, count in runs for _ in range(count)]
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    floats=_runs(st.sampled_from(_RUN_POOL)),
+    ints=_runs(st.integers(-1, 1)),
+    scalar=st.sampled_from(_RUN_POOL),
+    block_rows=st.integers(1, 6),
+)
+def test_write_csv_runs_match_row_writer(tmp_path_factory, floats, ints, scalar, block_rows):
+    # the two columns' runs end apart, and small blocks put block edges inside runs
+    n = min(len(floats), len(ints))
+    columns = [np.array(floats[:n]), np.array(ints[:n], dtype=np.int64), scalar]
+    directory = tmp_path_factory.mktemp("runs")
+    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+        write_csv(directory / "new.csv", ["x", "m", "c"], columns)
+    rows = zip(*np.broadcast_arrays(*(np.atleast_1d(c) for c in columns)))
+    _oracle_write_csv(directory / "old.csv", ["x", "m", "c"], rows)
+    assert (directory / "new.csv").read_bytes() == (directory / "old.csv").read_bytes()
 
 
 def test_write_csv_rejects_a_2d_column(tmp_path):
@@ -464,6 +526,11 @@ def test_command_writes_exactly_its_files(tmp_path, argv, files):
         (["szego", "--N-list", "400,25"], 1),
         (["szego", "--N-list", "25,25"], 1),
         (["coherent", "--N-list", "16,8", "--seed", "1"], 1),
+        # ASCII digits only: int() would read each of these
+        (["szego", "--N-list", "4_0"], 1),
+        (["szego", "--N-list", " 8"], 1),
+        (["szego", "--N-list", "+8"], 1),
+        (["szego", "--N-list", "\u0664"], 1),
     ],
 )
 def test_failed_command_creates_no_output_directory(tmp_path, argv, code):

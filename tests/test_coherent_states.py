@@ -353,6 +353,13 @@ def test_convergence_requires_increasing_list():
         moment_convergence_table(HALF_INDEX, 1, 1.0, [8, 8])
 
 
+@pytest.mark.parametrize("N_list", [[16, 8], [8, 32, 16]])
+def test_convergence_checks_the_order_given(N_list):
+    # a decreasing list is refused, not sorted into rows of another order
+    with pytest.raises(ValueError, match="strictly increasing"):
+        moment_convergence_table(HALF_INDEX, 1, 1.0, N_list)
+
+
 @pytest.mark.parametrize("power, B", [(2, 1e160), (3, 1e120), (2, -1e160)])
 def test_convergence_table_rejects_moments_out_of_float_range(power, B):
     with pytest.raises(ValueError, match="out of float range"):
